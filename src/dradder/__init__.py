@@ -21,7 +21,7 @@ from .generators import (
     gen_safa,
     gen_stage,
 )
-from .netlist import ARITY, Gate, GateKind, Netlist, PortGroup, eval_gate
+from .netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup, eval_gate
 from .simulator import (
     DEFAULT_SEED,
     DelayTable,
@@ -29,7 +29,6 @@ from .simulator import (
     ProtocolSummary,
     SimulationLimitError,
     TransactionLog,
-    check_rtz_complete,
     classify_indication,
     dump_waveform,
     random_vectors,

@@ -9,7 +9,6 @@ reruns with identical flags produce identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .generators import (
@@ -20,7 +19,7 @@ from .generators import (
     gen_safa,
     gen_stage,
 )
-from .netlist import GateKind, Netlist
+from .netlist import Netlist
 from .simulator import (
     DEFAULT_SEED,
     DelayTable,
@@ -48,9 +47,11 @@ class CliError(Exception):
 
 def _load_netlist(path: str) -> Netlist:
     try:
-        return Netlist.load(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        n = Netlist.load(path)
+        n.topo_gates()  # a cycle is a parse error; the order is cached for later use
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read netlist {path!r}: {exc}", EXIT_PARSE)
+    return n
 
 
 def _load_delays(path: str | None) -> DelayTable:
@@ -58,7 +59,7 @@ def _load_delays(path: str | None) -> DelayTable:
         return DelayTable.unit()
     try:
         return DelayTable.load(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read delay table {path!r}: {exc}", EXIT_PARSE)
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 
 class GateKind(str, Enum):
@@ -41,6 +42,24 @@ ARITY: dict[GateKind, int] = {
 }
 
 
+# What each gate kind computes from its input levels `i` and, for C2, its
+# previous output `held`. Written with & and | only, so one entry evaluates
+# 0/1 ints and numpy bool arrays alike.
+GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
+    GateKind.BUF: lambda i, held: i[0],
+    GateKind.AND2: lambda i, held: i[0] & i[1],
+    GateKind.AND4: lambda i, held: i[0] & i[1] & i[2] & i[3],
+    GateKind.OR2: lambda i, held: i[0] | i[1],
+    GateKind.OR3: lambda i, held: i[0] | i[1] | i[2],
+    GateKind.OR4: lambda i, held: i[0] | i[1] | i[2] | i[3],
+    GateKind.AO21: lambda i, held: (i[0] & i[1]) | i[2],
+    GateKind.AO22: lambda i, held: (i[0] & i[1]) | (i[2] & i[3]),
+    GateKind.AO222: lambda i, held: (i[0] & i[1]) | (i[2] & i[3]) | (i[4] & i[5]),
+    # follows its inputs when they agree, else holds
+    GateKind.C2: lambda i, held: (i[0] & i[1]) | (held & (i[0] | i[1])),
+}
+
+
 def eval_gate(kind: GateKind, ins: Sequence[int], held: int = 0) -> int:
     """Boolean output of a gate given its input levels.
 
@@ -48,25 +67,7 @@ def eval_gate(kind: GateKind, ins: Sequence[int], held: int = 0) -> int:
     """
     if len(ins) != ARITY[kind]:
         raise ValueError(f"{kind.value} takes {ARITY[kind]} inputs, got {len(ins)}")
-    if kind is GateKind.BUF:
-        return ins[0]
-    if kind in (GateKind.AND2, GateKind.AND4):
-        return int(all(ins))
-    if kind in (GateKind.OR2, GateKind.OR3, GateKind.OR4):
-        return int(any(ins))
-    if kind is GateKind.AO21:
-        return int((ins[0] and ins[1]) or ins[2])
-    if kind is GateKind.AO22:
-        return int((ins[0] and ins[1]) or (ins[2] and ins[3]))
-    if kind is GateKind.AO222:
-        return int((ins[0] and ins[1]) or (ins[2] and ins[3]) or (ins[4] and ins[5]))
-    if kind is GateKind.C2:
-        if all(ins):
-            return 1
-        if not any(ins):
-            return 0
-        return held
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return GATE_FN[kind](ins, held)
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,9 @@ class Netlist:
         for g in self.gates:
             for net in g.inputs:
                 self._fanout[net].append(g)
+        # the first group of a name wins
+        self._in_groups = {grp.name: grp for grp in reversed(self.inputs)}
+        self._out_groups = {grp.name: grp for grp in reversed(self.outputs)}
 
     # -- structure queries ------------------------------------------------
 
@@ -135,30 +139,14 @@ class Netlist:
             nets.append(self.ackout)
         return tuple(nets)
 
-    def all_nets(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for net in self.input_nets:
-            seen.setdefault(net)
-        for g in self.gates:
-            for net in g.inputs:
-                seen.setdefault(net)
-            seen.setdefault(g.output)
-        return tuple(seen)
-
-    def driver_of(self, net: str) -> Gate | None:
-        return self._driver.get(net)
-
     def fanout_of(self, net: str) -> list[Gate]:
         return self._fanout.get(net, [])
 
     def group(self, name: str, *, output: bool = False) -> PortGroup:
-        for grp in (self.outputs if output else self.inputs):
-            if grp.name == name:
-                return grp
-        raise KeyError(f"no {'output' if output else 'input'} group {name!r} in {self.name}")
-
-    def data_input_groups(self) -> tuple[PortGroup, ...]:
-        return self.inputs
+        grp = (self._out_groups if output else self._in_groups).get(name)
+        if grp is None:
+            raise KeyError(f"no {'output' if output else 'input'} group {name!r} in {self.name}")
+        return grp
 
     # -- checks ------------------------------------------------------------
 
@@ -205,23 +193,23 @@ class Netlist:
             if not self._fanout.get(net) and net not in out_nets:
                 report.append(f"net {net!r} dangles: no fanout and not a primary output")
 
-        if self._topo_order() is None:
+        if self._order is None:
             report.append("gate graph contains a cycle")
         return report
 
-    def _topo_order(self) -> list[Gate] | None:
-        primary = set(self.input_nets)
+    @cached_property
+    def _order(self) -> tuple[Gate, ...] | None:
+        """Gates in topological order, derived once; None if the graph has a cycle."""
         indeg: dict[str, int] = {}
         dependents: dict[str, list[Gate]] = defaultdict(list)
         for g in self.gates:
             deps = 0
             for net in g.inputs:
                 drv = self._driver.get(net)
+                # undriven nets are a validate() finding, not a dependency
                 if drv is not None:
                     deps += 1
                     dependents[drv.id].append(g)
-                elif net not in primary:
-                    pass  # undriven nets are a validate() finding, not a cycle
             indeg[g.id] = deps
         by_id = {g.id: g for g in self.gates}
         ready = deque(sorted(gid for gid, d in indeg.items() if d == 0))
@@ -235,13 +223,12 @@ class Netlist:
                     ready.append(succ.id)
         if len(order) != len(self.gates):
             return None
-        return order
+        return tuple(order)
 
-    def topo_gates(self) -> list[Gate]:
-        order = self._topo_order()
-        if order is None:
+    def topo_gates(self) -> tuple[Gate, ...]:
+        if self._order is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
-        return order
+        return self._order
 
     # -- serialization -------------------------------------------------------
 

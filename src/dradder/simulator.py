@@ -13,9 +13,9 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
-from .netlist import ARITY, GateKind, Netlist, eval_gate
+from .netlist import GateKind, Netlist, eval_gate
 
 DEFAULT_SEED = 1011
 DEFAULT_MAX_EVENTS = 10_000_000
@@ -237,11 +237,6 @@ def simulate_transaction(
         events=sim.events,
         set_end=set_end,
     )
-
-
-def check_rtz_complete(log: TransactionLog, netlist: Netlist) -> bool:
-    """True iff every net that transitioned is back at 0 at the end."""
-    return all(level == 0 for level in log.final_levels.values())
 
 
 def random_vectors(netlist: Netlist, count: int, seed: int = DEFAULT_SEED) -> list[dict[str, int]]:

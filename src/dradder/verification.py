@@ -1,6 +1,6 @@
 """Oracles and property checkers for the generated adders.
 
-Two evaluation routes are kept deliberately independent:
+Two evaluation routes check every sweep:
 
 * a vectorized steady-state evaluator (numpy, bit-per-vector) used for
   exhaustive and large random sweeps, valid because every generated
@@ -8,6 +8,12 @@ Two evaluation routes are kept deliberately independent:
   all-zero state settles to the AND of its inputs);
 * the event-driven simulator, cross-checked against the oracle on a
   seeded subsample of every sweep.
+
+Both routes take gate semantics from the one table `netlist.GATE_FN`, whose
+truth tables the tests pin. What the cross-check still guards is everything
+the steady-state route abstracts away: event scheduling and delays, the
+C-element holding its value across the set and reset phases, and the
+illegal-state, monotonicity and return-to-zero monitors of the simulator.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally
@@ -22,10 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import GateKind, Netlist
+from .netlist import GATE_FN, Netlist
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
-
-K = GateKind
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,16 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
 # vectorized steady-state evaluation
 
 
+def _settle(n: Netlist, levels: dict[str, np.ndarray],
+            held: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Evaluate every gate in topological order over `levels`, which holds
+    the input nets; each C2 holds its level in `held`, or 0 when absent."""
+    for g in n.topo_gates():
+        levels[g.output] = GATE_FN[g.kind]([levels[x] for x in g.inputs],
+                                           held.get(g.output, False))
+    return levels
+
+
 def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Steady levels after a set phase from all-zero, one boolean array per
     net, vectorized across input vectors. C2 settles to AND under monotone
@@ -59,24 +73,7 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
             levels[net] = np.zeros(shape, dtype=bool)
     if n.ackin is not None:
         levels[n.ackin] = np.ones(shape, dtype=bool)
-
-    for g in n.topo_gates():
-        ins = [levels[x] for x in g.inputs]
-        k = g.kind
-        if k is K.BUF:
-            out = ins[0]
-        elif k in (K.AND2, K.AND4, K.C2):
-            out = np.logical_and.reduce(ins)
-        elif k in (K.OR2, K.OR3, K.OR4):
-            out = np.logical_or.reduce(ins)
-        elif k is K.AO21:
-            out = (ins[0] & ins[1]) | ins[2]
-        elif k is K.AO22:
-            out = (ins[0] & ins[1]) | (ins[2] & ins[3])
-        else:  # AO222
-            out = (ins[0] & ins[1]) | (ins[2] & ins[3]) | (ins[4] & ins[5])
-        levels[g.output] = out
-    return levels
+    return _settle(n, levels, {})
 
 
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -84,31 +81,8 @@ def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[s
     all inputs at spacer, C2 holding its set-phase value until both inputs
     are back at zero."""
     shape = next(iter(set_levels.values())).shape
-    levels: dict[str, np.ndarray] = {
-        net: np.zeros(shape, dtype=bool) for net in n.input_nets
-    }
-    for g in n.topo_gates():
-        ins = [levels[x] for x in g.inputs]
-        k = g.kind
-        if k is K.C2:
-            all1 = np.logical_and.reduce(ins)
-            none = ~np.logical_or.reduce(ins)
-            held = set_levels[g.output]
-            out = np.where(none, False, np.where(all1, True, held))
-        elif k is K.BUF:
-            out = ins[0]
-        elif k in (K.AND2, K.AND4):
-            out = np.logical_and.reduce(ins)
-        elif k in (K.OR2, K.OR3, K.OR4):
-            out = np.logical_or.reduce(ins)
-        elif k is K.AO21:
-            out = (ins[0] & ins[1]) | ins[2]
-        elif k is K.AO22:
-            out = (ins[0] & ins[1]) | (ins[2] & ins[3])
-        else:
-            out = (ins[0] & ins[1]) | (ins[2] & ins[3]) | (ins[4] & ins[5])
-        levels[g.output] = out
-    return levels
+    levels = {net: np.zeros(shape, dtype=bool) for net in n.input_nets}
+    return _settle(n, levels, set_levels)
 
 
 def _adder_input_levels(n: Netlist, width: int, a, b, cin) -> dict[str, np.ndarray]:

@@ -96,6 +96,30 @@ def test_sim_missing_netlist_is_parse_error(tmp_path):
     assert main(["sim", "--netlist", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
 
+CYCLIC = {
+    "name": "cycle",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "g1", "rail0": None}],
+    "gates": [{"id": "g1", "kind": "OR2", "in": ["a", "g2"], "out": "g1"},
+              {"id": "g2", "kind": "BUF", "in": ["g1"], "out": "g2"}],
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["sta", "--netlist"], {"name": "x", "inputs": [], "outputs": [], "gates": 5}),
+    (["sta", "--netlist"], []),
+    (["sweep", "--width", "4", "--delays"], [1, 2]),
+    (["sta", "--netlist"], CYCLIC),
+    (["sim", "--count", "1", "--netlist"], CYCLIC),
+], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
+        "sta-cycle", "sim-cycle"])
+def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_subcommand(tmp_path, capsys):
     rc = main(["verify", "--width", "4", "--safa", "2", "--mode", "exhaustive"])
     assert rc == EXIT_OK

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from dradder.netlist import ARITY, Gate, GateKind, Netlist, PortGroup, eval_gate
+from dradder.netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup, eval_gate
 
 
 def test_arity_table():
@@ -39,6 +40,32 @@ def test_eval_c_element_holds_on_disagreement():
         assert eval_gate(GateKind.C2, [0, 0], held) == 0
         assert eval_gate(GateKind.C2, [1, 0], held) == held
         assert eval_gate(GateKind.C2, [0, 1], held) == held
+
+
+# Truth tables written independently of GATE_FN, from the gate definitions.
+REFERENCE = {
+    GateKind.BUF: lambda a, held: a[0],
+    GateKind.AND2: lambda a, held: all(a),
+    GateKind.AND4: lambda a, held: all(a),
+    GateKind.OR2: lambda a, held: any(a),
+    GateKind.OR3: lambda a, held: any(a),
+    GateKind.OR4: lambda a, held: any(a),
+    GateKind.AO21: lambda a, held: all(a[:2]) or a[2],
+    GateKind.AO22: lambda a, held: all(a[:2]) or all(a[2:]),
+    GateKind.AO222: lambda a, held: any(all(a[i:i + 2]) for i in (0, 2, 4)),
+    GateKind.C2: lambda a, held: 1 if all(a) else 0 if not any(a) else held,
+}
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_fn_matches_truth_table_on_ints_and_arrays(kind):
+    rows = list(itertools.product((0, 1), repeat=ARITY[kind] + 1))
+    expect = [int(bool(REFERENCE[kind](row[:-1], row[-1]))) for row in rows]
+    assert [GATE_FN[kind](list(row[:-1]), row[-1]) for row in rows] == expect
+    cols = [np.array(col, dtype=bool) for col in zip(*rows)]
+    out = GATE_FN[kind](cols[:-1], cols[-1])
+    assert out.dtype == bool
+    assert out.tolist() == [bool(e) for e in expect]
 
 
 def test_eval_rejects_wrong_arity():
@@ -114,6 +141,12 @@ def test_topological_order_respects_edges():
     n = _tiny_netlist()
     order = [g.id for g in n.topo_gates()]
     assert order.index("g1") < order.index("g2")
+
+
+def test_topological_order_is_derived_once():
+    n = _tiny_netlist()
+    assert n.validate() == []
+    assert n.topo_gates() is n.topo_gates()
 
 
 def test_gate_census_counts_every_kind():

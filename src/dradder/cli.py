@@ -184,8 +184,11 @@ def cmd_verify(args) -> int:
         width = args.width
     else:
         raise CliError("verify supports the rca circuit selector", EXIT_USAGE)
-    result = exhaustive_verify(n, width, mode=args.mode, seed=args.seed,
-                               count=args.count)
+    try:
+        result = exhaustive_verify(n, width, mode=args.mode, seed=args.seed,
+                                   count=args.count)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
     print(f"checked {result.checked} vectors: failures={result.failures}, "
           f"illegal={result.illegal_states}, rtz_failures={result.rtz_failures}, "
           f"event-sim cross-checked={result.sim_checked}")

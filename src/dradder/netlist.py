@@ -78,6 +78,12 @@ class Gate:
     output: str
 
 
+def _arity_error(g: Gate) -> str | None:
+    if len(g.inputs) != ARITY[g.kind]:
+        return f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
+    return None
+
+
 @dataclass(frozen=True)
 class PortGroup:
     """A named dual-rail port (rail1, rail0), or a single wire when rail0 is None."""
@@ -164,10 +170,8 @@ class Netlist:
             if g.id in ids:
                 report.append(f"duplicate gate id {g.id!r}")
             ids.add(g.id)
-            if len(g.inputs) != ARITY[g.kind]:
-                report.append(
-                    f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
-                )
+            if err := _arity_error(g):
+                report.append(err)
 
         primary = set(self.input_nets)
         drivers: dict[str, list[str]] = defaultdict(list)
@@ -254,13 +258,15 @@ class Netlist:
         def grp(d: dict) -> PortGroup:
             return PortGroup(d["group"], d["rail1"], d.get("rail0"))
 
+        gates = [Gate(d["id"], GateKind(d["kind"]), tuple(d["in"]), d["out"])
+                 for d in doc["gates"]]
+        for g in gates:
+            if err := _arity_error(g):
+                raise ValueError(err)
         acks = doc.get("acks") or {}
         return cls(
             name=doc["name"],
-            gates=[
-                Gate(d["id"], GateKind(d["kind"]), tuple(d["in"]), d["out"])
-                for d in doc["gates"]
-            ],
+            gates=gates,
             inputs=[grp(d) for d in doc["inputs"]],
             outputs=[grp(d) for d in doc["outputs"]],
             ackin=acks.get("ackin"),

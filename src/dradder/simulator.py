@@ -84,6 +84,7 @@ class TransactionLog:
     final_levels: dict[str, int]
     events: int
     set_end: int
+    set_levels: dict[str, int]  # every driven net's level at set_end
 
 
 class _Sim:
@@ -214,6 +215,7 @@ def simulate_transaction(
     sim.direction = +1
     input_apply = _apply_vector(sim, netlist, inputs)
     set_end = sim.run()
+    set_levels = dict(sim.levels)
 
     output_valid = {grp.name: sim.group_validity_time(grp) for grp in netlist.outputs}
     latency = None
@@ -236,6 +238,7 @@ def simulate_transaction(
         final_levels=final,
         events=sim.events,
         set_end=set_end,
+        set_levels=set_levels,
     )
 
 

@@ -1,13 +1,19 @@
 """Oracles and property checkers for the generated adders.
 
+Adder sweeps work on bit-planes: one boolean array per operand bit (the
+carry-in, then A and B least significant first), one lane per vector, so
+they are exact at any width. Exhaustive mode takes plane k from bit k of
+the vector index; random mode draws every plane from a seeded generator.
 Two evaluation routes check every sweep:
 
-* a vectorized steady-state evaluator (numpy, bit-per-vector) used for
-  exhaustive and large random sweeps, valid because every generated
+* a vectorized steady-state evaluator (numpy, one lane per vector) used
+  for exhaustive and large random sweeps, valid because every generated
   circuit is monotone per handshake phase (a C-element driven from the
-  all-zero state settles to the AND of its inputs);
-* the event-driven simulator, cross-checked against the oracle on a
-  seeded subsample of every sweep.
+  all-zero state settles to the AND of its inputs); its output planes are
+  compared with a plane-wise ripple of the integer oracle;
+* the event-driven simulator, replayed on a seeded subsample of every
+  sweep; the level of every net at the end of its set phase must equal
+  the steady-state level of that lane.
 
 Both routes take gate semantics from the one table `netlist.GATE_FN`, whose
 truth tables the tests pin. What the cross-check still guards is everything
@@ -48,6 +54,18 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     return total % 2**width, total >> width
 
 
+def oracle_planes(a: list[np.ndarray], b: list[np.ndarray],
+                  cin: np.ndarray) -> list[np.ndarray]:
+    """Bulk form of `oracle_add` over bit-planes, least significant first:
+    the sum planes followed by the carry-out plane, at any width."""
+    out, c = [], cin
+    for x, y in zip(a, b):
+        half = x ^ y
+        out.append(half ^ c)
+        c = (x & y) | (c & half)
+    return out + [c]
+
+
 # ---------------------------------------------------------------------------
 # vectorized steady-state evaluation
 
@@ -85,19 +103,9 @@ def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[s
     return _settle(n, levels, set_levels)
 
 
-def _adder_input_levels(n: Netlist, width: int, a, b, cin) -> dict[str, np.ndarray]:
-    levels: dict[str, np.ndarray] = {}
-    for i in range(width):
-        for prefix, word in (("A", a), ("B", b)):
-            grp = n.group(f"{prefix}{i}")
-            bit = ((word >> i) & 1).astype(bool)
-            levels[grp.rail1] = bit
-            levels[grp.rail0] = ~bit
-    cgrp = n.group("CIN")
-    cbit = cin.astype(bool)
-    levels[cgrp.rail1] = cbit
-    levels[cgrp.rail0] = ~cbit
-    return levels
+def _lane_int(planes, lane: int) -> int:
+    """The unsigned integer whose bit k is plane k at `lane`."""
+    return sum(int(p[lane]) << k for k, p in enumerate(planes))
 
 
 @dataclass
@@ -125,52 +133,51 @@ def exhaustive_verify(
     """Check an adder netlist against the integer oracle.
 
     Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
-    width 8); random mode draws `count` seeded vectors. The full sweep runs
-    through the vectorized steady-state evaluator (set phase decoded and
-    compared with the oracle, reset phase checked for return-to-zero); a
-    seeded subsample of `sim_sample` vectors is additionally replayed on
-    the event-driven simulator and must agree transaction by transaction.
+    width 8); random mode draws `count` seeded vectors at any width. The
+    full sweep runs through the vectorized steady-state evaluator (set phase
+    decoded and compared with the oracle, reset phase checked for
+    return-to-zero); a seeded subsample of `sim_sample` vectors is
+    additionally replayed on the event-driven simulator, whose set-phase
+    level of every net must equal the steady-state one.
     """
+    # input ports in plane order: CIN is bit 0 of the exhaustive index
+    ports = ["CIN"] + [f"A{i}" for i in range(width)] + [f"B{i}" for i in range(width)]
     if mode == "exhaustive":
         if width > 8:
             raise ValueError("exhaustive mode is limited to width <= 8")
-        total = 2 ** (2 * width + 1)
-        idx = np.arange(total, dtype=np.int64)
-        cin = idx & 1
-        a = (idx >> 1) & (2**width - 1)
-        b = idx >> (1 + width)
+        idx = np.arange(2 ** len(ports), dtype=np.int64)
+        planes = [((idx >> k) & 1).astype(bool) for k in range(len(ports))]
     elif mode == "random":
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 2**width, size=count, dtype=np.int64)
-        b = rng.integers(0, 2**width, size=count, dtype=np.int64)
-        cin = rng.integers(0, 2, size=count, dtype=np.int64)
+        if count < 1:
+            raise ValueError(f"random mode needs count >= 1, got {count}")
+        planes = list(np.random.default_rng(seed).integers(
+            0, 2, size=(len(ports), count), dtype=bool))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    cin, a, b = planes[0], planes[1:width + 1], planes[width + 1:]
 
-    levels = steady_set_levels(n, _adder_input_levels(n, width, a, b, cin))
+    inputs: dict[str, np.ndarray] = {}
+    for name, bit in zip(ports, planes):
+        grp = n.group(name)
+        inputs[grp.rail1] = bit
+        inputs[grp.rail0] = ~bit
+    levels = steady_set_levels(n, inputs)
 
-    illegal = 0
-    spacerish = 0
-    sum_bits = np.zeros(a.shape, dtype=np.int64)
-    for i in range(width):
-        grp = n.group(f"SUM{i}", output=True)
+    illegal = spacerish = 0
+    got = []
+    for name in [f"SUM{i}" for i in range(width)] + ["COUT"]:
+        grp = n.group(name, output=True)
         r1, r0 = levels[grp.rail1], levels[grp.rail0]
         illegal += int(np.count_nonzero(r1 & r0))
         spacerish += int(np.count_nonzero(~(r1 | r0)))
-        sum_bits |= r1.astype(np.int64) << i
-    cout_grp = n.group("COUT", output=True)
-    r1, r0 = levels[cout_grp.rail1], levels[cout_grp.rail0]
-    illegal += int(np.count_nonzero(r1 & r0))
-    spacerish += int(np.count_nonzero(~(r1 | r0)))
-    cout = r1.astype(np.int64)
-
-    exp_total = a + b + cin
-    exp_sum = exp_total & (2**width - 1)
-    exp_cout = exp_total >> width
-    bad = (sum_bits != exp_sum) | (cout != exp_cout)
+        got.append(r1)
+    expected = oracle_planes(a, b, cin)
+    bad = np.zeros(cin.shape, dtype=bool)
+    for g, e in zip(got, expected):
+        bad |= g != e
 
     reset = steady_reset_levels(n, levels)
-    rtz_bad = np.zeros(a.shape, dtype=bool)
+    rtz_bad = np.zeros(cin.shape, dtype=bool)
     for arr in reset.values():
         rtz_bad |= arr
     rtz_failures = int(np.count_nonzero(rtz_bad))
@@ -179,66 +186,38 @@ def exhaustive_verify(
     first = None
     if failures:
         i = int(np.flatnonzero(bad)[0])
-        first = {"a": int(a[i]), "b": int(b[i]), "cin": int(cin[i]),
-                 "got_sum": int(sum_bits[i]), "got_cout": int(cout[i]),
-                 "expected_sum": int(exp_sum[i]), "expected_cout": int(exp_cout[i])}
+        first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": int(cin[i]),
+                 "got_sum": _lane_int(got[:width], i), "got_cout": int(got[width][i]),
+                 "expected_sum": _lane_int(expected[:width], i),
+                 "expected_cout": int(expected[width][i])}
 
     notes: list[str] = []
     if spacerish:
         notes.append(f"{spacerish} output pairs never reached a valid codeword")
 
-    # event-driven cross-check on a seeded subsample
+    # event-driven cross-check on a seeded subsample, net by net
     delays = delays or DelayTable.unit()
     rng = random.Random(seed)
-    sample = sorted(rng.sample(range(len(a)), min(sim_sample, len(a))))
+    sample = sorted(rng.sample(range(len(cin)), min(sim_sample, len(cin))))
     sim_checked = 0
     for i in sample:
-        ai, bi, ci = int(a[i]), int(b[i]), int(cin[i])
-        vec = [(f"A{k}", (ai >> k) & 1, 0) for k in range(width)]
-        vec += [(f"B{k}", (bi >> k) & 1, 0) for k in range(width)]
-        vec.append(("CIN", ci, 0))
-        log = simulate_transaction(n, delays, vec)
-        got_sum, got_cout, ok = _decode_adder_log(n, log, width)
-        exp = oracle_add(ai, bi, ci, width)
-        if not ok or (got_sum, got_cout) != exp or not log.rtz_complete \
-                or log.illegal_seen or not log.monotonic:
+        log = simulate_transaction(n, delays, [(name, int(bit[i]), 0)
+                                               for name, bit in zip(ports, planes)])
+        net = next((x for x, arr in levels.items()
+                    if arr[i] != bool(log.set_levels.get(x, 0))), None)
+        if net is not None or not log.rtz_complete or log.illegal_seen \
+                or not log.monotonic:
+            ai, bi, ci = _lane_int(a, i), _lane_int(b, i), int(cin[i])
             failures += 1
-            first = first or {"a": ai, "b": bi, "cin": ci, "got_sum": got_sum,
-                              "got_cout": got_cout, "expected_sum": exp[0],
-                              "expected_cout": exp[1], "via": "event simulator"}
+            first = first or {"a": ai, "b": bi, "cin": ci, "via": "event simulator",
+                              "net": net}
             notes.append(f"event simulator disagreed on vector ({ai}, {bi}, {ci})")
             break
         sim_checked += 1
 
     passed = failures == 0 and illegal == 0 and rtz_failures == 0 and spacerish == 0
-    return VerifyResult(passed, len(a), failures, first, illegal,
+    return VerifyResult(passed, len(cin), failures, first, illegal,
                         rtz_failures, sim_checked, notes)
-
-
-def _decode_adder_log(n: Netlist, log, width: int) -> tuple[int, int, bool]:
-    final_of = log.transitions
-    def level(net: str) -> int:
-        trans = final_of.get(net)
-        # level at end of the set phase
-        lv = 0
-        for t, v in trans or ():
-            if t <= log.set_end:
-                lv = v
-        return lv
-
-    ok = True
-    got_sum = 0
-    for i in range(width):
-        grp = n.group(f"SUM{i}", output=True)
-        r1, r0 = level(grp.rail1), level(grp.rail0)
-        if r1 + r0 != 1:
-            ok = False
-        got_sum |= r1 << i
-    grp = n.group("COUT", output=True)
-    r1, r0 = level(grp.rail1), level(grp.rail0)
-    if r1 + r0 != 1:
-        ok = False
-    return got_sum, r1, ok
 
 
 # ---------------------------------------------------------------------------

@@ -105,14 +105,23 @@ CYCLIC = {
 }
 
 
+WRONG_ARITY = {
+    "name": "arity",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": "g", "kind": "AO22", "in": ["a", "a", "a"], "out": "y"}],
+}
+
+
 @pytest.mark.parametrize("command, doc", [
     (["sta", "--netlist"], {"name": "x", "inputs": [], "outputs": [], "gates": 5}),
     (["sta", "--netlist"], []),
     (["sweep", "--width", "4", "--delays"], [1, 2]),
     (["sta", "--netlist"], CYCLIC),
     (["sim", "--count", "1", "--netlist"], CYCLIC),
+    (["sim", "--count", "1", "--netlist"], WRONG_ARITY),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
-        "sta-cycle", "sim-cycle"])
+        "sta-cycle", "sim-cycle", "sim-wrong-arity"])
 def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -124,6 +133,24 @@ def test_verify_subcommand(tmp_path, capsys):
     rc = main(["verify", "--width", "4", "--safa", "2", "--mode", "exhaustive"])
     assert rc == EXIT_OK
     assert "failures=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--width", "10"],
+    ["--width", "8", "--mode", "random", "--count", "-5"],
+    ["--width", "8", "--mode", "random", "--count", "0"],
+], ids=["exhaustive-too-wide", "negative-count", "zero-count"])
+def test_verify_rejects_bad_arguments(capsys, flags):
+    assert main(["verify", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "checked" not in captured.out
+
+
+def test_verify_random_mode_at_width_64(capsys):
+    rc = main(["verify", "--width", "64", "--mode", "random", "--count", "100"])
+    assert rc == EXIT_OK
+    assert "checked 100 vectors: failures=0" in capsys.readouterr().out
 
 
 def test_sta_subcommand(tmp_path, capsys):

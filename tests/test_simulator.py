@@ -41,15 +41,8 @@ def test_delay_table_json_roundtrip(tmp_path):
 
 
 def _decode(log, netlist, names):
-    out = {}
-    for grp in netlist.outputs:
-        if grp.name not in names:
-            continue
-        trans = {r: [tv for tv in log.transitions.get(r, []) if tv[0] <= log.set_end]
-                 for r in grp.rails()}
-        lvl = {r: (t[-1][1] if t else 0) for r, t in trans.items()}
-        out[grp.name] = lvl[grp.rail1]
-    return out
+    return {grp.name: log.set_levels.get(grp.rail1, 0)
+            for grp in netlist.outputs if grp.name in names}
 
 
 @pytest.mark.parametrize("a", [0, 1])

@@ -14,6 +14,7 @@ from dradder.verification import (
     exhaustive_verify,
     monotonic_cover_check,
     oracle_add,
+    oracle_planes,
     semantically_disjoint,
     steady_reset_levels,
     steady_set_levels,
@@ -48,8 +49,7 @@ def test_steady_levels_match_event_simulation():
         log = simulate_transaction(n, DelayTable.unit(),
                                    [("A", a, 0), ("B", b, 0), ("CIN", c, 0)])
         for net, arr in levels.items():
-            trans = [tv for tv in log.transitions.get(net, []) if tv[0] <= log.set_end]
-            sim_level = trans[-1][1] if trans else 0
+            sim_level = log.set_levels.get(net, 0)
             assert bool(arr[lane]) == bool(sim_level), (net, (a, b, c))
 
 
@@ -99,6 +99,69 @@ def test_verify_catches_a_wired_in_bug():
     assert not res.passed
     assert res.failures > 0
     assert res.first_counterexample is not None
+
+
+@pytest.mark.parametrize("width, safa", [(63, 1), (64, 2), (128, 0)])
+def test_random_verify_at_any_width(width, safa):
+    n = gen_hybrid_rca(AdderSpec(width, safa, True))
+    res = exhaustive_verify(n, width, mode="random", count=300, sim_sample=8)
+    assert res.passed, (res.first_counterexample, res.notes)
+    assert res.checked == 300 and res.sim_checked == 8
+
+
+def test_wide_counterexample_is_exact():
+    from dradder.netlist import Netlist
+
+    n = gen_hybrid_rca(AdderSpec(64, 2, True))
+    outs = list(n.outputs)
+    k = next(i for i, grp in enumerate(outs) if grp.name == "SUM63")
+    outs[k] = type(outs[k])(outs[k].name, outs[k].rail0, outs[k].rail1)
+    broken = Netlist(name="swapped", gates=n.gates, inputs=n.inputs, outputs=outs)
+    res = exhaustive_verify(broken, 64, mode="random", count=200, sim_sample=2)
+    assert not res.passed
+    assert res.failures == 200
+    cex = res.first_counterexample
+    want = oracle_add(cex["a"], cex["b"], cex["cin"], 64)
+    assert (cex["expected_sum"], cex["expected_cout"]) == want
+    assert cex["got_sum"] == want[0] ^ (1 << 63)
+    assert cex["got_cout"] == want[1]
+
+
+@pytest.mark.parametrize("width", [1, 8, 63, 64, 130])
+def test_oracle_planes_match_oracle_add(width):
+    rng = np.random.default_rng(width)
+    a, b, cin = (rng.integers(0, 2, size=(k, 64), dtype=bool) for k in (width, width, 1))
+    out = oracle_planes(list(a), list(b), cin[0])
+    assert len(out) == width + 1
+
+    def num(planes, lane):
+        return sum(int(p[lane]) << k for k, p in enumerate(planes))
+
+    for lane in range(64):
+        want = oracle_add(num(a, lane), num(b, lane), int(cin[0][lane]), width)
+        assert (num(out[:width], lane), int(out[width][lane])) == want
+
+
+def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
+    import dradder.verification as ver
+
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    flipped = stage.group("SUM1", output=True).rail1
+    real = ver.simulate_transaction
+
+    def corrupted(*args, **kwargs):
+        log = real(*args, **kwargs)
+        log.set_levels[flipped] = 1 - log.set_levels.get(flipped, 0)
+        return log
+
+    monkeypatch.setattr(ver, "simulate_transaction", corrupted)
+    res = exhaustive_verify(stage, 4)
+    assert not res.passed
+    assert res.failures == 1 and res.sim_checked == 0
+    cex = res.first_counterexample
+    assert cex["via"] == "event simulator"
+    assert cex["net"] == flipped
+    assert set(cex) == {"a", "b", "cin", "via", "net"}
 
 
 def test_embedded_equations_are_dsop():

@@ -1,9 +1,10 @@
 """Command-line front end for batch generation, simulation, verification,
 timing analysis, and reporting.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 check failure,
-5 handshake deadlock. All randomness flows from --seed (default 1011), so
-reruns with identical flags produce identical reports.
+Exit codes: 0 success, 2 usage error, 3 input parse error or unwritable
+output file, 4 check failure, 5 handshake deadlock. All randomness flows
+from --seed (default 1011), so reruns with identical flags produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def _load_delays(path: str | None) -> DelayTable:
         raise CliError(f"cannot read delay table {path!r}: {exc}", EXIT_PARSE)
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}", EXIT_PARSE)
+
+
 def _build_circuit(args) -> Netlist:
     try:
         if args.circuit == "safa":
@@ -79,19 +87,18 @@ def _build_circuit(args) -> Netlist:
             n = gen_completion_detector(args.pairs)
         else:
             raise CliError(f"unknown circuit {args.circuit!r}", EXIT_USAGE)
+        return gen_stage(n) if args.stage else n
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    if getattr(args, "stage", False):
-        n = gen_stage(n)
-    return n
 
 
 def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
     """One transaction per line: '<a_hex> <b_hex> <cin_bit>'."""
-    widths = sorted(
-        int(g.name[1:]) for g in netlist.inputs if g.name.startswith("A") and g.name[1:].isdigit()
-    )
-    width = len(widths)
+    width = sum(1 for g in netlist.inputs if g.name.startswith("A") and g.name[1:].isdigit())
+    ports = {f"{ab}{i}" for ab in "AB" for i in range(width)} | {"CIN"}
+    if width == 0 or {g.name for g in netlist.inputs} != ports:
+        raise CliError(f"vector files drive adder inputs A0.., B0.., CIN; "
+                       f"netlist {netlist.name!r} has other inputs", EXIT_PARSE)
     vectors = []
     try:
         with open(path) as fh:
@@ -109,6 +116,8 @@ def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
                 vec.update({f"B{i}": (b >> i) & 1 for i in range(width)})
                 vec["CIN"] = cin
                 vectors.append(vec)
+        if not vectors:
+            raise ValueError("no vector lines")
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read vectors {path!r}: {exc}", EXIT_PARSE)
     return vectors
@@ -122,7 +131,10 @@ def cmd_build(args) -> int:
             print(f"error: {p}", file=sys.stderr)
         return EXIT_FAIL
     out = args.out or f"{n.name}.netlist.json"
-    n.save(out)
+    try:
+        n.save(out)
+    except OSError as exc:
+        raise CliError(f"cannot write {out!r}: {exc}", EXIT_PARSE)
     print(f"wrote {out}")
     for kind, count in n.gate_census().items():
         if count:
@@ -136,9 +148,12 @@ def cmd_sim(args) -> int:
     if args.vectors:
         vectors = _parse_vector_file(args.vectors, n)
     else:
-        vectors = random_vectors(n, args.count, args.seed)
+        try:
+            vectors = random_vectors(n, args.count, args.seed)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_USAGE)
 
-    dump_fh = open(args.dump, "w") if args.dump else None
+    dump_fh = _open_out(args.dump) if args.dump else None
     try:
         if n.ackin is not None and n.ackout is not None:
             logs, summary = run_protocol(n, delays, vectors, seed=args.seed)
@@ -218,7 +233,7 @@ def cmd_compare(args) -> int:
     report = compare_report(source)
     text = report.to_csv() if args.format == "csv" else report.to_text()
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:

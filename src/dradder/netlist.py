@@ -12,7 +12,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 class GateKind(str, Enum):
@@ -78,10 +78,15 @@ class Gate:
     output: str
 
 
-def _arity_error(g: Gate) -> str | None:
-    if len(g.inputs) != ARITY[g.kind]:
-        return f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
-    return None
+def _gate_errors(gates: Sequence[Gate]) -> Iterator[str]:
+    """Duplicate gate ids and wrong input counts, in gate order."""
+    seen: set[str] = set()
+    for g in gates:
+        if g.id in seen:
+            yield f"duplicate gate id {g.id!r}"
+        seen.add(g.id)
+        if len(g.inputs) != ARITY[g.kind]:
+            yield f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,10 @@ class Netlist:
         self.outputs: tuple[PortGroup, ...] = tuple(outputs)
         self.ackin = ackin
         self.ackout = ackout
-        self._driver: dict[str, Gate] = {}
-        for g in self.gates:
-            self._driver.setdefault(g.output, g)
+        # every gate driving each net, as positions in self.gates
+        self._drivers: dict[str, list[int]] = {}
+        for k, g in enumerate(self.gates):
+            self._drivers.setdefault(g.output, []).append(k)
         self._fanout: dict[str, list[Gate]] = defaultdict(list)
         for g in self.gates:
             for net in g.inputs:
@@ -164,20 +170,12 @@ class Netlist:
 
     def validate(self) -> list[str]:
         """Structural validation report; empty list means the netlist is well formed."""
-        report: list[str] = []
-        ids: set[str] = set()
-        for g in self.gates:
-            if g.id in ids:
-                report.append(f"duplicate gate id {g.id!r}")
-            ids.add(g.id)
-            if err := _arity_error(g):
-                report.append(err)
+        report = list(_gate_errors(self.gates))
 
         primary = set(self.input_nets)
-        drivers: dict[str, list[str]] = defaultdict(list)
-        for g in self.gates:
-            drivers[g.output].append(g.id)
-        for net, who in drivers.items():
+        drivers = self._drivers
+        for net, pos in drivers.items():
+            who = [self.gates[k].id for k in pos]
             if len(who) > 1:
                 report.append(f"net {net!r} has multiple drivers: {who}")
             if net in primary:
@@ -203,31 +201,30 @@ class Netlist:
 
     @cached_property
     def _order(self) -> tuple[Gate, ...] | None:
-        """Gates in topological order, derived once; None if the graph has a cycle."""
-        indeg: dict[str, int] = {}
-        dependents: dict[str, list[Gate]] = defaultdict(list)
-        for g in self.gates:
-            deps = 0
+        """Gates in topological order, derived once; None if the graph has a cycle.
+
+        Kahn's algorithm over gate positions; a gate depends on the first
+        driver of each input net, and the ready queue starts sorted by id."""
+        gates = self.gates
+        indeg = [0] * len(gates)
+        dependents: list[list[int]] = [[] for _ in gates]
+        for k, g in enumerate(gates):
             for net in g.inputs:
-                drv = self._driver.get(net)
                 # undriven nets are a validate() finding, not a dependency
-                if drv is not None:
-                    deps += 1
-                    dependents[drv.id].append(g)
-            indeg[g.id] = deps
-        by_id = {g.id: g for g in self.gates}
-        ready = deque(sorted(gid for gid, d in indeg.items() if d == 0))
+                if net in self._drivers:
+                    indeg[k] += 1
+                    dependents[self._drivers[net][0]].append(k)
+        ready = deque(sorted((k for k, d in enumerate(indeg) if d == 0),
+                             key=lambda k: gates[k].id))
         order: list[Gate] = []
         while ready:
-            gid = ready.popleft()
-            order.append(by_id[gid])
-            for succ in dependents[gid]:
-                indeg[succ.id] -= 1
-                if indeg[succ.id] == 0:
-                    ready.append(succ.id)
-        if len(order) != len(self.gates):
-            return None
-        return tuple(order)
+            k = ready.popleft()
+            order.append(gates[k])
+            for succ in dependents[k]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    ready.append(succ)
+        return tuple(order) if len(order) == len(gates) else None
 
     def topo_gates(self) -> tuple[Gate, ...]:
         if self._order is None:
@@ -260,9 +257,8 @@ class Netlist:
 
         gates = [Gate(d["id"], GateKind(d["kind"]), tuple(d["in"]), d["out"])
                  for d in doc["gates"]]
-        for g in gates:
-            if err := _arity_error(g):
-                raise ValueError(err)
+        if err := next(_gate_errors(gates), None):
+            raise ValueError(err)
         acks = doc.get("acks") or {}
         return cls(
             name=doc["name"],

@@ -243,6 +243,8 @@ def simulate_transaction(
 
 
 def random_vectors(netlist: Netlist, count: int, seed: int = DEFAULT_SEED) -> list[dict[str, int]]:
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     groups = [grp.name for grp in netlist.inputs]
     return [{g: rng.randint(0, 1) for g in groups} for _ in range(count)]

@@ -13,13 +13,16 @@ Two evaluation routes check every sweep:
   compared with a plane-wise ripple of the integer oracle;
 * the event-driven simulator, replayed on a seeded subsample of every
   sweep; the level of every net at the end of its set phase must equal
-  the steady-state level of that lane.
+  the steady-state level of that lane, and the transaction must return to
+  zero.
 
 Both routes take gate semantics from the one table `netlist.GATE_FN`, whose
-truth tables the tests pin. What the cross-check still guards is everything
-the steady-state route abstracts away: event scheduling and delays, the
-C-element holding its value across the set and reset phases, and the
-illegal-state, monotonicity and return-to-zero monitors of the simulator.
+truth tables the tests pin. Each kind outputs 0 from all-zero inputs,
+whatever a C-element holds, so the steady state after the spacer is
+all-zero for any acyclic netlist: return to zero is observed only on the
+event-simulated sample. The cross-check also guards event scheduling and
+delays, the C-element holding its value across phases, and the
+simulator's illegal-state and monotonicity monitors.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally
@@ -97,7 +100,8 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Steady levels after the return-to-zero phase following `set_levels`:
     all inputs at spacer, C2 holding its set-phase value until both inputs
-    are back at zero."""
+    are back at zero. The result is all-zero for any acyclic netlist,
+    because every gate kind outputs 0 from all-zero inputs."""
     shape = next(iter(set_levels.values())).shape
     levels = {net: np.zeros(shape, dtype=bool) for net in n.input_nets}
     return _settle(n, levels, set_levels)
@@ -135,10 +139,11 @@ def exhaustive_verify(
     Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
     width 8); random mode draws `count` seeded vectors at any width. The
     full sweep runs through the vectorized steady-state evaluator (set phase
-    decoded and compared with the oracle, reset phase checked for
-    return-to-zero); a seeded subsample of `sim_sample` vectors is
-    additionally replayed on the event-driven simulator, whose set-phase
-    level of every net must equal the steady-state one.
+    decoded and compared with the oracle); a seeded subsample of
+    `sim_sample` vectors is additionally replayed on the event-driven
+    simulator, whose set-phase level of every net must equal the
+    steady-state one. `rtz_failures` counts sampled transactions that did
+    not return to zero: the steady-state reset cannot fail (module doc).
     """
     # input ports in plane order: CIN is bit 0 of the exhaustive index
     ports = ["CIN"] + [f"A{i}" for i in range(width)] + [f"B{i}" for i in range(width)]
@@ -176,12 +181,6 @@ def exhaustive_verify(
     for g, e in zip(got, expected):
         bad |= g != e
 
-    reset = steady_reset_levels(n, levels)
-    rtz_bad = np.zeros(cin.shape, dtype=bool)
-    for arr in reset.values():
-        rtz_bad |= arr
-    rtz_failures = int(np.count_nonzero(rtz_bad))
-
     failures = int(np.count_nonzero(bad))
     first = None
     if failures:
@@ -199,12 +198,13 @@ def exhaustive_verify(
     delays = delays or DelayTable.unit()
     rng = random.Random(seed)
     sample = sorted(rng.sample(range(len(cin)), min(sim_sample, len(cin))))
-    sim_checked = 0
+    sim_checked = rtz_failures = 0
     for i in sample:
         log = simulate_transaction(n, delays, [(name, int(bit[i]), 0)
                                                for name, bit in zip(ports, planes)])
         net = next((x for x, arr in levels.items()
                     if arr[i] != bool(log.set_levels.get(x, 0))), None)
+        rtz_failures += not log.rtz_complete
         if net is not None or not log.rtz_complete or log.illegal_seen \
                 or not log.monotonic:
             ai, bi, ci = _lane_int(a, i), _lane_int(b, i), int(cin[i])
@@ -215,7 +215,7 @@ def exhaustive_verify(
             break
         sim_checked += 1
 
-    passed = failures == 0 and illegal == 0 and rtz_failures == 0 and spacerish == 0
+    passed = failures == 0 and illegal == 0 and spacerish == 0
     return VerifyResult(passed, len(cin), failures, first, illegal,
                         rtz_failures, sim_checked, notes)
 

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dradder.cli import EXIT_DEADLOCK, EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from dradder.netlist import Netlist
@@ -31,6 +35,13 @@ def test_build_rejects_bad_partition(tmp_path):
     rc = main(["build", "rca", "--width", "8", "--safa", "3",
                "--out", str(tmp_path / "x.json")])
     assert rc == EXIT_USAGE
+
+
+def test_build_cd_stage_is_usage_error(tmp_path, capsys):
+    # a completion detector has scalar ports, so it cannot be staged
+    rc = main(["build", "cd", "--pairs", "2", "--stage", "--out", str(tmp_path / "x.json")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_build_requires_width_for_rca(tmp_path):
@@ -96,6 +107,39 @@ def test_sim_missing_netlist_is_parse_error(tmp_path):
     assert main(["sim", "--netlist", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("circuit, flags, vectors, code", [
+    (["rca", "--width", "4", "--stage"], ["--count", "0"], None, EXIT_USAGE),
+    (["rca", "--width", "4", "--stage"], ["--count", "-1"], None, EXIT_USAGE),
+    (["rca", "--width", "4", "--stage"], [], "# comments only\n\n", EXIT_PARSE),
+    (["safa", "--stage"], [], "1 0 1\n", EXIT_PARSE),
+    (["safa"], [], "1 0 1\n", EXIT_PARSE),
+], ids=["zero-count", "negative-count", "no-vector-lines", "safa-stage-vectors",
+        "safa-vectors"])
+def test_sim_rejects_inputs_that_check_nothing(tmp_path, capsys, circuit, flags, vectors, code):
+    net = _build(tmp_path, *circuit)
+    if vectors is not None:
+        path = tmp_path / "vectors.txt"
+        path.write_text(vectors)
+        flags = ["--vectors", str(path)]
+    capsys.readouterr()
+    assert main(["sim", "--netlist", str(net), *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "completed" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "safa", "--out"],
+    ["compare", "--out"],
+    ["sim", "--count", "1", "--dump"],
+], ids=["build-out", "compare-out", "sim-dump"])
+def test_unwritable_output_is_parse_error(tmp_path, capsys, command):
+    if command[0] == "sim":
+        command = ["sim", "--netlist", str(_build(tmp_path, "safa", "--stage")), *command[1:]]
+    assert main([*command, str(tmp_path / "no-such-dir" / "x")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 CYCLIC = {
     "name": "cycle",
     "inputs": [{"group": "A", "rail1": "a", "rail0": None}],
@@ -113,20 +157,32 @@ WRONG_ARITY = {
 }
 
 
-@pytest.mark.parametrize("command, doc", [
-    (["sta", "--netlist"], {"name": "x", "inputs": [], "outputs": [], "gates": 5}),
-    (["sta", "--netlist"], []),
-    (["sweep", "--width", "4", "--delays"], [1, 2]),
-    (["sta", "--netlist"], CYCLIC),
-    (["sim", "--count", "1", "--netlist"], CYCLIC),
-    (["sim", "--count", "1", "--netlist"], WRONG_ARITY),
+DUPLICATE_ID = {
+    "name": "dup",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": "g", "kind": "BUF", "in": ["a"], "out": "x"},
+              {"id": "g", "kind": "BUF", "in": ["x"], "out": "y"}],
+}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["sta", "--netlist"], {"name": "x", "inputs": [], "outputs": [], "gates": 5}, ""),
+    (["sta", "--netlist"], [], ""),
+    (["sweep", "--width", "4", "--delays"], [1, 2], ""),
+    (["sta", "--netlist"], CYCLIC, "cycle"),
+    (["sim", "--count", "1", "--netlist"], CYCLIC, "cycle"),
+    (["sim", "--count", "1", "--netlist"], WRONG_ARITY, "takes 4 inputs"),
+    (["sta", "--netlist"], DUPLICATE_ID, "duplicate gate id 'g'"),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
-        "sta-cycle", "sim-cycle", "sim-wrong-arity"])
-def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc):
+        "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id"])
+def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     assert main([*command, str(path)]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -195,3 +251,49 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 def test_sweep_rejects_width_one():
     assert main(["sweep", "--width", "1"]) == EXIT_USAGE
+
+
+# Placeholders the fuzz test replaces with real paths in a fresh directory.
+PATH_KINDS = ("@missing", "@empty", "@malformed", "@unwritable", "@netlist")
+_num = st.integers(-3, 9).map(str)
+_path = st.sampled_from(PATH_KINDS)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _flat(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+ARGV = st.one_of(
+    _flat(st.sampled_from([["build", c] for c in ("safa", "dafa", "rca", "cd")]),
+          _opt("--width", _num), _opt("--safa", _num), _opt("--pairs", _num),
+          st.sampled_from([[], ["--stage"]]), _path.map(lambda p: ["--out", p])),
+    _flat(st.just(["sim"]), _path.map(lambda p: ["--netlist", p]), _opt("--delays", _path),
+          _opt("--vectors", _path), _opt("--count", _num), _opt("--dump", _path)),
+    _flat(st.just(["verify"]), _opt("--width", _num), _opt("--safa", _num),
+          st.sampled_from([[], ["--mode", "random"]]), _opt("--count", _num)),
+    _flat(st.just(["sta"]), _path.map(lambda p: ["--netlist", p]), _opt("--delays", _path)),
+    _flat(st.just(["compare"]), st.sampled_from([[], ["--source", "formula"]]),
+          _opt("--delays", _path), _opt("--out", _path)),
+    _flat(st.just(["classify"]), _path.map(lambda p: ["--netlist", p]),
+          _opt("--delays", _path), _opt("--trials", _num), _opt("--seed", _num)),
+    _flat(st.just(["sweep"]), _opt("--width", _num), _opt("--delays", _path)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        paths = {kind: root / kind[1:] for kind in PATH_KINDS}
+        paths["@unwritable"] = root / "no-such-dir" / "x"
+        paths["@empty"].write_text("")
+        paths["@malformed"].write_text("{")
+        assert main(["build", "rca", "--width", "2", "--stage",
+                     "--out", str(paths["@netlist"])]) == EXIT_OK
+        code = main([str(paths[a]) if a in paths else a for a in argv])
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_FAIL, EXIT_DEADLOCK}

@@ -68,6 +68,16 @@ def test_gate_fn_matches_truth_table_on_ints_and_arrays(kind):
     assert out.tolist() == [bool(e) for e in expect]
 
 
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_fn_is_zero_on_all_zero_inputs(kind):
+    # why the steady state after the spacer is all-zero for any acyclic
+    # netlist: an inverting kind would break return-to-zero and fail here
+    for held in (0, 1):
+        assert GATE_FN[kind]([0] * ARITY[kind], held) == 0
+        zeros = [np.zeros(3, dtype=bool)] * ARITY[kind]
+        assert not GATE_FN[kind](zeros, np.full(3, bool(held))).any()
+
+
 def test_eval_rejects_wrong_arity():
     with pytest.raises(ValueError):
         eval_gate(GateKind.AND2, [1, 1, 1])
@@ -98,7 +108,12 @@ def test_validate_flags_duplicate_gate_ids():
         inputs=n.inputs,
         outputs=n.outputs,
     )
-    assert any("duplicate" in m for m in bad.validate())
+    report = bad.validate()
+    assert any("duplicate" in m for m in report)
+    assert not any("cycle" in m for m in report)
+    assert len(bad.topo_gates()) == 3
+    with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
+        Netlist.from_dict(bad.to_dict())
 
 
 def test_validate_flags_multiple_drivers():

@@ -149,19 +149,25 @@ def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
     flipped = stage.group("SUM1", output=True).rail1
     real = ver.simulate_transaction
 
-    def corrupted(*args, **kwargs):
-        log = real(*args, **kwargs)
-        log.set_levels[flipped] = 1 - log.set_levels.get(flipped, 0)
-        return log
+    # a wrong set-phase level on one net, then a transaction left short of zero
+    for fault in ("set-level", "no-rtz"):
+        def corrupted(*args, **kwargs):
+            log = real(*args, **kwargs)
+            if fault == "set-level":
+                log.set_levels[flipped] = 1 - log.set_levels.get(flipped, 0)
+            else:
+                log.rtz_complete = False
+            return log
 
-    monkeypatch.setattr(ver, "simulate_transaction", corrupted)
-    res = exhaustive_verify(stage, 4)
-    assert not res.passed
-    assert res.failures == 1 and res.sim_checked == 0
-    cex = res.first_counterexample
-    assert cex["via"] == "event simulator"
-    assert cex["net"] == flipped
-    assert set(cex) == {"a", "b", "cin", "via", "net"}
+        monkeypatch.setattr(ver, "simulate_transaction", corrupted)
+        res = exhaustive_verify(stage, 4)
+        assert not res.passed
+        assert res.failures == 1 and res.sim_checked == 0
+        assert res.rtz_failures == (fault == "no-rtz")
+        cex = res.first_counterexample
+        assert cex["via"] == "event simulator"
+        assert cex["net"] == (flipped if fault == "set-level" else None)
+        assert set(cex) == {"a", "b", "cin", "via", "net"}
 
 
 def test_embedded_equations_are_dsop():

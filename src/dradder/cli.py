@@ -110,7 +110,7 @@ def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
                 if len(parts) != 3:
                     raise ValueError(f"line {lineno}: expected 'a_hex b_hex cin'")
                 a, b, cin = int(parts[0], 16), int(parts[1], 16), int(parts[2])
-                if cin not in (0, 1) or a >= 2**width or b >= 2**width:
+                if cin not in (0, 1) or not (0 <= a < 2**width and 0 <= b < 2**width):
                     raise ValueError(f"line {lineno}: value out of range for width {width}")
                 vec = {f"A{i}": (a >> i) & 1 for i in range(width)}
                 vec.update({f"B{i}": (b >> i) & 1 for i in range(width)})

@@ -8,10 +8,11 @@ gate graph is required to be a DAG.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 
@@ -89,6 +90,20 @@ def _gate_errors(gates: Sequence[Gate]) -> Iterator[str]:
             yield f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
 
 
+# (gate function, input-level gather, output net id, gate kind)
+FanoutEntry = tuple[Callable, Callable, int, GateKind]
+
+
+@dataclass(frozen=True)
+class IntForm:
+    """A netlist over integer net ids: every port rail, ack net and gate net."""
+
+    ids: dict[str, int]
+    names: tuple[str, ...]  # names[ids[net]] == net
+    fanout: tuple[tuple[FanoutEntry, ...], ...]  # per net id, every gate reading it
+    partner: tuple[int | None, ...]  # the other rail of a dual-rail port net
+
+
 @dataclass(frozen=True)
 class PortGroup:
     """A named dual-rail port (rail1, rail0), or a single wire when rail0 is None."""
@@ -127,10 +142,6 @@ class Netlist:
         self._drivers: dict[str, list[int]] = {}
         for k, g in enumerate(self.gates):
             self._drivers.setdefault(g.output, []).append(k)
-        self._fanout: dict[str, list[Gate]] = defaultdict(list)
-        for g in self.gates:
-            for net in g.inputs:
-                self._fanout[net].append(g)
         # the first group of a name wins
         self._in_groups = {grp.name: grp for grp in reversed(self.inputs)}
         self._out_groups = {grp.name: grp for grp in reversed(self.outputs)}
@@ -150,9 +161,6 @@ class Netlist:
         if self.ackout is not None:
             nets.append(self.ackout)
         return tuple(nets)
-
-    def fanout_of(self, net: str) -> list[Gate]:
-        return self._fanout.get(net, [])
 
     def group(self, name: str, *, output: bool = False) -> PortGroup:
         grp = (self._out_groups if output else self._in_groups).get(name)
@@ -187,12 +195,13 @@ class Netlist:
                     report.append(f"gate {g.id!r} input net {net!r} has no driver")
 
         out_nets = set(self.output_nets)
+        read = {net for g in self.gates for net in g.inputs}
         for grp in list(self.inputs) + list(self.outputs):
             for net in grp.rails():
                 if net not in drivers and net not in primary:
                     report.append(f"port group {grp.name!r} references undriven net {net!r}")
         for net in drivers:
-            if not self._fanout.get(net) and net not in out_nets:
+            if net not in read and net not in out_nets:
                 report.append(f"net {net!r} dangles: no fanout and not a primary output")
 
         if self._order is None:
@@ -230,6 +239,32 @@ class Netlist:
         if self._order is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
         return self._order
+
+    @cached_property
+    def int_form(self) -> IntForm:
+        """The netlist with integer net ids, derived once for the event simulator.
+
+        Raises ValueError on a duplicate gate id or a wrong input count."""
+        if err := next(_gate_errors(self.gates), None):
+            raise ValueError(err)
+        ids: dict[str, int] = {}
+        for net in (*self.input_nets, *self.output_nets,
+                    *(x for g in self.gates for x in (*g.inputs, g.output))):
+            ids.setdefault(net, len(ids))
+        fanout: list[list[FanoutEntry]] = [[] for _ in ids]
+        for g in self.gates:
+            pos = [ids[x] for x in g.inputs]
+            # itemgetter of one index returns a scalar; GATE_FN indexes a sequence
+            gather = itemgetter(*pos) if len(pos) > 1 else itemgetter(pos[0], pos[0])
+            entry = (GATE_FN[g.kind], gather, ids[g.output], g.kind)
+            for k in pos:
+                fanout[k].append(entry)
+        partner: list[int | None] = [None] * len(ids)
+        for grp in self.inputs + self.outputs:
+            if not grp.scalar:
+                partner[ids[grp.rail1]] = ids[grp.rail0]
+                partner[ids[grp.rail0]] = ids[grp.rail1]
+        return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), tuple(partner))
 
     # -- serialization -------------------------------------------------------
 

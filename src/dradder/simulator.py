@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
-from .netlist import GateKind, Netlist, eval_gate
+from .netlist import GateKind, Netlist
 
 DEFAULT_SEED = 1011
 DEFAULT_MAX_EVENTS = 10_000_000
@@ -37,6 +37,8 @@ class DelayTable:
             if kind not in self.delays:
                 raise ValueError(f"delay table is missing {kind.value}")
             d = self.delays[kind]
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValueError(f"delay for {kind.value} must be an integer, got {d!r}")
             if d < 0 or (d < 1 and kind is not GateKind.BUF):
                 raise ValueError(f"bad delay for {kind.value}: {d}")
 
@@ -51,7 +53,7 @@ class DelayTable:
     @classmethod
     def from_mapping(cls, doc: dict) -> "DelayTable":
         unit = doc.get("time_unit", "ps")
-        delays = {GateKind(k): int(v) for k, v in doc.items() if k != "time_unit"}
+        delays = {GateKind(k): v for k, v in doc.items() if k != "time_unit"}
         return cls(delays, unit)
 
     def to_mapping(self) -> dict:
@@ -88,68 +90,78 @@ class TransactionLog:
 
 
 class _Sim:
-    """Single-run simulator core: an event heap over net levels."""
+    """Single-run simulator core: an event heap over the netlist's integer form."""
 
     def __init__(self, netlist: Netlist, delays: DelayTable,
                  max_events: int = DEFAULT_MAX_EVENTS):
-        self.netlist = netlist
-        self.delays = delays
+        self.form = form = netlist.int_form
+        self.delays = delays.delays
         self.max_events = max_events
-        self.levels: dict[str, int] = {}
-        self.pending: dict[str, int] = {}
-        self.heap: list[tuple[int, int, str, int]] = []
+        self.levels = [0] * len(form.names)
+        self.pending = [0] * len(form.names)
+        self.heap: list[tuple[int, int, int, int]] = []  # (time, seq, net id, value)
         self.seq = 0
         self.now = 0
         self.events = 0
-        self.transitions: dict[str, list[tuple[int, int]]] = {}
+        self.transitions: list[list[tuple[int, int]] | None] = [None] * len(form.names)
+        self.touched: list[int] = []  # net ids in order of their first transition
         self.illegal_seen = False
         self.monotonic = True
         self.direction = 0  # +1 set phase, -1 reset phase, 0 unmonitored
-        # pair partner map for illegal-state monitoring on port groups
-        self.partner: dict[str, str] = {}
-        for grp in list(netlist.inputs) + list(netlist.outputs):
-            if not grp.scalar:
-                self.partner[grp.rail1] = grp.rail0
-                self.partner[grp.rail0] = grp.rail1
 
     def level(self, net: str) -> int:
-        return self.levels.get(net, 0)
+        return self.levels[self.form.ids[net]]
 
     def drive(self, net: str, value: int, time: int) -> None:
-        if self.pending.get(net, 0) != value:
-            self._schedule(net, value, time)
-
-    def _schedule(self, net: str, value: int, time: int) -> None:
-        heapq.heappush(self.heap, (time, self.seq, net, value))
-        self.seq += 1
-        self.pending[net] = value
+        k = self.form.ids[net]
+        if self.pending[k] != value:
+            heapq.heappush(self.heap, (time, self.seq, k, value))
+            self.seq += 1
+            self.pending[k] = value
 
     def run(self) -> int:
         """Process events until the queue is empty; returns the last event time."""
-        levels = self.levels
-        while self.heap:
-            time, _, net, value = heapq.heappop(self.heap)
-            if levels.get(net, 0) == value:
+        levels, pending, heap = self.levels, self.pending, self.heap
+        transitions, touched = self.transitions, self.touched
+        fanout, partner, delays = self.form.fanout, self.form.partner, self.delays
+        pop, push = heapq.heappop, heapq.heappush
+        wrong = {1: 0, -1: 1}.get(self.direction)  # the value breaking monotonicity
+        seq, events, max_events, now = self.seq, self.events, self.max_events, self.now
+        while heap:
+            time, _, net, value = pop(heap)
+            if levels[net] == value:
                 continue
-            self.events += 1
-            if self.events > self.max_events:
+            events += 1
+            if events > max_events:
                 raise SimulationLimitError(
-                    f"{self.events} events exceed the {self.max_events} budget")
-            self.now = time
+                    f"{events} events exceed the {max_events} budget")
+            now = time
             levels[net] = value
-            self.transitions.setdefault(net, []).append((time, value))
-            if self.direction and (value - (1 - value)) * self.direction < 0:
+            trans = transitions[net]
+            if trans is None:
+                trans = transitions[net] = []
+                touched.append(net)
+            trans.append((time, value))
+            if value == wrong:
                 self.monotonic = False
-            other = self.partner.get(net)
-            if other is not None and value and levels.get(other, 0):
-                self.illegal_seen = True
-            for gate in self.netlist.fanout_of(net):
-                ins = tuple(levels.get(x, 0) for x in gate.inputs)
-                out = gate.output
-                new = eval_gate(gate.kind, ins, held=self.pending.get(out, 0))
-                if new != self.pending.get(out, 0):
-                    self._schedule(out, new, time + self.delays[gate.kind])
-        return self.now
+            if value:
+                other = partner[net]
+                if other is not None and levels[other]:
+                    self.illegal_seen = True
+            for fn, gather, out, kind in fanout[net]:
+                held = pending[out]
+                new = fn(gather(levels), held)
+                if new != held:
+                    push(heap, (time + delays[kind], seq, out, new))
+                    seq += 1
+                    pending[out] = new
+        self.seq, self.events, self.now = seq, events, now
+        return now
+
+    def named(self, values: list, upto: int | None = None) -> dict:
+        """`values` by net name, for every net that has switched (the first `upto`)."""
+        names = self.form.names
+        return {names[k]: values[k] for k in self.touched[:upto]}
 
     # -- decoding helpers --------------------------------------------------
 
@@ -167,7 +179,7 @@ class _Sim:
             return None
         times = []
         for rail in grp.rails():
-            trans = self.transitions.get(rail)
+            trans = self.transitions[self.form.ids[rail]]
             if trans:
                 times.append(trans[-1][0])
         return max(times) if times else None
@@ -215,7 +227,7 @@ def simulate_transaction(
     sim.direction = +1
     input_apply = _apply_vector(sim, netlist, inputs)
     set_end = sim.run()
-    set_levels = dict(sim.levels)
+    set_levels = sim.named(sim.levels, len(sim.touched))
 
     output_valid = {grp.name: sim.group_validity_time(grp) for grp in netlist.outputs}
     latency = None
@@ -225,10 +237,10 @@ def simulate_transaction(
     sim.direction = -1
     _reset_inputs(sim, netlist, set_end + 1)
     sim.run()
-    final = {net: sim.level(net) for net in sim.transitions}
+    final = sim.named(sim.levels)
 
     return TransactionLog(
-        transitions=sim.transitions,
+        transitions=sim.named(sim.transitions),
         input_apply=input_apply,
         output_valid=output_valid,
         latency=latency,

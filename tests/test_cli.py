@@ -86,8 +86,10 @@ def test_sim_rejects_malformed_vector_file(tmp_path):
 def test_sim_rejects_out_of_range_vector(tmp_path):
     net = _build(tmp_path, "rca", "--width", "4", "--safa", "2", "--stage")
     vecs = tmp_path / "vectors.txt"
-    vecs.write_text("10 0 0\n")  # 0x10 needs five bits
-    assert main(["sim", "--netlist", str(net), "--vectors", str(vecs)]) == EXIT_PARSE
+    for line in ("10 0 0\n",  # 0x10 needs five bits
+                 "-1 0 0\n"):
+        vecs.write_text(line)
+        assert main(["sim", "--netlist", str(net), "--vectors", str(vecs)]) == EXIT_PARSE
 
 
 def test_sim_reports_deadlock_exit_code(tmp_path, capsys):
@@ -166,6 +168,10 @@ DUPLICATE_ID = {
 }
 
 
+def _delays(**override):
+    return {**DelayTable.unit().to_mapping(), **override}
+
+
 @pytest.mark.parametrize("command, doc, message", [
     (["sta", "--netlist"], {"name": "x", "inputs": [], "outputs": [], "gates": 5}, ""),
     (["sta", "--netlist"], [], ""),
@@ -174,8 +180,11 @@ DUPLICATE_ID = {
     (["sim", "--count", "1", "--netlist"], CYCLIC, "cycle"),
     (["sim", "--count", "1", "--netlist"], WRONG_ARITY, "takes 4 inputs"),
     (["sta", "--netlist"], DUPLICATE_ID, "duplicate gate id 'g'"),
+    (["sweep", "--width", "4", "--delays"], _delays(AO21=1.7), "must be an integer"),
+    (["sweep", "--width", "4", "--delays"], _delays(C2=True), "must be an integer"),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
-        "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id"])
+        "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id",
+        "delays-float", "delays-bool"])
 def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

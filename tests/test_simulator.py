@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -25,10 +27,17 @@ def test_delay_table_requires_every_kind():
 def test_delay_table_bounds():
     good = {k: (0 if k is GateKind.BUF else 1) for k in GateKind}
     DelayTable(good)
-    bad = dict(good)
-    bad[GateKind.OR2] = 0  # only buffers may be zero-delay
-    with pytest.raises(ValueError):
-        DelayTable(bad)
+    for kind, d in [(GateKind.OR2, 0),  # only buffers may be zero-delay
+                    (GateKind.AO21, 1.7), (GateKind.AO21, 2.0), (GateKind.AO21, True),
+                    (GateKind.BUF, False), (GateKind.C2, "2")]:
+        bad = dict(good)
+        bad[kind] = d
+        with pytest.raises(ValueError):
+            DelayTable(bad)
+    doc = DelayTable.unit().to_mapping()
+    doc["AO21"] = 1.7
+    with pytest.raises(ValueError, match="AO21 must be an integer"):
+        DelayTable.from_mapping(doc)
 
 
 def test_delay_table_json_roundtrip(tmp_path):
@@ -179,3 +188,31 @@ def test_waveform_dump_format():
         times.append(int(t))
         assert lvl in ("0", "1")
     assert times == sorted(times)
+
+
+def test_simulator_event_trace_is_pinned():
+    # recorded before the simulator moved onto the integer netlist form
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, redundant_carry=True)))
+    logs, summary = run_protocol(stage, DelayTable.unit(), 12, seed=7)
+    assert summary.completed == 12
+    assert sum(log.events for log in logs) == 2108
+    trace = json.dumps([[log.latency, log.events, log.set_end,
+                         sorted((net, t, v) for net, tr in log.transitions.items()
+                                for t, v in tr)]
+                        for log in logs])
+    assert hashlib.sha256(trace.encode()).hexdigest() == \
+        "9b950ddd072a992c8e41745e4fae220e8e434d729d4fc1512ce7469e5c53a223"
+
+
+def test_simulator_rejects_wrong_arity_gate():
+    # the constructor does not check arity; the simulator's netlist form does
+    n = Netlist(
+        name="bad",
+        gates=[Gate("g3", GateKind.AND2, ("a", "b", "a"), "y")],
+        inputs=[PortGroup("A", "a"), PortGroup("B", "b")],
+        outputs=[PortGroup("Y", "y")],
+    )
+    with pytest.raises(ValueError, match="gate 'g3': AND2 takes 2 inputs, got 3"):
+        simulate_transaction(n, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0)])
+    with pytest.raises(ValueError, match="gate 'g3': AND2 takes 2 inputs, got 3"):
+        classify_indication(n, DelayTable.unit(), trials=4)

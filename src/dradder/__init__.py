@@ -21,7 +21,7 @@ from .generators import (
     gen_safa,
     gen_stage,
 )
-from .netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup, eval_gate
+from .netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup
 from .simulator import (
     DEFAULT_SEED,
     DelayTable,

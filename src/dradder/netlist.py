@@ -45,7 +45,7 @@ ARITY: dict[GateKind, int] = {
 
 # What each gate kind computes from its input levels `i` and, for C2, its
 # previous output `held`. Written with & and | only, so one entry evaluates
-# 0/1 ints and numpy bool arrays alike.
+# 0/1 ints, numpy bool arrays and uint64 words packing 64 lanes each alike.
 GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
     GateKind.BUF: lambda i, held: i[0],
     GateKind.AND2: lambda i, held: i[0] & i[1],
@@ -61,22 +61,16 @@ GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
 }
 
 
-def eval_gate(kind: GateKind, ins: Sequence[int], held: int = 0) -> int:
-    """Boolean output of a gate given its input levels.
-
-    `held` is the previous output value, consulted only by C2.
-    """
-    if len(ins) != ARITY[kind]:
-        raise ValueError(f"{kind.value} takes {ARITY[kind]} inputs, got {len(ins)}")
-    return GATE_FN[kind](ins, held)
-
-
 @dataclass(frozen=True)
 class Gate:
     id: str
     kind: GateKind
     inputs: tuple[str, ...]
     output: str
+
+
+def _arity_error(g: Gate) -> str:
+    return f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
 
 
 def _gate_errors(gates: Sequence[Gate]) -> Iterator[str]:
@@ -87,7 +81,7 @@ def _gate_errors(gates: Sequence[Gate]) -> Iterator[str]:
             yield f"duplicate gate id {g.id!r}"
         seen.add(g.id)
         if len(g.inputs) != ARITY[g.kind]:
-            yield f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
+            yield _arity_error(g)
 
 
 # (gate function, input-level gather, output net id, gate kind)
@@ -204,25 +198,30 @@ class Netlist:
             if net not in read and net not in out_nets:
                 report.append(f"net {net!r} dangles: no fanout and not a primary output")
 
-        if self._order is None:
+        if self._order[0] is None:
             report.append("gate graph contains a cycle")
         return report
 
     @cached_property
-    def _order(self) -> tuple[Gate, ...] | None:
-        """Gates in topological order, derived once; None if the graph has a cycle.
+    def _order(self) -> tuple[tuple[Gate, ...] | None, str | None]:
+        """Gates in topological order (None if the graph has a cycle) and the
+        first wrong input count (None if every gate has its kind's arity),
+        both derived once in one pass over the gates.
 
         Kahn's algorithm over gate positions; a gate depends on the first
         driver of each input net, and the ready queue starts sorted by id."""
-        gates = self.gates
+        gates, drivers = self.gates, self._drivers
         indeg = [0] * len(gates)
         dependents: list[list[int]] = [[] for _ in gates]
+        bad_arity = None
         for k, g in enumerate(gates):
+            if len(g.inputs) != ARITY[g.kind] and bad_arity is None:
+                bad_arity = _arity_error(g)
             for net in g.inputs:
                 # undriven nets are a validate() finding, not a dependency
-                if net in self._drivers:
+                if (pos := drivers.get(net)) is not None:
                     indeg[k] += 1
-                    dependents[self._drivers[net][0]].append(k)
+                    dependents[pos[0]].append(k)
         ready = deque(sorted((k for k, d in enumerate(indeg) if d == 0),
                              key=lambda k: gates[k].id))
         order: list[Gate] = []
@@ -233,12 +232,18 @@ class Netlist:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
-        return tuple(order) if len(order) == len(gates) else None
+        return (tuple(order) if len(order) == len(gates) else None), bad_arity
 
     def topo_gates(self) -> tuple[Gate, ...]:
-        if self._order is None:
+        """Gates in topological order, the one route by which STA and the
+        steady-state evaluator walk a netlist. Raises ValueError on a wrong
+        input count (the simulator's message) or a cycle."""
+        order, bad_arity = self._order
+        if bad_arity is not None:
+            raise ValueError(bad_arity)
+        if order is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
-        return self._order
+        return order
 
     @cached_property
     def int_form(self) -> IntForm:

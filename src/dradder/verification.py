@@ -1,12 +1,19 @@
 """Oracles and property checkers for the generated adders.
 
-Adder sweeps work on bit-planes: one boolean array per operand bit (the
-carry-in, then A and B least significant first), one lane per vector, so
-they are exact at any width. Exhaustive mode takes plane k from bit k of
-the vector index; random mode draws every plane from a seeded generator.
-Two evaluation routes check every sweep:
+Adder sweeps work on bit-planes: one array per operand bit (the carry-in,
+then A and B least significant first), one lane per vector, so they are
+exact at any width. A plane packs 64 lanes into each uint64 word, lane j
+at bit j % 64 of word j // 64, and `GATE_FN`, written with & and | only,
+evaluates the words unchanged. Exhaustive mode takes plane k from bit k of
+the vector index; random mode draws raw words from a seeded generator (so
+its vectors differ from those of the earlier one-byte-per-lane sweep for
+the same seed). A sweep runs in chunks of words sized so that one chunk's
+net levels fit a fixed 32 MiB budget; it keeps only the decoded counts,
+the first failure and the levels at the sampled lanes, so its memory does
+not grow with the number of vectors. A mask keeps the padding lanes of the
+last word out of every count. Two evaluation routes check every sweep:
 
-* a vectorized steady-state evaluator (numpy, one lane per vector) used
+* a vectorized steady-state evaluator (numpy, 64 lanes per word) used
   for exhaustive and large random sweeps, valid because every generated
   circuit is monotone per handshake phase (a C-element driven from the
   all-zero state settles to the AND of its inputs); its output planes are
@@ -83,17 +90,27 @@ def _settle(n: Netlist, levels: dict[str, np.ndarray],
     return levels
 
 
+def _lanes(v) -> np.ndarray:
+    """uint64 arrays are packed words, kept as they are; anything else is
+    one boolean lane per element."""
+    v = np.asarray(v)
+    return v if v.dtype == np.uint64 else v.astype(bool, copy=False)
+
+
 def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Steady levels after a set phase from all-zero, one boolean array per
-    net, vectorized across input vectors. C2 settles to AND under monotone
-    rising inputs. The ackin net, when present, is held high."""
-    levels: dict[str, np.ndarray] = {k: np.asarray(v, dtype=bool) for k, v in inputs.items()}
-    shape = next(iter(levels.values())).shape if levels else ()
+    """Steady levels after a set phase from all-zero, one array per net,
+    vectorized across input vectors: boolean lanes, or uint64 words that
+    pack 64 lanes each when the inputs are uint64. C2 settles to AND under
+    monotone rising inputs. The ackin net, when present, is held high."""
+    levels = {k: _lanes(v) for k, v in inputs.items()}
+    if len({v.dtype for v in levels.values()}) > 1:
+        raise ValueError("inputs mix boolean lanes and packed uint64 words")
+    zero = np.zeros_like(next(iter(levels.values()))) if levels else np.zeros((), dtype=bool)
     for net in n.input_nets:
         if net not in levels:
-            levels[net] = np.zeros(shape, dtype=bool)
+            levels[net] = zero.copy()
     if n.ackin is not None:
-        levels[n.ackin] = np.ones(shape, dtype=bool)
+        levels[n.ackin] = ~zero
     return _settle(n, levels, {})
 
 
@@ -107,9 +124,92 @@ def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[s
     return _settle(n, levels, set_levels)
 
 
+# ---------------------------------------------------------------------------
+# adder sweeps on packed bit-planes
+
+_LANES = 64  # lanes per uint64 word; lane j sits at bit j % 64 of word j // 64
+_ONES = np.uint64(2**64 - 1)
+# Byte budget for one chunk's net levels: a sweep evaluates as many words at
+# once as fit it at 8 bytes per word and net, so its memory does not grow
+# with the lane count.
+_CHUNK_BYTES = 32 << 20
+# plane k < 6 of an exhaustive sweep is bit k of the lane's position in its word
+_LOW_PLANES = [sum(1 << j for j in range(_LANES) if j >> k & 1) for k in range(6)]
+
+
+def _index_planes(count: int, first_word: int, words: int) -> list[np.ndarray]:
+    """Planes 0..count-1 of the lane index over `words` words from
+    `first_word`: plane k >= 6 is all-ones or zero per word, from bit k - 6
+    of the word index."""
+    word = np.arange(first_word, first_word + words, dtype=np.uint64)
+    return [np.full(words, _LOW_PLANES[k], dtype=np.uint64) if k < 6
+            else ((word >> (k - 6)) & 1) * _ONES for k in range(count)]
+
+
+def _lane_bit(plane: np.ndarray, lane: int) -> int:
+    return int(plane[lane // _LANES]) >> lane % _LANES & 1
+
+
 def _lane_int(planes, lane: int) -> int:
     """The unsigned integer whose bit k is plane k at `lane`."""
-    return sum(int(p[lane]) << k for k, p in enumerate(planes))
+    return sum(_lane_bit(p, lane) << k for k, p in enumerate(planes))
+
+
+def _popcount(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
+
+
+def _sweep_chunk(n: Netlist, width: int, ports: list[str], planes: list[np.ndarray],
+                 valid: np.ndarray, sampled: list[int]):
+    """Evaluate and decode one chunk of packed lanes; `valid` masks out the
+    padding lanes. Returns what the chunk leaves behind once its net levels
+    are dropped: the counts of illegal pairs, spacer pairs and failing
+    lanes, the lowest failing lane's counterexample (or None), every net's
+    name in `steady_set_levels` order and, for each of the chunk-local
+    `sampled` lanes, its (a, b, cin), the bit of every port and the level of
+    every net, for the event-simulator cross-check."""
+    cin, a, b = planes[0], planes[1:width + 1], planes[width + 1:]
+    inputs: dict[str, np.ndarray] = {}
+    for name, bit in zip(ports, planes):
+        grp = n.group(name)
+        inputs[grp.rail1] = bit
+        inputs[grp.rail0] = ~bit
+    levels = steady_set_levels(n, inputs)
+
+    illegal = spacerish = 0
+    got = []
+    for name in [f"SUM{i}" for i in range(width)] + ["COUT"]:
+        grp = n.group(name, output=True)
+        r1, r0 = levels[grp.rail1], levels[grp.rail0]
+        illegal += _popcount(r1 & r0 & valid)
+        spacerish += _popcount(~(r1 | r0) & valid)
+        got.append(r1)
+    expected = oracle_planes(a, b, cin)
+    bad = np.zeros_like(valid)
+    for g, e in zip(got, expected):
+        bad |= g ^ e
+    bad &= valid
+
+    first = None
+    if (nonzero := np.flatnonzero(bad)).size:
+        word = int(bad[nonzero[0]])
+        i = int(nonzero[0]) * _LANES + (word & -word).bit_length() - 1
+        first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": _lane_bit(cin, i),
+                 "got_sum": _lane_int(got[:width], i), "got_cout": _lane_bit(got[width], i),
+                 "expected_sum": _lane_int(expected[:width], i),
+                 "expected_cout": _lane_bit(expected[width], i)}
+
+    # every net's word at the sampled lanes, then one bit of it per lane
+    names = list(levels)
+    picked = []
+    if sampled:
+        at = np.array([i // _LANES for i in sampled])
+        cols = np.array([arr[at] for arr in levels.values()])
+        for j, i in enumerate(sampled):
+            picked.append(((_lane_int(a, i), _lane_int(b, i), _lane_bit(cin, i)),
+                           [_lane_bit(p, i) for p in planes],
+                           (cols[:, j] >> (i % _LANES) & 1).astype(bool)))
+    return illegal, spacerish, _popcount(bad), first, names, picked
 
 
 @dataclass
@@ -139,84 +239,81 @@ def exhaustive_verify(
     Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
     width 8); random mode draws `count` seeded vectors at any width. The
     full sweep runs through the vectorized steady-state evaluator (set phase
-    decoded and compared with the oracle); a seeded subsample of
-    `sim_sample` vectors is additionally replayed on the event-driven
-    simulator, whose set-phase level of every net must equal the
-    steady-state one. `rtz_failures` counts sampled transactions that did
-    not return to zero: the steady-state reset cannot fail (module doc).
+    decoded and compared with the oracle), 64 lanes per word and in chunks
+    of bounded memory; a seeded subsample of `sim_sample` vectors is
+    additionally replayed on the event-driven simulator, whose set-phase
+    level of every net must equal the steady-state one. The first
+    counterexample is the lowest failing lane. `rtz_failures` counts
+    sampled transactions that did not return to zero: the steady-state
+    reset cannot fail (module doc).
     """
     # input ports in plane order: CIN is bit 0 of the exhaustive index
     ports = ["CIN"] + [f"A{i}" for i in range(width)] + [f"B{i}" for i in range(width)]
     if mode == "exhaustive":
         if width > 8:
             raise ValueError("exhaustive mode is limited to width <= 8")
-        idx = np.arange(2 ** len(ports), dtype=np.int64)
-        planes = [((idx >> k) & 1).astype(bool) for k in range(len(ports))]
+        total = 2 ** len(ports)
     elif mode == "random":
         if count < 1:
             raise ValueError(f"random mode needs count >= 1, got {count}")
-        planes = list(np.random.default_rng(seed).integers(
-            0, 2, size=(len(ports), count), dtype=bool))
+        total = count
+        # word-major draws, so the vectors do not depend on the chunk size
+        draw = np.random.default_rng(seed).integers
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    cin, a, b = planes[0], planes[1:width + 1], planes[width + 1:]
+    words = -(-total // _LANES)
+    step = max(1, _CHUNK_BYTES // (8 * (len(n.input_nets) + len(n.gates))))
+    sample = sorted(random.Random(seed).sample(range(total), min(sim_sample, total)))
 
-    inputs: dict[str, np.ndarray] = {}
-    for name, bit in zip(ports, planes):
-        grp = n.group(name)
-        inputs[grp.rail1] = bit
-        inputs[grp.rail0] = ~bit
-    levels = steady_set_levels(n, inputs)
+    delays = delays or DelayTable.unit()
+    illegal = spacerish = failures = sim_checked = rtz_failures = 0
+    first = sim_first = None
+    for w0 in range(0, words, step):
+        nw = min(step, words - w0)
+        if mode == "exhaustive":
+            planes = _index_planes(len(ports), w0, nw)
+        else:
+            planes = list(draw(0, 2**64, size=(nw, len(ports)), dtype=np.uint64).T.copy())
+        valid = np.full(nw, _ONES)
+        if w0 + nw == words and total % _LANES:
+            valid[-1] = (1 << total % _LANES) - 1
+        lo = w0 * _LANES
+        sampled = [i - lo for i in sample if lo <= i < lo + nw * _LANES] \
+            if sim_first is None else []
+        (chunk_illegal, chunk_spacerish, chunk_failures, chunk_first, names,
+         picked) = _sweep_chunk(n, width, ports, planes, valid, sampled)
+        illegal += chunk_illegal
+        spacerish += chunk_spacerish
+        failures += chunk_failures
+        first = first or chunk_first
 
-    illegal = spacerish = 0
-    got = []
-    for name in [f"SUM{i}" for i in range(width)] + ["COUT"]:
-        grp = n.group(name, output=True)
-        r1, r0 = levels[grp.rail1], levels[grp.rail0]
-        illegal += int(np.count_nonzero(r1 & r0))
-        spacerish += int(np.count_nonzero(~(r1 | r0)))
-        got.append(r1)
-    expected = oracle_planes(a, b, cin)
-    bad = np.zeros(cin.shape, dtype=bool)
-    for g, e in zip(got, expected):
-        bad |= g != e
-
-    failures = int(np.count_nonzero(bad))
-    first = None
-    if failures:
-        i = int(np.flatnonzero(bad)[0])
-        first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": int(cin[i]),
-                 "got_sum": _lane_int(got[:width], i), "got_cout": int(got[width][i]),
-                 "expected_sum": _lane_int(expected[:width], i),
-                 "expected_cout": int(expected[width][i])}
+        # event-driven cross-check of the sampled lanes, net by net
+        index = {x: k for k, x in enumerate(names)}
+        for vector, bits, steady in picked:
+            log = simulate_transaction(n, delays, [(name, bit, 0)
+                                                   for name, bit in zip(ports, bits)])
+            expect = np.zeros(len(index), dtype=bool)
+            expect[[index[x] for x, v in log.set_levels.items() if v and x in index]] = True
+            differ = np.flatnonzero(steady != expect)
+            net = names[differ[0]] if differ.size else None
+            rtz_failures += not log.rtz_complete
+            if net is not None or not log.rtz_complete or log.illegal_seen \
+                    or not log.monotonic:
+                sim_first = {"a": vector[0], "b": vector[1], "cin": vector[2],
+                             "via": "event simulator", "net": net}
+                break
+            sim_checked += 1
 
     notes: list[str] = []
     if spacerish:
         notes.append(f"{spacerish} output pairs never reached a valid codeword")
-
-    # event-driven cross-check on a seeded subsample, net by net
-    delays = delays or DelayTable.unit()
-    rng = random.Random(seed)
-    sample = sorted(rng.sample(range(len(cin)), min(sim_sample, len(cin))))
-    sim_checked = rtz_failures = 0
-    for i in sample:
-        log = simulate_transaction(n, delays, [(name, int(bit[i]), 0)
-                                               for name, bit in zip(ports, planes)])
-        net = next((x for x, arr in levels.items()
-                    if arr[i] != bool(log.set_levels.get(x, 0))), None)
-        rtz_failures += not log.rtz_complete
-        if net is not None or not log.rtz_complete or log.illegal_seen \
-                or not log.monotonic:
-            ai, bi, ci = _lane_int(a, i), _lane_int(b, i), int(cin[i])
-            failures += 1
-            first = first or {"a": ai, "b": bi, "cin": ci, "via": "event simulator",
-                              "net": net}
-            notes.append(f"event simulator disagreed on vector ({ai}, {bi}, {ci})")
-            break
-        sim_checked += 1
-
+    if sim_first is not None:
+        failures += 1
+        first = first or sim_first
+        notes.append("event simulator disagreed on vector "
+                     f"({sim_first['a']}, {sim_first['b']}, {sim_first['cin']})")
     passed = failures == 0 and illegal == 0 and spacerish == 0
-    return VerifyResult(passed, len(cin), failures, first, illegal,
+    return VerifyResult(passed, total, failures, first, illegal,
                         rtz_failures, sim_checked, notes)
 
 

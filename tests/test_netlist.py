@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dradder.netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup, eval_gate
+from dradder.netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup
+from packed import pack, unpack
 
 
 def test_arity_table():
@@ -15,31 +16,31 @@ def test_arity_table():
 
 
 def test_eval_combinational_gates():
-    assert eval_gate(GateKind.BUF, [1]) == 1
-    assert eval_gate(GateKind.AND2, [1, 0]) == 0
-    assert eval_gate(GateKind.OR2, [1, 0]) == 1
-    assert eval_gate(GateKind.AND4, [1, 1, 1, 1]) == 1
-    assert eval_gate(GateKind.AND4, [1, 1, 0, 1]) == 0
-    assert eval_gate(GateKind.OR4, [0, 0, 0, 0]) == 0
+    assert GATE_FN[GateKind.BUF]([1], 0) == 1
+    assert GATE_FN[GateKind.AND2]([1, 0], 0) == 0
+    assert GATE_FN[GateKind.OR2]([1, 0], 0) == 1
+    assert GATE_FN[GateKind.AND4]([1, 1, 1, 1], 0) == 1
+    assert GATE_FN[GateKind.AND4]([1, 1, 0, 1], 0) == 0
+    assert GATE_FN[GateKind.OR4]([0, 0, 0, 0], 0) == 0
     # AO21(a, b, c) = a*b + c
-    assert eval_gate(GateKind.AO21, [1, 1, 0]) == 1
-    assert eval_gate(GateKind.AO21, [1, 0, 0]) == 0
-    assert eval_gate(GateKind.AO21, [0, 0, 1]) == 1
+    assert GATE_FN[GateKind.AO21]([1, 1, 0], 0) == 1
+    assert GATE_FN[GateKind.AO21]([1, 0, 0], 0) == 0
+    assert GATE_FN[GateKind.AO21]([0, 0, 1], 0) == 1
     # AO22(a, b, c, d) = a*b + c*d
-    assert eval_gate(GateKind.AO22, [0, 1, 1, 1]) == 1
-    assert eval_gate(GateKind.AO22, [0, 1, 1, 0]) == 0
+    assert GATE_FN[GateKind.AO22]([0, 1, 1, 1], 0) == 1
+    assert GATE_FN[GateKind.AO22]([0, 1, 1, 0], 0) == 0
     # AO222 adds a third product term
-    assert eval_gate(GateKind.AO222, [0, 0, 0, 0, 1, 1]) == 1
-    assert eval_gate(GateKind.AO222, [1, 0, 0, 1, 0, 1]) == 0
+    assert GATE_FN[GateKind.AO222]([0, 0, 0, 0, 1, 1], 0) == 1
+    assert GATE_FN[GateKind.AO222]([1, 0, 0, 1, 0, 1], 0) == 0
 
 
 def test_eval_c_element_holds_on_disagreement():
     # output follows inputs only when they agree, else keeps its held value
     for held in (0, 1):
-        assert eval_gate(GateKind.C2, [1, 1], held) == 1
-        assert eval_gate(GateKind.C2, [0, 0], held) == 0
-        assert eval_gate(GateKind.C2, [1, 0], held) == held
-        assert eval_gate(GateKind.C2, [0, 1], held) == held
+        assert GATE_FN[GateKind.C2]([1, 1], held) == 1
+        assert GATE_FN[GateKind.C2]([0, 0], held) == 0
+        assert GATE_FN[GateKind.C2]([1, 0], held) == held
+        assert GATE_FN[GateKind.C2]([0, 1], held) == held
 
 
 # Truth tables written independently of GATE_FN, from the gate definitions.
@@ -66,6 +67,17 @@ def test_gate_fn_matches_truth_table_on_ints_and_arrays(kind):
     out = GATE_FN[kind](cols[:-1], cols[-1])
     assert out.dtype == bool
     assert out.tolist() == [bool(e) for e in expect]
+    # every input x held combination as one lane of packed words (AO222's
+    # 128 combinations take two words)
+    words = [pack(col) for col in cols]
+    out = GATE_FN[kind](words[:-1], words[-1])
+    assert out.dtype == np.uint64 and len(out) == -(-len(rows) // 64)
+    assert unpack(out, len(rows)).tolist() == [bool(e) for e in expect]
+    # held=False, as the steady-state evaluator passes it, on words too
+    out = GATE_FN[kind](words[:-1], False)
+    assert out.dtype == np.uint64
+    assert unpack(out, len(rows)).tolist() == \
+        [bool(REFERENCE[kind](row[:-1], 0)) for row in rows]
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
@@ -79,8 +91,38 @@ def test_gate_fn_is_zero_on_all_zero_inputs(kind):
 
 
 def test_eval_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        eval_gate(GateKind.AND2, [1, 1, 1])
+    gates = [Gate("g3", GateKind.AND2, ("a", "b", "a"), "y")]
+    bad = Netlist(name="bad", gates=gates, inputs=[PortGroup("A", "a"), PortGroup("B", "b")],
+                  outputs=[PortGroup("Y", "y")])
+    with pytest.raises(ValueError, match="gate 'g3': AND2 takes 2 inputs, got 3"):
+        bad.topo_gates()
+    with pytest.raises(ValueError, match="gate 'g3': AND2 takes 2 inputs, got 3"):
+        Netlist.from_dict(bad.to_dict())
+    # validate() reports it rather than raising
+    assert "gate 'g3': AND2 takes 2 inputs, got 3" in bad.validate()
+
+
+def test_every_route_rejects_a_wrong_arity_gate():
+    from dradder.simulator import DelayTable, simulate_transaction
+    from dradder.timing import critical_path
+    from dradder.verification import steady_set_levels
+
+    # an extra input the simulator, STA and the steady-state evaluator must
+    # not silently drop; AND2(a, b, 0) would otherwise pass for AND2(a, b)
+    bad = Netlist(
+        name="bad",
+        gates=[Gate("g0", GateKind.BUF, ("a",), "x"),
+               Gate("g3", GateKind.AND2, ("x", "b", "c"), "y")],
+        inputs=[PortGroup("A", "a"), PortGroup("B", "b"), PortGroup("C", "c")],
+        outputs=[PortGroup("Y", "y")],
+    )
+    message = "gate 'g3': AND2 takes 2 inputs, got 3"
+    with pytest.raises(ValueError, match=message):
+        simulate_transaction(bad, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0)])
+    with pytest.raises(ValueError, match=message):
+        critical_path(bad, DelayTable.unit())
+    with pytest.raises(ValueError, match=message):
+        steady_set_levels(bad, {"a": np.ones(2, dtype=bool), "b": np.ones(2, dtype=bool)})
 
 
 def _tiny_netlist() -> Netlist:

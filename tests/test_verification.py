@@ -20,6 +20,7 @@ from dradder.verification import (
     steady_set_levels,
     structurally_disjoint,
 )
+from packed import pack, unpack
 
 
 def test_oracle_add():
@@ -213,3 +214,124 @@ def test_contradictory_product_rejected():
     bad = frozenset({"A1", "A0"})
     with pytest.raises(ValueError):
         SAFA_EQUATIONS.check_product(bad)
+
+
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65, 200, 4097])
+@pytest.mark.parametrize("spec, stage", [(AdderSpec(4, 2, True), True),
+                                         (AdderSpec(6, 0, False), False)])
+def test_packed_steady_levels_match_bool_lanes(lanes, spec, stage):
+    n = gen_hybrid_rca(spec)
+    n = gen_stage(n) if stage else n
+    rng = np.random.default_rng(lanes)
+    # every rail drawn independently, so spacer and illegal inputs occur too
+    inputs = {net: rng.integers(0, 2, size=lanes, dtype=bool)
+              for grp in n.inputs for net in grp.rails()}
+    want = steady_set_levels(n, inputs)
+    got = steady_set_levels(n, {net: pack(v) for net, v in inputs.items()})
+    assert list(got) == list(want)
+    for net, words in got.items():
+        assert words.dtype == np.uint64 and len(words) == -(-lanes // 64)
+        assert unpack(words, lanes).tolist() == want[net].tolist(), net
+    # a bool lane among words would act as bit 0 of a word only
+    mixed = {net: pack(v) for net, v in inputs.items()}
+    mixed[next(iter(inputs))] = next(iter(inputs.values()))
+    with pytest.raises(ValueError, match="mix"):
+        steady_set_levels(n, mixed)
+
+
+def _rebuild(n, gates=None, outputs=None):
+    from dradder.netlist import Netlist
+
+    return Netlist(n.name, n.gates if gates is None else gates, n.inputs,
+                   n.outputs if outputs is None else outputs, n.ackin, n.ackout)
+
+
+def _with_kind(n, gate_id, kind):
+    from dradder.netlist import Gate
+
+    return _rebuild(n, gates=[Gate(g.id, kind, g.inputs, g.output) if g.id == gate_id
+                              else g for g in n.gates])
+
+
+# failures, illegal states and first counterexample of exhaustive runs on
+# broken width-6 adders, as reported by the bool-lane sweep this replaced
+@pytest.mark.parametrize("safa, redundant, stage, gate_id, kind, failures, illegal, cex", [
+    (0, False, False, "dafa1/cout1", "AND2", 4096, 0,
+     {"a": 15, "b": 0, "cin": 1, "expected_cout": 0, "expected_sum": 16,
+      "got_cout": 0, "got_sum": 0}),
+    (0, True, False, "dafa2/yc1", "OR2", 3073, 3072,
+     {"a": 15, "b": 0, "cin": 1, "expected_cout": 0, "expected_sum": 16,
+      "got_cout": 0, "got_sum": 48}),
+    (2, False, True, "reg/b5_0", "OR2", 2049, 6144,
+     {"a": 31, "b": 32, "cin": 1, "expected_cout": 1, "expected_sum": 0,
+      "got_cout": 1, "got_sum": 32}),
+])
+def test_exhaustive_results_are_pinned(safa, redundant, stage, gate_id, kind,
+                                       failures, illegal, cex):
+    from dradder.netlist import GateKind
+
+    n = gen_hybrid_rca(AdderSpec(6, safa, redundant))
+    n = _with_kind(gen_stage(n) if stage else n, gate_id, GateKind(kind))
+    res = exhaustive_verify(n, 6)
+    assert (res.failures, res.illegal_states, res.first_counterexample) == \
+        (failures, illegal, cex)
+
+
+def test_random_counterexample_is_lowest_lane_across_chunks(monkeypatch):
+    import dradder.verification as ver
+    from dradder.netlist import Gate, GateKind, PortGroup
+
+    # SUM0's rail1 also rises when A3..A5, B3..B5 and CIN are all 1: a wrong
+    # sum (and an illegal pair) on 1 lane in 256
+    n = gen_hybrid_rca(AdderSpec(6, 2, True))
+    r1 = {name: n.group(name).rail1 for name in ("A3", "A4", "A5", "B3", "B4", "B5", "CIN")}
+    s0 = n.group("SUM0", output=True)
+    gates = list(n.gates) + [
+        Gate("bug/x1", GateKind.AND4, (r1["A3"], r1["A4"], r1["A5"], r1["B5"]), "bug/x1"),
+        Gate("bug/x2", GateKind.AND4, (r1["B3"], r1["B4"], r1["CIN"], "bug/x1"), "bug/x2"),
+        Gate("bug/or", GateKind.OR2, (s0.rail1, "bug/x2"), "bug/or")]
+    outs = [PortGroup("SUM0", "bug/or", s0.rail0) if grp is s0 else grp for grp in n.outputs]
+    broken = _rebuild(n, gates=gates, outputs=outs)
+    seed, count = 1007, 1000
+
+    # the documented random-mode vectors: word-major uint64 draws, one column
+    # per plane CIN, A0..A5, B0..B5
+    raw = np.random.default_rng(seed).integers(0, 2**64, size=(-(-count // 64), 13),
+                                               dtype=np.uint64)
+    planes = [unpack(col, count) for col in raw.T]
+    cin, a, b = planes[0], planes[1:7], planes[7:]
+    hit = cin & a[3] & a[4] & a[5] & b[3] & b[4] & b[5] & ~(a[0] ^ b[0] ^ cin)
+    failing = np.flatnonzero(hit)
+    lane = int(failing[0])
+    # past lane 63, past the first two-word chunk, and not the only failing chunk
+    assert lane > 128 and len(set(failing // 128)) > 1
+
+    whole = exhaustive_verify(broken, 6, mode="random", count=count, seed=seed)
+    # two words per chunk: the lowest failing lane lies in a later chunk
+    monkeypatch.setattr(ver, "_CHUNK_BYTES",
+                        2 * 8 * (len(broken.input_nets) + len(broken.gates)))
+    chunked = exhaustive_verify(broken, 6, mode="random", count=count, seed=seed)
+    assert chunked == whole
+    assert whole.failures == whole.illegal_states == int(hit.sum())
+    cex = whole.first_counterexample
+
+    def num(bits):
+        return sum(int(p[lane]) << k for k, p in enumerate(bits))
+
+    assert (cex["a"], cex["b"], cex["cin"]) == (num(a), num(b), int(cin[lane]))
+    assert cex["got_sum"] == cex["expected_sum"] ^ 1
+
+
+@pytest.mark.parametrize("mode, count", [("exhaustive", 8), ("random", 100)])
+def test_padding_lanes_are_not_counted(mode, count):
+    # both rails of SUM0 on one net: every lane is illegal (sum 1) or a
+    # spacer (sum 0), so a counted padding lane would show in the totals
+    n = gen_hybrid_rca(AdderSpec(1, 1, True))
+    outs = [type(grp)(grp.name, grp.rail1, grp.rail1) if grp.name == "SUM0" else grp
+            for grp in n.outputs]
+    res = exhaustive_verify(_rebuild(n, outputs=outs), 1, mode=mode, count=count)
+    spacerish = int(res.notes[0].split()[0])
+    assert res.checked == count
+    assert res.illegal_states + spacerish == count
+    if mode == "exhaustive":
+        assert res.illegal_states == spacerish == 4

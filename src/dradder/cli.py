@@ -189,18 +189,14 @@ def cmd_sim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.circuit == "rca":
-        if args.width is None:
-            raise CliError("rca needs --width", EXIT_USAGE)
-        try:
-            n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_USAGE)
-        width = args.width
-    else:
-        raise CliError("verify supports the rca circuit selector", EXIT_USAGE)
+    if args.width is None:
+        raise CliError("rca needs --width", EXIT_USAGE)
     try:
-        result = exhaustive_verify(n, width, mode=args.mode, seed=args.seed,
+        n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
+    try:
+        result = exhaustive_verify(n, args.width, mode=args.mode, seed=args.seed,
                                    count=args.count)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)

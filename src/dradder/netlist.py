@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 
 class GateKind(str, Enum):
@@ -69,21 +69,6 @@ class Gate:
     output: str
 
 
-def _arity_error(g: Gate) -> str:
-    return f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} inputs, got {len(g.inputs)}"
-
-
-def _gate_errors(gates: Sequence[Gate]) -> Iterator[str]:
-    """Duplicate gate ids and wrong input counts, in gate order."""
-    seen: set[str] = set()
-    for g in gates:
-        if g.id in seen:
-            yield f"duplicate gate id {g.id!r}"
-        seen.add(g.id)
-        if len(g.inputs) != ARITY[g.kind]:
-            yield _arity_error(g)
-
-
 # (gate function, input-level gather, output net id, gate kind)
 FanoutEntry = tuple[Callable, Callable, int, GateKind]
 
@@ -132,10 +117,6 @@ class Netlist:
         self.outputs: tuple[PortGroup, ...] = tuple(outputs)
         self.ackin = ackin
         self.ackout = ackout
-        # every gate driving each net, as positions in self.gates
-        self._drivers: dict[str, list[int]] = {}
-        for k, g in enumerate(self.gates):
-            self._drivers.setdefault(g.output, []).append(k)
         # the first group of a name wins
         self._in_groups = {grp.name: grp for grp in reversed(self.inputs)}
         self._out_groups = {grp.name: grp for grp in reversed(self.outputs)}
@@ -172,56 +153,60 @@ class Netlist:
 
     def validate(self) -> list[str]:
         """Structural validation report; empty list means the netlist is well formed."""
-        report = list(_gate_errors(self.gates))
+        return list(self._structure[1])
 
-        primary = set(self.input_nets)
-        drivers = self._drivers
+    @cached_property
+    def _structure(self) -> tuple[tuple[Gate, ...] | None, list[str], str | None, str | None]:
+        """Everything known about the gate graph's shape, derived once: the
+        gates in topological order (None if the graph has a cycle), the
+        validate() report, the first duplicate id or wrong input count, and
+        the first wrong input count.
+
+        Kahn's algorithm over gate positions; a gate depends on the first
+        driver of each input net, and the ready queue starts sorted by id."""
+        gates, primary = self.gates, set(self.input_nets)
+        report: list[str] = []
+        bad_arity = None
+        seen: set[str] = set()
+        drivers: dict[str, list[int]] = {}  # every gate driving each net, as positions
+        for k, g in enumerate(gates):
+            if g.id in seen:
+                report.append(f"duplicate gate id {g.id!r}")
+            seen.add(g.id)
+            if len(g.inputs) != ARITY[g.kind]:
+                report.append(f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} "
+                              f"inputs, got {len(g.inputs)}")
+                bad_arity = bad_arity or report[-1]
+            drivers.setdefault(g.output, []).append(k)
+        malformed = report[0] if report else None
+
         for net, pos in drivers.items():
-            who = [self.gates[k].id for k in pos]
+            who = [gates[k].id for k in pos]
             if len(who) > 1:
                 report.append(f"net {net!r} has multiple drivers: {who}")
             if net in primary:
                 report.append(f"net {net!r} is both a primary input and driven by {who}")
 
-        for g in self.gates:
-            for net in g.inputs:
-                if net not in drivers and net not in primary:
-                    report.append(f"gate {g.id!r} input net {net!r} has no driver")
-
-        out_nets = set(self.output_nets)
-        read = {net for g in self.gates for net in g.inputs}
-        for grp in list(self.inputs) + list(self.outputs):
-            for net in grp.rails():
-                if net not in drivers and net not in primary:
-                    report.append(f"port group {grp.name!r} references undriven net {net!r}")
-        for net in drivers:
-            if net not in read and net not in out_nets:
-                report.append(f"net {net!r} dangles: no fanout and not a primary output")
-
-        if self._order[0] is None:
-            report.append("gate graph contains a cycle")
-        return report
-
-    @cached_property
-    def _order(self) -> tuple[tuple[Gate, ...] | None, str | None]:
-        """Gates in topological order (None if the graph has a cycle) and the
-        first wrong input count (None if every gate has its kind's arity),
-        both derived once in one pass over the gates.
-
-        Kahn's algorithm over gate positions; a gate depends on the first
-        driver of each input net, and the ready queue starts sorted by id."""
-        gates, drivers = self.gates, self._drivers
         indeg = [0] * len(gates)
         dependents: list[list[int]] = [[] for _ in gates]
-        bad_arity = None
         for k, g in enumerate(gates):
-            if len(g.inputs) != ARITY[g.kind] and bad_arity is None:
-                bad_arity = _arity_error(g)
             for net in g.inputs:
-                # undriven nets are a validate() finding, not a dependency
                 if (pos := drivers.get(net)) is not None:
                     indeg[k] += 1
                     dependents[pos[0]].append(k)
+                elif net not in primary:
+                    report.append(f"gate {g.id!r} input net {net!r} has no driver")
+
+        for grp in self.inputs + self.outputs:
+            for net in grp.rails():
+                if net not in drivers and net not in primary:
+                    report.append(f"port group {grp.name!r} references undriven net {net!r}")
+        # a driven net is read exactly when its first driver has dependents
+        out_nets = set(self.output_nets)
+        report += [f"net {net!r} dangles: no fanout and not a primary output"
+                   for net, pos in drivers.items()
+                   if not dependents[pos[0]] and net not in out_nets]
+
         ready = deque(sorted((k for k, d in enumerate(indeg) if d == 0),
                              key=lambda k: gates[k].id))
         order: list[Gate] = []
@@ -232,13 +217,16 @@ class Netlist:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
-        return (tuple(order) if len(order) == len(gates) else None), bad_arity
+        if len(order) != len(gates):
+            report.append("gate graph contains a cycle")
+            return None, report, malformed, bad_arity
+        return tuple(order), report, malformed, bad_arity
 
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in topological order, the one route by which STA and the
         steady-state evaluator walk a netlist. Raises ValueError on a wrong
         input count (the simulator's message) or a cycle."""
-        order, bad_arity = self._order
+        order, _, _, bad_arity = self._structure
         if bad_arity is not None:
             raise ValueError(bad_arity)
         if order is None:
@@ -250,7 +238,7 @@ class Netlist:
         """The netlist with integer net ids, derived once for the event simulator.
 
         Raises ValueError on a duplicate gate id or a wrong input count."""
-        if err := next(_gate_errors(self.gates), None):
+        if err := self._structure[2]:
             raise ValueError(err)
         ids: dict[str, int] = {}
         for net in (*self.input_nets, *self.output_nets,
@@ -292,22 +280,33 @@ class Netlist:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Netlist":
-        def grp(d: dict) -> PortGroup:
-            return PortGroup(d["group"], d["rail1"], d.get("rail0"))
+        def text(value, field: str, *, optional: bool = False) -> str | None:
+            if isinstance(value, str) or (optional and value is None):
+                return value
+            raise ValueError(f"{field} must be a string, got {value!r}")
 
-        gates = [Gate(d["id"], GateKind(d["kind"]), tuple(d["in"]), d["out"])
-                 for d in doc["gates"]]
-        if err := next(_gate_errors(gates), None):
-            raise ValueError(err)
+        def grp(d: dict) -> PortGroup:
+            return PortGroup(text(d["group"], "port group"), text(d["rail1"], "rail1"),
+                             text(d.get("rail0"), "rail0", optional=True))
+
+        def gate(d: dict) -> Gate:
+            if not isinstance(d["in"], list):
+                raise ValueError(f"gate inputs must be a list, got {d['in']!r}")
+            return Gate(text(d["id"], "gate id"), GateKind(d["kind"]),
+                        tuple(text(x, "gate input") for x in d["in"]), text(d["out"], "gate output"))
+
         acks = doc.get("acks") or {}
-        return cls(
-            name=doc["name"],
-            gates=gates,
+        n = cls(
+            name=text(doc["name"], "netlist name"),
+            gates=[gate(d) for d in doc["gates"]],
             inputs=[grp(d) for d in doc["inputs"]],
             outputs=[grp(d) for d in doc["outputs"]],
-            ackin=acks.get("ackin"),
-            ackout=acks.get("ackout"),
+            ackin=text(acks.get("ackin"), "ackin", optional=True),
+            ackout=text(acks.get("ackout"), "ackout", optional=True),
         )
+        if err := n._structure[2]:
+            raise ValueError(err)
+        return n
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -277,7 +277,6 @@ def run_protocol(
     vectors: Sequence[dict[str, int]] | int,
     *,
     seed: int = DEFAULT_SEED,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> tuple[list[TransactionLog], ProtocolSummary]:
     """Drive a handshake stage through one 4-phase cycle per vector.
 
@@ -296,7 +295,7 @@ def run_protocol(
     for idx, vec in enumerate(vectors):
         summary.transactions += 1
         inputs = [(grp.name, vec[grp.name], 0) for grp in stage.inputs]
-        log = simulate_transaction(stage, delays, inputs, max_events=max_events)
+        log = simulate_transaction(stage, delays, inputs)
         logs.append(log)
 
         ack_trans = log.transitions.get(stage.ackout, [])
@@ -329,8 +328,6 @@ def classify_indication(
     delays: DelayTable,
     trials: int,
     seed: int = DEFAULT_SEED,
-    *,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> IndicationReport:
     """Probe the input-output timing class of a function block.
 
@@ -357,7 +354,7 @@ def classify_indication(
         vec = {grp.name: rng.randint(0, 1) for grp in groups}
         delayed = rng.choice(groups)
 
-        sim = _Sim(fb, delays, max_events)
+        sim = _Sim(fb, delays)
         if fb.ackin is not None:
             sim.drive(fb.ackin, 1, 0)
         _apply_vector(sim, fb, [(g.name, vec[g.name], 0)

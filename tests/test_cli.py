@@ -168,6 +168,32 @@ DUPLICATE_ID = {
 }
 
 
+RAIL1_LIST = {
+    "name": "rails",
+    "inputs": [{"group": "A", "rail1": ["a"], "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": "g", "kind": "BUF", "in": ["a"], "out": "y"}],
+}
+
+
+INT_GATE_ID = {
+    "name": "ids",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": 7, "kind": "BUF", "in": ["a"], "out": "y"}],
+}
+
+
+# would read as AND2(a, b) if the string were taken as a sequence of nets
+STRING_INPUTS = {
+    "name": "chars",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None},
+               {"group": "B", "rail1": "b", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": "g", "kind": "AND2", "in": "ab", "out": "y"}],
+}
+
+
 def _delays(**override):
     return {**DelayTable.unit().to_mapping(), **override}
 
@@ -180,10 +206,14 @@ def _delays(**override):
     (["sim", "--count", "1", "--netlist"], CYCLIC, "cycle"),
     (["sim", "--count", "1", "--netlist"], WRONG_ARITY, "takes 4 inputs"),
     (["sta", "--netlist"], DUPLICATE_ID, "duplicate gate id 'g'"),
+    (["sta", "--netlist"], RAIL1_LIST, "rail1 must be a string"),
+    (["sta", "--netlist"], INT_GATE_ID, "gate id must be a string"),
+    (["sta", "--netlist"], STRING_INPUTS, "gate inputs must be a list"),
     (["sweep", "--width", "4", "--delays"], _delays(AO21=1.7), "must be an integer"),
     (["sweep", "--width", "4", "--delays"], _delays(C2=True), "must be an integer"),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
         "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id",
+        "sta-rail1-list", "sta-int-gate-id", "sta-string-inputs",
         "delays-float", "delays-bool"])
 def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "input.json"

@@ -194,6 +194,44 @@ def test_validate_flags_combinational_cycle():
     assert any("cycle" in m.lower() for m in bad.validate())
 
 
+def test_validate_reports_every_finding_kind_in_order():
+    # one netlist with each finding kind; the report lists them by kind, and
+    # within a kind in gate, driver or port order
+    bad = Netlist(
+        name="every",
+        gates=[
+            Gate("g1", GateKind.AND2, ("a1", "b"), "x"),
+            Gate("g1", GateKind.BUF, ("a0",), "w"),
+            Gate("g2", GateKind.OR2, ("x", "a1", "b"), "y"),
+            Gate("g3", GateKind.BUF, ("x",), "y"),
+            Gate("g4", GateKind.BUF, ("b",), "a0"),
+            Gate("g5", GateKind.AND2, ("x", "ghost"), "d"),
+            Gate("g6", GateKind.OR2, ("x", "c2"), "c1"),
+            Gate("g7", GateKind.BUF, ("c1",), "c2"),
+        ],
+        inputs=[PortGroup("A", "a1", "a0"), PortGroup("B", "b")],
+        outputs=[PortGroup("Y", "y"), PortGroup("Z", "zghost", "c1")],
+    )
+    assert bad.validate() == [
+        "duplicate gate id 'g1'",
+        "gate 'g2': OR2 takes 2 inputs, got 3",
+        "net 'y' has multiple drivers: ['g2', 'g3']",
+        "net 'a0' is both a primary input and driven by ['g4']",
+        "gate 'g5' input net 'ghost' has no driver",
+        "port group 'Z' references undriven net 'zghost'",
+        "net 'w' dangles: no fanout and not a primary output",
+        "net 'd' dangles: no fanout and not a primary output",
+        "gate graph contains a cycle",
+    ]
+    # the routes that raise take the first finding they cannot run with
+    with pytest.raises(ValueError, match="gate 'g2': OR2 takes 2 inputs, got 3"):
+        bad.topo_gates()
+    with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
+        bad.int_form
+    with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
+        Netlist.from_dict(bad.to_dict())
+
+
 def test_topological_order_respects_edges():
     n = _tiny_netlist()
     order = [g.id for g in n.topo_gates()]

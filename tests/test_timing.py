@@ -14,6 +14,7 @@ from dradder.timing import (
     latency_expr_table,
     sweep_hybrid,
 )
+from test_acceptance import DOMINANT_TABLES
 
 K = GateKind
 
@@ -50,6 +51,22 @@ def test_expr_table_has_all_seventeen_legends():
     for expr in table.values():
         assert expr.includes_buffer and expr.includes_register
         assert expr.nonzero()
+
+
+# the w=32, s=2 redundant stage's critical path: it enters at the register
+# on A0, crosses both SAFA carries and all fifteen DAFA carries, and ends at
+# the top sum pair; equal-length paths under unit delays tie-break to it
+STAGE32_PATH = ("reg/a0_0", "safa0/cg2", "safa0/cg3", "safa1/cg3",
+                *(f"dafa{i}/cout1" for i in range(14)), "dafa14/cp1", "dafa14/sum10")
+
+
+@pytest.mark.parametrize("table, value", [
+    (DelayTable.unit(), 20), (DOMINANT_TABLES[0], 82), (DOMINANT_TABLES[1], 107),
+], ids=["unit", "dominant0", "dominant1"])
+def test_critical_path_pinned_on_stage32(table, value):
+    cp = critical_path(gen_stage(gen_hybrid_rca(AdderSpec(32, 2, True))), table)
+    assert cp.value == value
+    assert cp.path == STAGE32_PATH
 
 
 def test_critical_path_on_plain_adder():

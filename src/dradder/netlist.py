@@ -81,6 +81,7 @@ class IntForm:
     names: tuple[str, ...]  # names[ids[net]] == net
     fanout: tuple[tuple[FanoutEntry, ...], ...]  # per net id, every gate reading it
     partner: tuple[int | None, ...]  # the other rail of a dual-rail port net
+    order: tuple[FanoutEntry, ...] | None  # gates' entries in topo_gates() order; None if cyclic
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ class Netlist:
 
     @cached_property
     def int_form(self) -> IntForm:
-        """The netlist with integer net ids, derived once for the event simulator.
+        """The netlist with integer net ids, derived once for simulation and verification.
 
         Raises ValueError on a duplicate gate id or a wrong input count."""
         if err := self._structure[2]:
@@ -245,11 +246,12 @@ class Netlist:
                     *(x for g in self.gates for x in (*g.inputs, g.output))):
             ids.setdefault(net, len(ids))
         fanout: list[list[FanoutEntry]] = [[] for _ in ids]
+        entry_of: dict[str, FanoutEntry] = {}  # by gate id, unique here
         for g in self.gates:
             pos = [ids[x] for x in g.inputs]
             # itemgetter of one index returns a scalar; GATE_FN indexes a sequence
             gather = itemgetter(*pos) if len(pos) > 1 else itemgetter(pos[0], pos[0])
-            entry = (GATE_FN[g.kind], gather, ids[g.output], g.kind)
+            entry = entry_of[g.id] = (GATE_FN[g.kind], gather, ids[g.output], g.kind)
             for k in pos:
                 fanout[k].append(entry)
         partner: list[int | None] = [None] * len(ids)
@@ -257,7 +259,9 @@ class Netlist:
             if not grp.scalar:
                 partner[ids[grp.rail1]] = ids[grp.rail0]
                 partner[ids[grp.rail0]] = ids[grp.rail1]
-        return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), tuple(partner))
+        order = self._structure[0]
+        return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), tuple(partner),
+                       None if order is None else tuple(entry_of[g.id] for g in order))
 
     # -- serialization -------------------------------------------------------
 

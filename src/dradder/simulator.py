@@ -83,7 +83,6 @@ class TransactionLog:
     rtz_complete: bool
     illegal_seen: bool
     monotonic: bool
-    final_levels: dict[str, int]
     events: int
     set_end: int
     set_levels: dict[str, int]  # every driven net's level at set_end
@@ -158,10 +157,10 @@ class _Sim:
         self.seq, self.events, self.now = seq, events, now
         return now
 
-    def named(self, values: list, upto: int | None = None) -> dict:
-        """`values` by net name, for every net that has switched (the first `upto`)."""
+    def named(self, values: list) -> dict:
+        """`values` by net name, for every net that has switched so far."""
         names = self.form.names
-        return {names[k]: values[k] for k in self.touched[:upto]}
+        return {names[k]: values[k] for k in self.touched}
 
     # -- decoding helpers --------------------------------------------------
 
@@ -227,27 +226,25 @@ def simulate_transaction(
     sim.direction = +1
     input_apply = _apply_vector(sim, netlist, inputs)
     set_end = sim.run()
-    set_levels = sim.named(sim.levels, len(sim.touched))
+    set_levels = sim.named(sim.levels)
 
     output_valid = {grp.name: sim.group_validity_time(grp) for grp in netlist.outputs}
     latency = None
-    if input_apply and all(t is not None for t in output_valid.values()):
+    if input_apply and output_valid and all(t is not None for t in output_valid.values()):
         latency = max(output_valid.values()) - min(input_apply.values())
 
     sim.direction = -1
     _reset_inputs(sim, netlist, set_end + 1)
     sim.run()
-    final = sim.named(sim.levels)
 
     return TransactionLog(
         transitions=sim.named(sim.transitions),
         input_apply=input_apply,
         output_valid=output_valid,
         latency=latency,
-        rtz_complete=all(v == 0 for v in final.values()),
+        rtz_complete=not any(sim.levels),
         illegal_seen=sim.illegal_seen,
         monotonic=sim.monotonic,
-        final_levels=final,
         events=sim.events,
         set_end=set_end,
         set_levels=set_levels,
@@ -300,7 +297,7 @@ def run_protocol(
 
         ack_trans = log.transitions.get(stage.ackout, [])
         rose = any(t <= log.set_end and v == 1 for t, v in ack_trans)
-        fell = log.final_levels.get(stage.ackout, 0) == 0
+        fell = not ack_trans or ack_trans[-1][1] == 0
         if not (rose and fell):
             blocking = tuple(n for n, t in log.output_valid.items() if t is None)
             summary.deadlocks.append((idx, blocking))

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import GATE_FN, Netlist
+from .netlist import Netlist
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
 
 
@@ -80,16 +80,6 @@ def oracle_planes(a: list[np.ndarray], b: list[np.ndarray],
 # vectorized steady-state evaluation
 
 
-def _settle(n: Netlist, levels: dict[str, np.ndarray],
-            held: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Evaluate every gate in topological order over `levels`, which holds
-    the input nets; each C2 holds its level in `held`, or 0 when absent."""
-    for g in n.topo_gates():
-        levels[g.output] = GATE_FN[g.kind]([levels[x] for x in g.inputs],
-                                           held.get(g.output, False))
-    return levels
-
-
 def _lanes(v) -> np.ndarray:
     """uint64 arrays are packed words, kept as they are; anything else is
     one boolean lane per element."""
@@ -98,30 +88,35 @@ def _lanes(v) -> np.ndarray:
 
 
 def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Steady levels after a set phase from all-zero, one array per net,
-    vectorized across input vectors: boolean lanes, or uint64 words that
-    pack 64 lanes each when the inputs are uint64. C2 settles to AND under
-    monotone rising inputs. The ackin net, when present, is held high."""
-    levels = {k: _lanes(v) for k, v in inputs.items()}
-    if len({v.dtype for v in levels.values()}) > 1:
+    """Steady levels after a set phase from all-zero, one array per net in
+    net-id order, vectorized across input vectors: boolean lanes, or uint64
+    words that pack 64 lanes each when the inputs are uint64. C2 settles to
+    AND under monotone rising inputs. The ackin net, when present, is held high."""
+    n.topo_gates()  # a wrong input count or a cycle raises here
+    form = n.int_form
+    lanes = {k: _lanes(v) for k, v in inputs.items()}
+    if len({v.dtype for v in lanes.values()}) > 1:
         raise ValueError("inputs mix boolean lanes and packed uint64 words")
-    zero = np.zeros_like(next(iter(levels.values()))) if levels else np.zeros((), dtype=bool)
-    for net in n.input_nets:
-        if net not in levels:
-            levels[net] = zero.copy()
+    if unknown := [k for k in lanes if k not in form.ids]:
+        raise ValueError(f"input net {unknown[0]!r} is not in {n.name!r}")
+    zero = np.zeros_like(next(iter(lanes.values()))) if lanes else np.zeros((), dtype=bool)
+    levels = [zero] * len(form.names)
+    for net, v in lanes.items():
+        levels[form.ids[net]] = v
     if n.ackin is not None:
-        levels[n.ackin] = ~zero
-    return _settle(n, levels, {})
+        levels[form.ids[n.ackin]] = ~zero
+    for fn, gather, out, _ in form.order:
+        levels[out] = fn(gather(levels), False)  # False: no bool-to-int promotion
+    return dict(zip(form.names, levels))
 
 
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Steady levels after the return-to-zero phase following `set_levels`:
     all inputs at spacer, C2 holding its set-phase value until both inputs
     are back at zero. The result is all-zero for any acyclic netlist,
-    because every gate kind outputs 0 from all-zero inputs."""
+    because every gate kind outputs 0 from all-zero inputs: nothing is evaluated."""
     shape = next(iter(set_levels.values())).shape
-    levels = {net: np.zeros(shape, dtype=bool) for net in n.input_nets}
-    return _settle(n, levels, set_levels)
+    return {net: np.zeros(shape, dtype=bool) for net in n.int_form.names}
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +154,21 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def _sweep_chunk(n: Netlist, width: int, ports: list[str], planes: list[np.ndarray],
-                 valid: np.ndarray, sampled: list[int]):
-    """Evaluate and decode one chunk of packed lanes; `valid` masks out the
-    padding lanes. Returns what the chunk leaves behind once its net levels
-    are dropped: the counts of illegal pairs, spacer pairs and failing
-    lanes, the lowest failing lane's counterexample (or None), every net's
-    name in `steady_set_levels` order and, for each of the chunk-local
-    `sampled` lanes, its (a, b, cin), the bit of every port and the level of
-    every net, for the event-simulator cross-check."""
+def _sweep_chunk(n: Netlist, width: int, rails: list[tuple[str, ...]],
+                 planes: list[np.ndarray], valid: np.ndarray, sampled: list[int]):
+    """Evaluate and decode one chunk of packed lanes; `rails` holds each
+    plane's input (rail1, rail0) and `valid` masks out the padding lanes.
+    Returns what the chunk leaves behind once its net levels are dropped:
+    the counts of illegal pairs, spacer pairs and failing lanes, the lowest
+    failing lane's counterexample (or None) and, for each of the
+    chunk-local `sampled` lanes, its (a, b, cin), the bit of every port and
+    the level of every net by net id, for the event-simulator cross-check."""
     cin, a, b = planes[0], planes[1:width + 1], planes[width + 1:]
     inputs: dict[str, np.ndarray] = {}
-    for name, bit in zip(ports, planes):
-        grp = n.group(name)
-        inputs[grp.rail1] = bit
-        inputs[grp.rail0] = ~bit
-    levels = steady_set_levels(n, inputs)
+    for (rail1, rail0), bit in zip(rails, planes):
+        inputs[rail1] = bit
+        inputs[rail0] = ~bit
+    levels = steady_set_levels(n, inputs)  # keyed in net-id order
 
     illegal = spacerish = 0
     got = []
@@ -200,7 +194,6 @@ def _sweep_chunk(n: Netlist, width: int, ports: list[str], planes: list[np.ndarr
                  "expected_cout": _lane_bit(expected[width], i)}
 
     # every net's word at the sampled lanes, then one bit of it per lane
-    names = list(levels)
     picked = []
     if sampled:
         at = np.array([i // _LANES for i in sampled])
@@ -209,7 +202,7 @@ def _sweep_chunk(n: Netlist, width: int, ports: list[str], planes: list[np.ndarr
             picked.append(((_lane_int(a, i), _lane_int(b, i), _lane_bit(cin, i)),
                            [_lane_bit(p, i) for p in planes],
                            (cols[:, j] >> (i % _LANES) & 1).astype(bool)))
-    return illegal, spacerish, _popcount(bad), first, names, picked
+    return illegal, spacerish, _popcount(bad), first, picked
 
 
 @dataclass
@@ -261,8 +254,15 @@ def exhaustive_verify(
         draw = np.random.default_rng(seed).integers
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    n.topo_gates()  # a wrong input count or a cycle raises here
+    form = n.int_form
+    rails = [n.group(name).rails() for name in ports]
+    # the cross-check names the first disagreeing net of: the input nets,
+    # swept rails first, then the gate outputs in topological order
+    inputs_first = dict.fromkeys([*itertools.chain(*rails), *n.input_nets])
+    scan = np.array([form.ids[x] for x in inputs_first] + [out for _, _, out, _ in form.order])
     words = -(-total // _LANES)
-    step = max(1, _CHUNK_BYTES // (8 * (len(n.input_nets) + len(n.gates))))
+    step = max(1, _CHUNK_BYTES // (8 * len(form.names)))
     sample = sorted(random.Random(seed).sample(range(total), min(sim_sample, total)))
 
     delays = delays or DelayTable.unit()
@@ -280,22 +280,21 @@ def exhaustive_verify(
         lo = w0 * _LANES
         sampled = [i - lo for i in sample if lo <= i < lo + nw * _LANES] \
             if sim_first is None else []
-        (chunk_illegal, chunk_spacerish, chunk_failures, chunk_first, names,
-         picked) = _sweep_chunk(n, width, ports, planes, valid, sampled)
+        (chunk_illegal, chunk_spacerish, chunk_failures, chunk_first,
+         picked) = _sweep_chunk(n, width, rails, planes, valid, sampled)
         illegal += chunk_illegal
         spacerish += chunk_spacerish
         failures += chunk_failures
         first = first or chunk_first
 
         # event-driven cross-check of the sampled lanes, net by net
-        index = {x: k for k, x in enumerate(names)}
         for vector, bits, steady in picked:
             log = simulate_transaction(n, delays, [(name, bit, 0)
                                                    for name, bit in zip(ports, bits)])
-            expect = np.zeros(len(index), dtype=bool)
-            expect[[index[x] for x, v in log.set_levels.items() if v and x in index]] = True
-            differ = np.flatnonzero(steady != expect)
-            net = names[differ[0]] if differ.size else None
+            expect = np.zeros(len(form.names), dtype=bool)
+            expect[[form.ids[x] for x, v in log.set_levels.items() if v]] = True
+            differ = np.flatnonzero(steady[scan] != expect[scan])
+            net = form.names[scan[differ[0]]] if differ.size else None
             rtz_failures += not log.rtz_complete
             if net is not None or not log.rtz_complete or log.illegal_seen \
                     or not log.monotonic:

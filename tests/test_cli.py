@@ -105,6 +105,18 @@ def test_sim_reports_deadlock_exit_code(tmp_path, capsys):
     assert "deadlock" in capsys.readouterr().err
 
 
+def test_sim_without_output_groups_reports_no_latency(tmp_path, capsys):
+    # no output group can become valid, so there is no latency to report
+    net = tmp_path / "buf.netlist.json"
+    net.write_text(json.dumps({"name": "buf", "inputs": [{"group": "A", "rail1": "a"}],
+                               "outputs": [],
+                               "gates": [{"id": "g", "kind": "BUF", "in": ["a"], "out": "y"}]}))
+    assert main(["sim", "--netlist", str(net), "--count", "2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("latency=None ps rtz=True illegal=False") == 2
+    assert main(["sta", "--netlist", str(net)]) == EXIT_OK
+
+
 def test_sim_missing_netlist_is_parse_error(tmp_path):
     assert main(["sim", "--netlist", str(tmp_path / "nope.json")]) == EXIT_PARSE
 

@@ -244,6 +244,20 @@ def test_topological_order_is_derived_once():
     assert n.topo_gates() is n.topo_gates()
 
 
+def test_int_form_order_reuses_fanout_entries():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+
+    n = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    form = n.int_form
+    assert [form.names[out] for _, _, out, _ in form.order] == \
+        [g.output for g in n.topo_gates()]
+    assert {id(e) for e in form.order} == {id(e) for entries in form.fanout for e in entries}
+    cyclic = Netlist(name="loop", gates=[Gate("g1", GateKind.BUF, ("y",), "x"),
+                                         Gate("g2", GateKind.BUF, ("x",), "y")],
+                     inputs=[], outputs=[PortGroup("Y", "y")])
+    assert cyclic.int_form.order is None
+
+
 def test_gate_census_counts_every_kind():
     n = _tiny_netlist()
     census = n.gate_census()

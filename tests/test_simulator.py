@@ -102,6 +102,14 @@ def test_partial_vector_leaves_outputs_undetermined():
     assert log.output_valid["SUM"] is None
 
 
+def test_latency_is_none_without_output_groups():
+    n = Netlist(name="buf", gates=[Gate("g", GateKind.BUF, ("a",), "y")],
+                inputs=[PortGroup("A", "a")], outputs=[])
+    log = simulate_transaction(n, DelayTable.unit(), [("A", 1, 0)])
+    assert log.output_valid == {} and log.latency is None
+    assert log.rtz_complete and log.transitions["y"] == [(0, 1), (1, 0)]
+
+
 def test_c_element_holds_between_agreements():
     n = Netlist(
         name="c2",

@@ -66,6 +66,17 @@ def test_steady_reset_clears_combinational_state():
     assert all(not arr.any() for arr in reset.values())
 
 
+@pytest.mark.parametrize("n", [gen_hybrid_rca(AdderSpec(8, 2, True)),
+                               gen_stage(gen_hybrid_rca(AdderSpec(4, 0, False)))],
+                         ids=["adder", "stage"])
+def test_steady_set_levels_keys_and_unknown_inputs(n):
+    inputs = {n.group("A0").rail1: np.ones(3, dtype=bool)}
+    # every input net and every gate output, as the name-keyed evaluator returned
+    assert set(steady_set_levels(n, inputs)) == set(n.input_nets) | {g.output for g in n.gates}
+    with pytest.raises(ValueError, match="input net 'ghost' is not in"):
+        steady_set_levels(n, {**inputs, "ghost": np.ones(3, dtype=bool)})
+
+
 def test_exhaustive_verify_small_widths():
     for s, red in [(0, True), (0, False), (2, True), (2, False)]:
         stage = gen_stage(gen_hybrid_rca(AdderSpec(4, s, red)))
@@ -150,24 +161,28 @@ def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
     flipped = stage.group("SUM1", output=True).rail1
     real = ver.simulate_transaction
 
-    # a wrong set-phase level on one net, then a transaction left short of zero
-    for fault in ("set-level", "no-rtz"):
+    # wrong set-phase levels on one net or on two, then a transaction left
+    # short of zero; of two nets the first in topological order is named,
+    # although dafa0/sum11 has the lower net id
+    assert stage.int_form.ids["dafa0/sum11"] < stage.int_form.ids["safa0/cg2"]
+    for flips, net in (((flipped,), flipped),
+                       (("safa0/cg2", "dafa0/sum11"), "safa0/cg2"),
+                       ((), None)):
         def corrupted(*args, **kwargs):
             log = real(*args, **kwargs)
-            if fault == "set-level":
-                log.set_levels[flipped] = 1 - log.set_levels.get(flipped, 0)
-            else:
-                log.rtz_complete = False
+            for x in flips:
+                log.set_levels[x] = 1 - log.set_levels.get(x, 0)
+            log.rtz_complete = bool(flips)
             return log
 
         monkeypatch.setattr(ver, "simulate_transaction", corrupted)
         res = exhaustive_verify(stage, 4)
         assert not res.passed
         assert res.failures == 1 and res.sim_checked == 0
-        assert res.rtz_failures == (fault == "no-rtz")
+        assert res.rtz_failures == (not flips)
         cex = res.first_counterexample
         assert cex["via"] == "event simulator"
-        assert cex["net"] == (flipped if fault == "set-level" else None)
+        assert cex["net"] == net
         assert set(cex) == {"a", "b", "cin", "via", "net"}
 
 

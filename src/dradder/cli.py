@@ -46,11 +46,16 @@ class CliError(Exception):
         self.code = code
 
 
+# what a malformed input file raises while it is read; deep nesting overflows
+# the JSON decoder's recursion limit
+_BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+
 def _load_netlist(path: str) -> Netlist:
     try:
         n = Netlist.load(path)
         n.topo_gates()  # a cycle is a parse error; the order is cached for later use
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except _BAD_INPUT as exc:
         raise CliError(f"cannot read netlist {path!r}: {exc}", EXIT_PARSE)
     return n
 
@@ -60,7 +65,7 @@ def _load_delays(path: str | None) -> DelayTable:
         return DelayTable.unit()
     try:
         return DelayTable.load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except _BAD_INPUT as exc:
         raise CliError(f"cannot read delay table {path!r}: {exc}", EXIT_PARSE)
 
 
@@ -72,24 +77,21 @@ def _open_out(path: str):
 
 
 def _build_circuit(args) -> Netlist:
-    try:
-        if args.circuit == "safa":
-            n = gen_safa()
-        elif args.circuit == "dafa":
-            n = gen_dafa(redundant=args.redundant)
-        elif args.circuit == "rca":
-            if args.width is None:
-                raise CliError("rca needs --width", EXIT_USAGE)
-            n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
-        elif args.circuit == "cd":
-            if args.pairs is None:
-                raise CliError("cd needs --pairs", EXIT_USAGE)
-            n = gen_completion_detector(args.pairs)
-        else:
-            raise CliError(f"unknown circuit {args.circuit!r}", EXIT_USAGE)
-        return gen_stage(n) if args.stage else n
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
+    if args.circuit == "safa":
+        n = gen_safa()
+    elif args.circuit == "dafa":
+        n = gen_dafa(redundant=args.redundant)
+    elif args.circuit == "rca":
+        if args.width is None:
+            raise CliError("rca needs --width", EXIT_USAGE)
+        n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
+    elif args.circuit == "cd":
+        if args.pairs is None:
+            raise CliError("cd needs --pairs", EXIT_USAGE)
+        n = gen_completion_detector(args.pairs)
+    else:
+        raise CliError(f"unknown circuit {args.circuit!r}", EXIT_USAGE)
+    return gen_stage(n) if args.stage else n
 
 
 def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
@@ -148,10 +150,7 @@ def cmd_sim(args) -> int:
     if args.vectors:
         vectors = _parse_vector_file(args.vectors, n)
     else:
-        try:
-            vectors = random_vectors(n, args.count, args.seed)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_USAGE)
+        vectors = random_vectors(n, args.count, args.seed)
 
     dump_fh = _open_out(args.dump) if args.dump else None
     try:
@@ -191,15 +190,9 @@ def cmd_sim(args) -> int:
 def cmd_verify(args) -> int:
     if args.width is None:
         raise CliError("rca needs --width", EXIT_USAGE)
-    try:
-        n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
-    try:
-        result = exhaustive_verify(n, args.width, mode=args.mode, seed=args.seed,
-                                   count=args.count)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
+    n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
+    result = exhaustive_verify(n, args.width, mode=args.mode, seed=args.seed,
+                               count=args.count)
     print(f"checked {result.checked} vectors: failures={result.failures}, "
           f"illegal={result.illegal_states}, rtz_failures={result.rtz_failures}, "
           f"event-sim cross-checked={result.sim_checked}")
@@ -240,10 +233,7 @@ def cmd_compare(args) -> int:
 def cmd_classify(args) -> int:
     n = _load_netlist(args.netlist)
     delays = _load_delays(args.delays)
-    try:
-        report = classify_indication(n, delays, args.trials, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
+    report = classify_indication(n, delays, args.trials, args.seed)
     print(f"classification: {report.classification}")
     print(f"early-set witnesses: {len(report.early_set_witnesses)} "
           f"(all-outputs: {len(report.full_early_set_witnesses)})")
@@ -254,10 +244,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     delays = _load_delays(args.delays)
-    try:
-        result = sweep_hybrid(args.width, delays)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
+    result = sweep_hybrid(args.width, delays)
     for s, v in result.curve:
         mark = " <- min" if s in result.argmin else ""
         print(f"safa_stages={s:>3}  latency={v} {delays.time_unit}{mark}")
@@ -341,9 +328,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError is a bad argument value
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

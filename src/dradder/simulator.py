@@ -89,7 +89,8 @@ class TransactionLog:
 
 
 class _Sim:
-    """Single-run simulator core: an event heap over the netlist's integer form."""
+    """Single-run simulator core: an event heap over the netlist's integer form,
+    plus the 4-phase stage environment that drives and reads its ports."""
 
     def __init__(self, netlist: Netlist, delays: DelayTable,
                  max_events: int = DEFAULT_MAX_EVENTS):
@@ -107,9 +108,9 @@ class _Sim:
         self.illegal_seen = False
         self.monotonic = True
         self.direction = 0  # +1 set phase, -1 reset phase, 0 unmonitored
-
-    def level(self, net: str) -> int:
-        return self.levels[self.form.ids[net]]
+        self.ackin = netlist.ackin
+        if self.ackin is not None:
+            self.drive(self.ackin, 1, 0)
 
     def drive(self, net: str, value: int, time: int) -> None:
         k = self.form.ids[net]
@@ -162,47 +163,30 @@ class _Sim:
         names = self.form.names
         return {names[k]: values[k] for k in self.touched}
 
-    # -- decoding helpers --------------------------------------------------
+    # -- the stage environment ---------------------------------------------
 
-    def group_valid(self, grp) -> bool:
-        if grp.scalar:
-            return self.level(grp.rail1) == 1
-        return self.level(grp.rail1) + self.level(grp.rail0) == 1
+    def put(self, grp, bit: int | None, time: int) -> None:
+        """Drive the group's codeword for `bit` at `time`; `None` drives the spacer."""
+        self.drive(grp.rail1, 0 if bit is None else bit, time)
+        if not grp.scalar:
+            self.drive(grp.rail0, 0 if bit is None else 1 - bit, time)
 
-    def group_spacer(self, grp) -> bool:
-        return all(self.level(r) == 0 for r in grp.rails())
+    def spacer(self, groups, time: int) -> None:
+        """Return `groups` to spacer at `time` and, on a stage, drop ackin."""
+        for grp in groups:
+            self.put(grp, None, time)
+        if self.ackin is not None:
+            self.drive(self.ackin, 0, time)
 
-    def group_validity_time(self, grp) -> int | None:
-        """Time the group last entered a valid codeword, if currently valid."""
-        if not self.group_valid(grp):
-            return None
-        times = []
+    def valid_since(self, grp) -> int | None:
+        """Time the group last entered a valid codeword, or `None` if it holds none now."""
+        high, times = 0, []
         for rail in grp.rails():
-            trans = self.transitions[self.form.ids[rail]]
-            if trans:
-                times.append(trans[-1][0])
-        return max(times) if times else None
-
-
-def _apply_vector(sim: _Sim, netlist: Netlist, inputs) -> dict[str, int]:
-    applied: dict[str, int] = {}
-    for group_name, value, t in inputs:
-        grp = netlist.group(group_name)
-        if grp.scalar:
-            sim.drive(grp.rail1, value, t)
-        else:
-            sim.drive(grp.rail1, value, t)
-            sim.drive(grp.rail0, 1 - value, t)
-        applied[group_name] = t
-    return applied
-
-
-def _reset_inputs(sim: _Sim, netlist: Netlist, t: int) -> None:
-    for grp in netlist.inputs:
-        for rail in grp.rails():
-            sim.drive(rail, 0, t)
-    if netlist.ackin is not None:
-        sim.drive(netlist.ackin, 0, t)
+            k = self.form.ids[rail]
+            high += self.levels[k]
+            if self.transitions[k]:
+                times.append(self.transitions[k][-1][0])
+        return max(times) if high == 1 else None
 
 
 def simulate_transaction(
@@ -221,20 +205,21 @@ def simulate_transaction(
     stage the ackin net is driven high at t=0 and low with the spacer.
     """
     sim = _Sim(netlist, delays, max_events)
-    if netlist.ackin is not None:
-        sim.drive(netlist.ackin, 1, 0)
     sim.direction = +1
-    input_apply = _apply_vector(sim, netlist, inputs)
+    input_apply: dict[str, int] = {}
+    for name, bit, t in inputs:
+        sim.put(netlist.group(name), bit, t)
+        input_apply[name] = t
     set_end = sim.run()
     set_levels = sim.named(sim.levels)
 
-    output_valid = {grp.name: sim.group_validity_time(grp) for grp in netlist.outputs}
+    output_valid = {grp.name: sim.valid_since(grp) for grp in netlist.outputs}
     latency = None
     if input_apply and output_valid and all(t is not None for t in output_valid.values()):
         latency = max(output_valid.values()) - min(input_apply.values())
 
     sim.direction = -1
-    _reset_inputs(sim, netlist, set_end + 1)
+    sim.spacer(netlist.inputs, set_end + 1)
     sim.run()
 
     return TransactionLog(
@@ -350,14 +335,13 @@ def classify_indication(
     for trial in range(trials):
         vec = {grp.name: rng.randint(0, 1) for grp in groups}
         delayed = rng.choice(groups)
+        others = [g for g in groups if g.name != delayed.name]
 
         sim = _Sim(fb, delays)
-        if fb.ackin is not None:
-            sim.drive(fb.ackin, 1, 0)
-        _apply_vector(sim, fb, [(g.name, vec[g.name], 0)
-                                for g in groups if g.name != delayed.name])
+        for grp in others:
+            sim.put(grp, vec[grp.name], 0)
         sim.run()
-        valid_early = [g.name for g in fb.outputs if sim.group_valid(g)]
+        valid_early = [g.name for g in fb.outputs if sim.valid_since(g) is not None]
         if valid_early:
             witness = {"trial": trial, "delayed": delayed.name, "vector": dict(vec),
                        "outputs_valid_early": valid_early}
@@ -365,23 +349,17 @@ def classify_indication(
             if len(valid_early) == len(fb.outputs):
                 full_early_set.append(witness)
 
-        _apply_vector(sim, fb, [(delayed.name, vec[delayed.name], sim.now + 1)])
+        sim.put(delayed, vec[delayed.name], sim.now + 1)
         sim.run()
 
         # reset phase: spacer everywhere except the delayed pair
-        t = sim.now + 1
-        for grp in groups:
-            if grp.name != delayed.name:
-                for rail in grp.rails():
-                    sim.drive(rail, 0, t)
+        for grp in others:
+            sim.put(grp, None, sim.now + 1)
         sim.run()
-        if all(sim.group_spacer(g) for g in fb.outputs):
+        if not any(sim.levels[sim.form.ids[r]] for g in fb.outputs for r in g.rails()):
             early_reset.append({"trial": trial, "delayed": delayed.name,
                                 "vector": dict(vec)})
-        for rail in delayed.rails():
-            sim.drive(rail, 0, sim.now + 1)
-        if fb.ackin is not None:
-            sim.drive(fb.ackin, 0, sim.now + 1)
+        sim.spacer([delayed], sim.now + 1)
         sim.run()
 
     if full_early_set or (early_set and early_reset):

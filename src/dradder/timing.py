@@ -263,7 +263,9 @@ def hybrid_latency(width: int, safa_stages: int, d: DelayTable) -> int:
     """Closed-form forward latency of the registered hybrid RCA: the SAFA
     carry chain costs (s+1) AO22 (or AND4+OR4 into the first DAFA when
     s=0), each further DAFA one AO21, and the last stage C2+OR3; the
-    all-SAFA degenerate case ends in C2+OR2."""
+    all-SAFA degenerate case ends in C2+OR2. The closed form counts one
+    input buffer; the stage `gen_stage` builds has none, so its STA
+    critical path is this value minus `d[BUF]`."""
     s, n = safa_stages, width
     base = d[K.BUF] + d[K.C2]  # buffer + register
     if s == n:

@@ -236,6 +236,25 @@ def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, mes
     assert message in err
 
 
+DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+DEEP_OBJECT = '{"a": ' * 5_000 + "1" + "}" * 5_000
+
+
+@pytest.mark.parametrize("command, text, what", [
+    (["sta", "--netlist"], DEEP_ARRAY, "netlist"),
+    (["classify", "--netlist"], DEEP_ARRAY, "netlist"),
+    (["sim", "--count", "1", "--netlist"], DEEP_OBJECT, "netlist"),
+    (["sweep", "--width", "4", "--delays"], DEEP_ARRAY, "delay table"),
+    (["compare", "--source", "formula", "--delays"], DEEP_ARRAY, "delay table"),
+], ids=["sta-netlist", "classify-netlist", "sim-netlist", "sweep-delays", "compare-delays"])
+def test_nested_input_file_is_parse_error(tmp_path, capsys, command, text, what):
+    # deep nesting overflows the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([*command, str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: cannot read {what} ")
+
+
 def test_verify_subcommand(tmp_path, capsys):
     rc = main(["verify", "--width", "4", "--safa", "2", "--mode", "exhaustive"])
     assert rc == EXIT_OK

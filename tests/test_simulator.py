@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from dradder.generators import AdderSpec, gen_completion_detector, gen_hybrid_rca, gen_safa, gen_stage
+from dradder.generators import (
+    AdderSpec,
+    gen_completion_detector,
+    gen_dafa,
+    gen_hybrid_rca,
+    gen_safa,
+    gen_stage,
+)
 from dradder.netlist import Gate, GateKind, Netlist, PortGroup
 from dradder.simulator import (
     DEFAULT_SEED,
@@ -224,3 +231,23 @@ def test_simulator_rejects_wrong_arity_gate():
         simulate_transaction(n, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0)])
     with pytest.raises(ValueError, match="gate 'g3': AND2 takes 2 inputs, got 3"):
         classify_indication(n, DelayTable.unit(), trials=4)
+
+
+def test_classify_indication_reports_are_pinned():
+    # recorded before the probe and transactions shared one stage environment
+    skewed = DelayTable({GateKind.BUF: 1, GateKind.AND2: 2, GateKind.AND4: 3,
+                         GateKind.OR2: 2, GateKind.OR3: 3, GateKind.OR4: 4,
+                         GateKind.AO21: 4, GateKind.AO22: 5, GateKind.AO222: 7,
+                         GateKind.C2: 4})
+    blocks = [gen_safa(), gen_dafa(True), gen_dafa(False), gen_completion_detector(4),
+              gen_hybrid_rca(AdderSpec(8, 2, True)), gen_stage(gen_safa())]
+    reports = []
+    for block in blocks:
+        for delays in (DelayTable.unit(), skewed):
+            rep = classify_indication(block, delays, trials=64, seed=1011)
+            reports.append([block.name, rep.classification, rep.early_set_witnesses,
+                            rep.full_early_set_witnesses, rep.early_reset_witnesses])
+    assert [r[1] for r in reports[-2:]] == ["weak", "weak"]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == \
+        "7ef6f1a2e76fc3fa71658c34c8e8293f7f7a09429b576b5089efe3e64f801f7f"

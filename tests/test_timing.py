@@ -141,6 +141,14 @@ def test_hybrid_latency_agrees_with_netlist_sta():
     for s in (0, 2, 4, 32):
         stage = gen_stage(gen_hybrid_rca(AdderSpec(32, s, True)))
         assert hybrid_latency(32, s, d) == critical_path(stage, d).value
+    # every legal partition up to width 16; the closed form counts one buffer
+    # that the generated stage does not have
+    for d in [DelayTable.unit(), EXAMPLE, *DOMINANT_TABLES]:
+        for w in range(1, 17):
+            for s in range(w % 2, w + 1, 2):
+                stage = gen_stage(gen_hybrid_rca(AdderSpec(w, s, True)))
+                assert hybrid_latency(w, s, d) - d[K.BUF] == \
+                    critical_path(stage, d).value, (w, s, d.delays)
 
 
 def test_sweep_covers_every_legal_partition():

@@ -2,14 +2,16 @@
 timing analysis, and reporting.
 
 Exit codes: 0 success, 2 usage error, 3 input parse error or unwritable
-output file, 4 check failure, 5 handshake deadlock. All randomness flows
-from --seed (default 1011), so reruns with identical flags produce
-identical reports.
+output file, 4 check failure, 5 handshake deadlock, 141 stdout closed by
+its reader (the status a shell shows for a tool that SIGPIPE stopped).
+All randomness flows from --seed (default 1011), so reruns with identical
+flags produce identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .generators import (
@@ -38,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_FAIL = 4
 EXIT_DEADLOCK = 5
+EXIT_PIPE = 141
 
 
 class CliError(Exception):
@@ -54,7 +57,7 @@ _BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError, Recursio
 def _load_netlist(path: str) -> Netlist:
     try:
         n = Netlist.load(path)
-        n.topo_gates()  # a cycle is a parse error; the order is cached for later use
+        n.topo_gates()  # a cycle or a two-driver net is a parse error; the order is cached
     except _BAD_INPUT as exc:
         raise CliError(f"cannot read netlist {path!r}: {exc}", EXIT_PARSE)
     return n
@@ -327,10 +330,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (CliError, ValueError) as exc:  # a ValueError is a bad argument value
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
+        try:
+            code = args.func(args)
+        except (CliError, ValueError) as exc:  # a ValueError is a bad argument value
+            print(f"error: {exc}", file=sys.stderr)
+            code = exc.code if isinstance(exc, CliError) else EXIT_USAGE
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+    except BrokenPipeError:
+        # keep the flush at exit from raising again; the process-wide SIGPIPE
+        # disposition stays as it is, since main also runs in-process
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -161,13 +161,14 @@ class Netlist:
         """Everything known about the gate graph's shape, derived once: the
         gates in topological order (None if the graph has a cycle), the
         validate() report, the first duplicate id or wrong input count, and
-        the first wrong input count.
+        the first wrong input count or net with two drivers (a primary input
+        counts as one), which the order cannot be used with.
 
         Kahn's algorithm over gate positions; a gate depends on the first
         driver of each input net, and the ready queue starts sorted by id."""
         gates, primary = self.gates, set(self.input_nets)
         report: list[str] = []
-        bad_arity = None
+        unorderable = None
         seen: set[str] = set()
         drivers: dict[str, list[int]] = {}  # every gate driving each net, as positions
         for k, g in enumerate(gates):
@@ -177,16 +178,19 @@ class Netlist:
             if len(g.inputs) != ARITY[g.kind]:
                 report.append(f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} "
                               f"inputs, got {len(g.inputs)}")
-                bad_arity = bad_arity or report[-1]
+                unorderable = unorderable or report[-1]
             drivers.setdefault(g.output, []).append(k)
         malformed = report[0] if report else None
 
+        first_conflict = len(report)
         for net, pos in drivers.items():
             who = [gates[k].id for k in pos]
             if len(who) > 1:
                 report.append(f"net {net!r} has multiple drivers: {who}")
             if net in primary:
                 report.append(f"net {net!r} is both a primary input and driven by {who}")
+        if unorderable is None and len(report) > first_conflict:
+            unorderable = report[first_conflict]
 
         indeg = [0] * len(gates)
         dependents: list[list[int]] = [[] for _ in gates]
@@ -220,16 +224,17 @@ class Netlist:
                     ready.append(succ)
         if len(order) != len(gates):
             report.append("gate graph contains a cycle")
-            return None, report, malformed, bad_arity
-        return tuple(order), report, malformed, bad_arity
+            return None, report, malformed, unorderable
+        return tuple(order), report, malformed, unorderable
 
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in topological order, the one route by which STA and the
         steady-state evaluator walk a netlist. Raises ValueError on a wrong
-        input count (the simulator's message) or a cycle."""
-        order, _, _, bad_arity = self._structure
-        if bad_arity is not None:
-            raise ValueError(bad_arity)
+        input count (the simulator's message), a net with two drivers or a
+        cycle."""
+        order, _, _, unorderable = self._structure
+        if unorderable is not None:
+            raise ValueError(unorderable)
         if order is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
         return order

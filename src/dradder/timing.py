@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .netlist import GateKind, Netlist
+from .netlist import ARITY, Gate, GateKind, Netlist
 from .simulator import DelayTable
 
 K = GateKind
@@ -124,47 +125,61 @@ def _is_register(gate_id: str) -> bool:
 def critical_path(n: Netlist, d: DelayTable) -> CriticalPath:
     """Longest weighted input-to-data-output path through the gate DAG.
 
-    C2 counts as a combinational 2-input element with delay d[C2]. Ties are
-    broken toward the lexicographically smallest gate-id sequence so path
-    reports are reproducible. Register gates (id prefix "reg/") appear in
-    the path but are folded into the expression's register flag rather than
-    its C2 coefficient; paths toward the ack network are not considered.
+    C2 counts as a combinational 2-input element with delay d[C2]. Among the
+    paths of maximum arrival the lexicographically smallest gate-id sequence
+    is reported, so path reports are reproducible. Register gates (id prefix
+    "reg/") appear in the path but are folded into the expression's register
+    flag rather than its C2 coefficient; paths toward the ack network are not
+    considered. Raises ValueError where topo_gates() does.
+
+    Two integer passes and one walk. Arrival times go forward in topological
+    order; an input or undriven net arrives at 0. Back from the critical
+    endpoints, an input of a net's driver is tight when its arrival plus the
+    gate's delay is the net's arrival, and the tight edges span exactly the
+    maximum-arrival paths. The walk starts at the undriven nets, takes the
+    smallest gate id at each step and stops at the first critical endpoint,
+    since a prefix sorts before its extensions.
     """
-    arrival: dict[str, tuple[int, tuple[str, ...]]] = {
-        net: (0, ()) for net in n.input_nets
-    }
-    for gate in n.topo_gates():
-        best: tuple[int, tuple[str, ...]] | None = None
-        for net in gate.inputs:
-            cand = arrival.get(net, (0, ()))
-            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
-        assert best is not None
-        dist = best[0] + d[gate.kind]
-        path = best[1] + (gate.id,)
-        prev = arrival.get(gate.output)
-        if prev is None or dist > prev[0] or (dist == prev[0] and path < prev[1]):
-            arrival[gate.output] = (dist, path)
+    delay = d.delays
+    arrival: dict[str, int] = {}
+    driver: dict[str, Gate] = {}
+    get, zeros = arrival.get, (0,) * max(ARITY.values())
+    for g in n.topo_gates():
+        # map(get, inputs, zeros) reads each input's arrival, 0 if it has none
+        arrival[g.output] = max(map(get, g.inputs, zeros)) + delay[g.kind]
+        driver[g.output] = g
 
     endpoints = [r for grp in n.outputs for r in grp.rails()]
-    if not endpoints:
-        return CriticalPath(0, (), LatencyExpr({}, includes_buffer=False,
-                                               includes_register=False))
-    candidates = [arrival.get(net, (0, ())) for net in endpoints]
-    best_val = max(v for v, _ in candidates)
-    best_path = min(p for v, p in candidates if v == best_val)
+    value = max((get(r, 0) for r in endpoints), default=0)
+    critical = {r for r in endpoints if get(r, 0) == value}
+    path: list[Gate] = []
+    if critical and critical <= driver.keys():
+        succ: dict[str, list[Gate]] = {}  # per net, the tight gates reading it
+        stack, seen = list(critical), set(critical)
+        while stack:
+            g = driver[stack.pop()]
+            start = arrival[g.output] - delay[g.kind]
+            for x in g.inputs:
+                if get(x, 0) == start:
+                    succ.setdefault(x, []).append(g)
+                    if x in driver and x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+        step = [g for x, gates in succ.items() if x not in driver for g in gates]
+        while True:
+            g = min(step, key=attrgetter("id"))
+            path.append(g)
+            if g.output in critical:
+                break
+            step = succ[g.output]
 
-    by_id = {g.id: g for g in n.gates}
     coeff: dict[GateKind, int] = {}
-    has_reg = False
-    for gid in best_path:
-        if _is_register(gid):
-            has_reg = True
-            continue
-        kind = by_id[gid].kind
-        coeff[kind] = coeff.get(kind, 0) + 1
-    expr = LatencyExpr(coeff, includes_buffer=False, includes_register=has_reg)
-    return CriticalPath(best_val, best_path, expr)
+    for g in path:
+        if not _is_register(g.id):
+            coeff[g.kind] = coeff.get(g.kind, 0) + 1
+    expr = LatencyExpr(coeff, includes_buffer=False,
+                       includes_register=any(_is_register(g.id) for g in path))
+    return CriticalPath(value, tuple(g.id for g in path), expr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,9 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dradder.cli import EXIT_DEADLOCK, EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+import dradder
+from dradder.cli import (
+    EXIT_DEADLOCK,
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    main,
+)
 from dradder.netlist import Netlist
 from dradder.simulator import DelayTable
+from dradder.timing import critical_path
 
 
 def _build(tmp_path, *args):
@@ -206,6 +220,16 @@ STRING_INPUTS = {
 }
 
 
+TWO_DRIVERS = {
+    "name": "two",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None},
+               {"group": "B", "rail1": "b", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": "g1", "kind": "BUF", "in": ["a"], "out": "y"},
+              {"id": "g2", "kind": "BUF", "in": ["b"], "out": "y"}],
+}
+
+
 def _delays(**override):
     return {**DelayTable.unit().to_mapping(), **override}
 
@@ -221,11 +245,14 @@ def _delays(**override):
     (["sta", "--netlist"], RAIL1_LIST, "rail1 must be a string"),
     (["sta", "--netlist"], INT_GATE_ID, "gate id must be a string"),
     (["sta", "--netlist"], STRING_INPUTS, "gate inputs must be a list"),
+    (["sim", "--count", "1", "--netlist"], TWO_DRIVERS, "multiple drivers"),
+    (["classify", "--netlist"], TWO_DRIVERS, "multiple drivers"),
     (["sweep", "--width", "4", "--delays"], _delays(AO21=1.7), "must be an integer"),
     (["sweep", "--width", "4", "--delays"], _delays(C2=True), "must be an integer"),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
         "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id",
         "sta-rail1-list", "sta-int-gate-id", "sta-string-inputs",
+        "sim-two-drivers", "classify-two-drivers",
         "delays-float", "delays-bool"])
 def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "input.json"
@@ -253,6 +280,35 @@ def test_nested_input_file_is_parse_error(tmp_path, capsys, command, text, what)
     path.write_text(text)
     assert main([*command, str(path)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith(f"error: cannot read {what} ")
+
+
+def test_two_driver_net_is_parse_error(tmp_path, capsys):
+    # STA needs one driver per net; the path used to depend on the gate order
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_DRIVERS))
+    message = "net 'y' has multiple drivers: ['g1', 'g2']"
+    assert main(["sta", "--netlist", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: cannot read netlist {str(path)!r}: {message}\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        critical_path(Netlist.load(path), DelayTable.unit())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--source", "table2"], ["sta", "--netlist", "@netlist"], ["sweep", "--width", "32"],
+], ids=["compare", "sta", "sweep"])
+def test_closed_stdout_exits_141(tmp_path, argv):
+    net = _build(tmp_path, "rca", "--width", "8", "--stage")
+    path = [str(Path(dradder.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dradder.cli",
+                               *(str(net) if a == "@netlist" else a for a in argv)],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -125,6 +125,31 @@ def test_every_route_rejects_a_wrong_arity_gate():
         steady_set_levels(bad, {"a": np.ones(2, dtype=bool), "b": np.ones(2, dtype=bool)})
 
 
+def test_every_order_route_rejects_a_two_driver_net():
+    from dradder.generators import AdderSpec, gen_hybrid_rca
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+    from dradder.verification import exhaustive_verify, steady_set_levels
+
+    adder = gen_hybrid_rca(AdderSpec(2, 2, True))
+    first = adder.gates[0]
+    extra = Gate("extra", GateKind.BUF, (adder.input_nets[0],), first.output)
+    bad = Netlist("two", [*adder.gates, extra], adder.inputs, adder.outputs)
+    message = f"net {first.output!r} has multiple drivers: [{first.id!r}, 'extra']"
+    for route in (bad.topo_gates, lambda: critical_path(bad, DelayTable.unit()),
+                  lambda: steady_set_levels(bad, {}), lambda: exhaustive_verify(bad, 2)):
+        with pytest.raises(ValueError) as info:
+            route()
+        assert str(info.value) == message
+    assert message in bad.validate()  # validate() reports rather than raises
+
+    driven_input = Netlist("driven", [Gate("g", GateKind.BUF, ("a",), "b")],
+                           inputs=[PortGroup("A", "a"), PortGroup("B", "b")],
+                           outputs=[PortGroup("Y", "b")])
+    with pytest.raises(ValueError, match=r"net 'b' is both a primary input and driven by \['g'\]"):
+        driven_input.topo_gates()
+
+
 def _tiny_netlist() -> Netlist:
     gates = [
         Gate("g1", GateKind.AND2, ("a", "b"), "g1"),

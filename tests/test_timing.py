@@ -1,12 +1,19 @@
+import functools
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
-from dradder.netlist import GateKind
+from dradder.netlist import ARITY, Gate, GateKind, Netlist, PortGroup
 from dradder.simulator import DelayTable
 from dradder.timing import (
     BASELINE,
     LEGENDS,
     REDUCTION_DISCREPANCIES,
+    CriticalPath,
     LatencyExpr,
     compare_report,
     critical_path,
@@ -67,6 +74,134 @@ def test_critical_path_pinned_on_stage32(table, value):
     cp = critical_path(gen_stage(gen_hybrid_rca(AdderSpec(32, 2, True))), table)
     assert cp.value == value
     assert cp.path == STAGE32_PATH
+
+
+def _reference_critical_path(n: Netlist, d: DelayTable) -> CriticalPath:
+    """The per-gate rule critical_path is checked against: every net keeps
+    its best (arrival, path) pair, ties going to the smaller path. It agrees
+    with the lexicographically smallest maximum-arrival path unless a
+    zero-delay gate lies on a tied path."""
+    arrival = {net: (0, ()) for net in n.input_nets}
+    for gate in n.topo_gates():
+        best = None
+        for net in gate.inputs:
+            cand = arrival.get(net, (0, ()))
+            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
+        dist, path = best[0] + d[gate.kind], best[1] + (gate.id,)
+        prev = arrival.get(gate.output)
+        if prev is None or dist > prev[0] or (dist == prev[0] and path < prev[1]):
+            arrival[gate.output] = (dist, path)
+    candidates = [arrival.get(r, (0, ())) for grp in n.outputs for r in grp.rails()]
+    value = max((v for v, _ in candidates), default=0)
+    path = min((p for v, p in candidates if v == value), default=())
+    by_id = {g.id: g for g in n.gates}
+    coeff = {}
+    for gid in path:
+        if not gid.startswith("reg/"):
+            coeff[by_id[gid].kind] = coeff.get(by_id[gid].kind, 0) + 1
+    return CriticalPath(value, path, LatencyExpr(
+        coeff, includes_buffer=False, includes_register=any(g.startswith("reg/") for g in path)))
+
+
+def _seeded_table(seed):
+    rng = random.Random(seed)
+    return DelayTable({k: rng.randint(0, 3) if k is K.BUF else rng.randint(1, 6)
+                       for k in GateKind})
+
+
+@functools.cache
+def _generated_battery() -> list[Netlist]:
+    """Every partition up to width 16, both redundancy settings, bare and staged."""
+    bare = [gen_hybrid_rca(AdderSpec(w, s, redundant)) for w in range(1, 17)
+            for s in range(w % 2, w + 1, 2) for redundant in (True, False)]
+    return bare + [gen_stage(n) for n in bare]
+
+
+@pytest.mark.parametrize("table", [
+    DelayTable.unit(), EXAMPLE, *DOMINANT_TABLES, _seeded_table(1), _seeded_table(2),
+], ids=["unit", "example", "dominant0", "dominant1", "dominant2", "seeded1", "seeded2"])
+def test_critical_path_matches_reference_on_generated_netlists(table):
+    for n in _generated_battery():
+        assert critical_path(n, table) == _reference_critical_path(n, table), n.name
+
+
+# paths recorded with the per-gate rule, which agrees with the two-pass walk
+# on every generated netlist
+@pytest.mark.parametrize("width, s, digest", [
+    (128, 0, "9cc724b6131b892f1a0678432331a5fabf38dbc03f9b8afeb667a7475f5bafa5"),
+    (128, 2, "56a2d21a5309e3d3237022654c70497f4299471a26e9ca3550c5f61e75d16b78"),
+    (128, 128, "4d7499db094ea05001feca745c4c41d85521690b281fa6f3cd7ae7f50197e815"),
+    (1024, 2, "2f6ff02bb99b9dc519dea8de6cb00a5f99d1ab2479ef30f59e036f42e9e6b40a"),
+], ids=["w128-s0", "w128-s2", "w128-s128", "w1024-s2"])
+def test_critical_path_pinned_on_wide_stages(width, s, digest):
+    cp = critical_path(gen_stage(gen_hybrid_rca(AdderSpec(width, s, True))), DelayTable.unit())
+    assert hashlib.sha256(" ".join(cp.path).encode()).hexdigest() == digest
+
+
+def test_critical_path_zero_delay_tie_takes_smallest_sequence():
+    # both of g's inputs arrive at 0; the per-gate rule keeps ('b1',) for
+    # n1 and so reports ('b1', 'g'), but ('b1', 'b2', 'g') sorts first
+    n = Netlist("zero", [Gate("b1", K.BUF, ("a",), "n1"), Gate("b2", K.BUF, ("n1",), "n2"),
+                         Gate("g", K.AND2, ("n1", "n2"), "y")],
+                inputs=[PortGroup("A", "a")], outputs=[PortGroup("Y", "y")])
+    assert n.validate() == []
+    cp = critical_path(n, DelayTable.unit())
+    assert (cp.value, cp.path) == (1, ("b1", "b2", "g"))
+    assert _reference_critical_path(n, DelayTable.unit()).path == ("b1", "g")
+
+
+def _max_arrival_paths(n: Netlist, d: DelayTable):
+    """Every input-to-output path of maximum arrival, by brute force."""
+    driver = {g.output: g for g in n.gates}
+    ends = [r for grp in n.outputs for r in grp.rails()]
+
+    def paths_into(net):  # (arrival, gates) for every path ending at net
+        if net not in driver:
+            return [(0, ())]
+        g = driver[net]
+        return [(t + d[g.kind], p + (g.id,))
+                for x in dict.fromkeys(g.inputs) for t, p in paths_into(x)]
+
+    every = [tp for r in ends for tp in paths_into(r)]
+    value = max((t for t, _ in every), default=0)
+    return value, {p for t, p in every if t == value}
+
+
+@st.composite
+def _dags(draw):
+    """A small single-driver DAG with shuffled gate ids, an undriven net,
+    outputs anywhere, and a delay table whose BUF may be zero-delay."""
+    kinds = [K.BUF, K.BUF, K.AND2, K.OR2, K.OR3, K.AO21, K.AO22, K.C2]
+    inputs = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
+    nets = [*inputs, "ghost"]
+    count = draw(st.integers(1, 8))
+    ids = draw(st.permutations([f"g{k}" for k in range(count)]))
+    gates = []
+    for k in range(count):
+        kind = draw(st.sampled_from(kinds))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=ARITY[kind], max_size=ARITY[kind]))
+        gates.append(Gate(ids[k], kind, tuple(ins), f"n{k}"))
+        nets.append(f"n{k}")
+    outs = draw(st.lists(st.sampled_from(nets), max_size=4, unique=True))
+    n = Netlist("dag", gates, [PortGroup(f"I{k}", x) for k, x in enumerate(inputs)],
+                [PortGroup(f"O{k}", x) for k, x in enumerate(outs)])
+    table = DelayTable({k: draw(st.integers(0 if k is K.BUF else 1, 2)) for k in GateKind})
+    return n, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_critical_path_is_smallest_maximum_arrival_path(case):
+    n, d = case
+    cp, ref = critical_path(n, d), _reference_critical_path(n, d)
+    value, paths = _max_arrival_paths(n, d)
+    assert cp.value == ref.value == value
+    assert cp.path == min(paths, default=())
+    if d[K.BUF] > 0 or not n.gate_census()[K.BUF]:
+        assert cp == ref
+    else:
+        assert cp.path <= ref.path
 
 
 def test_critical_path_on_plain_adder():

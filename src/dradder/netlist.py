@@ -243,8 +243,10 @@ class Netlist:
     def int_form(self) -> IntForm:
         """The netlist with integer net ids, derived once for simulation and verification.
 
-        Raises ValueError on a duplicate gate id or a wrong input count."""
-        if err := self._structure[2]:
+        Raises ValueError on a duplicate gate id, a wrong input count or a net
+        with two drivers, the last with topo_gates()'s message; a cyclic
+        netlist still gets a form."""
+        if err := self._structure[2] or self._structure[3]:
             raise ValueError(err)
         ids: dict[str, int] = {}
         for net in (*self.input_nets, *self.output_nets,

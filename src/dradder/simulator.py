@@ -5,6 +5,12 @@ schedules a re-evaluation of the driven gates, and a gate schedules its new
 output value one gate delay later. Identical-value writes are suppressed.
 The generated circuits are monotone per handshake phase, so no inertial
 filtering is needed; a monitor asserts the monotonicity instead.
+
+Pending events wait in one bucket per time, in the order they were driven,
+and a heap holds the distinct bucket times. A zero-delay drive joins the
+bucket being drained, so events of one time apply in drive order. A
+transaction's log keeps the per-net-id lists the simulator filled; its
+name-keyed `transitions` and `set_levels` dicts are built on first read.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, TextIO
 
 from .netlist import GateKind, Netlist
@@ -74,9 +81,11 @@ class DelayTable:
 
 @dataclass
 class TransactionLog:
-    """Record of one 4-phase data transaction on a netlist."""
+    """Record of one 4-phase data transaction on a netlist.
 
-    transitions: dict[str, list[tuple[int, int]]]
+    The simulator fills the per-net-id fields; `transitions` and `set_levels`
+    name them on first read and keep the dicts they build."""
+
     input_apply: dict[str, int]
     output_valid: dict[str, int | None]
     latency: int | None
@@ -85,12 +94,28 @@ class TransactionLog:
     monotonic: bool
     events: int
     set_end: int
-    set_levels: dict[str, int]  # every driven net's level at set_end
+    names: tuple[str, ...]  # net names by net id
+    net_transitions: list[list[tuple[int, int]] | None]  # by net id; None if it never switched
+    touched: list[int]  # net ids in order of their first transition
+    set_touched: int  # how many of `touched` had switched by set_end
+    set_net_levels: list[int]  # every net's level at set_end, by net id
+
+    @cached_property
+    def transitions(self) -> dict[str, list[tuple[int, int]]]:
+        """(time, level) changes of every net that switched, by net name."""
+        names, trans = self.names, self.net_transitions
+        return {names[k]: trans[k] for k in self.touched}
+
+    @cached_property
+    def set_levels(self) -> dict[str, int]:
+        """Level at set_end of every net that had switched by then, by net name."""
+        names, levels = self.names, self.set_net_levels
+        return {names[k]: levels[k] for k in self.touched[:self.set_touched]}
 
 
 class _Sim:
-    """Single-run simulator core: an event heap over the netlist's integer form,
-    plus the 4-phase stage environment that drives and reads its ports."""
+    """Single-run simulator core: a time-bucketed event queue over the netlist's
+    integer form, plus the 4-phase stage environment that drives and reads its ports."""
 
     def __init__(self, netlist: Netlist, delays: DelayTable,
                  max_events: int = DEFAULT_MAX_EVENTS):
@@ -99,8 +124,8 @@ class _Sim:
         self.max_events = max_events
         self.levels = [0] * len(form.names)
         self.pending = [0] * len(form.names)
-        self.heap: list[tuple[int, int, int, int]] = []  # (time, seq, net id, value)
-        self.seq = 0
+        self.buckets: dict[int, list[tuple[int, int]]] = {}  # time -> [(net id, value)]
+        self.times: list[int] = []  # heap of the bucket times
         self.now = 0
         self.events = 0
         self.transitions: list[list[tuple[int, int]] | None] = [None] * len(form.names)
@@ -115,53 +140,58 @@ class _Sim:
     def drive(self, net: str, value: int, time: int) -> None:
         k = self.form.ids[net]
         if self.pending[k] != value:
-            heapq.heappush(self.heap, (time, self.seq, k, value))
-            self.seq += 1
+            bucket = self.buckets.get(time)
+            if bucket is None:
+                bucket = self.buckets[time] = []
+                heapq.heappush(self.times, time)
+            bucket.append((k, value))
             self.pending[k] = value
 
     def run(self) -> int:
         """Process events until the queue is empty; returns the last event time."""
-        levels, pending, heap = self.levels, self.pending, self.heap
+        levels, pending, buckets, times = self.levels, self.pending, self.buckets, self.times
         transitions, touched = self.transitions, self.touched
         fanout, partner, delays = self.form.fanout, self.form.partner, self.delays
         pop, push = heapq.heappop, heapq.heappush
         wrong = {1: 0, -1: 1}.get(self.direction)  # the value breaking monotonicity
-        seq, events, max_events, now = self.seq, self.events, self.max_events, self.now
-        while heap:
-            time, _, net, value = pop(heap)
-            if levels[net] == value:
-                continue
-            events += 1
-            if events > max_events:
-                raise SimulationLimitError(
-                    f"{events} events exceed the {max_events} budget")
-            now = time
-            levels[net] = value
-            trans = transitions[net]
-            if trans is None:
-                trans = transitions[net] = []
-                touched.append(net)
-            trans.append((time, value))
-            if value == wrong:
-                self.monotonic = False
-            if value:
-                other = partner[net]
-                if other is not None and levels[other]:
-                    self.illegal_seen = True
-            for fn, gather, out, kind in fanout[net]:
-                held = pending[out]
-                new = fn(gather(levels), held)
-                if new != held:
-                    push(heap, (time + delays[kind], seq, out, new))
-                    seq += 1
-                    pending[out] = new
-        self.seq, self.events, self.now = seq, events, now
+        events, max_events, now = self.events, self.max_events, self.now
+        while times:
+            time = pop(times)
+            bucket = buckets[time]
+            for net, value in bucket:  # also visits what is appended on the way
+                if levels[net] == value:
+                    continue
+                events += 1
+                if events > max_events:
+                    raise SimulationLimitError(
+                        f"{events} events exceed the {max_events} budget")
+                now = time
+                levels[net] = value
+                trans = transitions[net]
+                if trans is None:
+                    trans = transitions[net] = []
+                    touched.append(net)
+                trans.append((time, value))
+                if value == wrong:
+                    self.monotonic = False
+                if value:
+                    other = partner[net]
+                    if other is not None and levels[other]:
+                        self.illegal_seen = True
+                for fn, gather, out, kind in fanout[net]:
+                    held = pending[out]
+                    new = fn(gather(levels), held)
+                    if new != held:
+                        due = time + delays[kind]
+                        later = buckets.get(due)
+                        if later is None:
+                            later = buckets[due] = []
+                            push(times, due)
+                        later.append((out, new))
+                        pending[out] = new
+            del buckets[time]
+        self.events, self.now = events, now
         return now
-
-    def named(self, values: list) -> dict:
-        """`values` by net name, for every net that has switched so far."""
-        names = self.form.names
-        return {names[k]: values[k] for k in self.touched}
 
     # -- the stage environment ---------------------------------------------
 
@@ -211,7 +241,7 @@ def simulate_transaction(
         sim.put(netlist.group(name), bit, t)
         input_apply[name] = t
     set_end = sim.run()
-    set_levels = sim.named(sim.levels)
+    set_net_levels, set_touched = list(sim.levels), len(sim.touched)
 
     output_valid = {grp.name: sim.valid_since(grp) for grp in netlist.outputs}
     latency = None
@@ -223,7 +253,6 @@ def simulate_transaction(
     sim.run()
 
     return TransactionLog(
-        transitions=sim.named(sim.transitions),
         input_apply=input_apply,
         output_valid=output_valid,
         latency=latency,
@@ -232,7 +261,11 @@ def simulate_transaction(
         monotonic=sim.monotonic,
         events=sim.events,
         set_end=set_end,
-        set_levels=set_levels,
+        names=sim.form.names,
+        net_transitions=sim.transitions,
+        touched=sim.touched,
+        set_touched=set_touched,
+        set_net_levels=set_net_levels,
     )
 
 
@@ -272,6 +305,7 @@ def run_protocol(
     if isinstance(vectors, int):
         vectors = random_vectors(stage, vectors, seed)
 
+    ackout = stage.int_form.ids[stage.ackout]
     logs: list[TransactionLog] = []
     summary = ProtocolSummary()
     for idx, vec in enumerate(vectors):
@@ -280,7 +314,7 @@ def run_protocol(
         log = simulate_transaction(stage, delays, inputs)
         logs.append(log)
 
-        ack_trans = log.transitions.get(stage.ackout, [])
+        ack_trans = log.net_transitions[ackout] or []
         rose = any(t <= log.set_end and v == 1 for t, v in ack_trans)
         fell = not ack_trans or ack_trans[-1][1] == 0
         if not (rose and fell):

@@ -251,3 +251,74 @@ def test_classify_indication_reports_are_pinned():
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == \
         "7ef6f1a2e76fc3fa71658c34c8e8293f7f7a09429b576b5089efe3e64f801f7f"
+
+
+def test_zero_delay_events_apply_in_drive_order():
+    # a zero-delay BUF chain and unit-delay gates switch at the same times;
+    # recorded on the heap queue the time buckets replaced, key order included
+    n = Netlist(
+        name="zero",
+        gates=[Gate("b1", GateKind.BUF, ("a",), "x1"),
+               Gate("b2", GateKind.BUF, ("x1",), "x2"),
+               Gate("b3", GateKind.BUF, ("x2",), "x3"),
+               Gate("g1", GateKind.AND2, ("a", "b"), "p"),
+               Gate("g2", GateKind.OR2, ("x3", "p"), "q"),
+               Gate("g3", GateKind.AND2, ("x2", "b"), "r"),
+               Gate("b4", GateKind.BUF, ("p",), "s")],
+        inputs=[PortGroup("A", "a"), PortGroup("B", "b")],
+        outputs=[PortGroup("Q", "q"), PortGroup("R", "r"), PortGroup("S", "s")],
+    )
+    log = simulate_transaction(n, DelayTable.unit(), [("A", 1, 0), ("B", 1, 1)])
+    assert list(log.transitions.items()) == [
+        ("a", [(0, 1), (3, 0)]), ("x1", [(0, 1), (3, 0)]), ("x2", [(0, 1), (3, 0)]),
+        ("x3", [(0, 1), (3, 0)]), ("b", [(1, 1), (3, 0)]), ("q", [(1, 1), (5, 0)]),
+        ("p", [(2, 1), (4, 0)]), ("r", [(2, 1), (4, 0)]), ("s", [(2, 1), (4, 0)])]
+    assert list(log.set_levels.items()) == [
+        (net, 1) for net in ("a", "x1", "x2", "x3", "b", "q", "p", "r", "s")]
+    assert (log.latency, log.set_end, log.events) == (2, 2, 18)
+
+
+def test_transaction_log_key_order_is_pinned():
+    # the digest covers the order of the named dicts' keys; recorded on the
+    # heap queue with name-keyed dicts built for every transaction
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, True)))
+    logs, _ = run_protocol(stage, DelayTable.unit(), 6, seed=5)
+    rows = [[list(log.transitions.items()), list(log.set_levels.items())] for log in logs]
+    assert sum(log.events for log in logs) == 1064
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "31aaad0edd634453c40c576f5cb3b0b47042370175c80c023377371d186e647a"
+    # the named dicts are built once, so an edit to one stays visible
+    log = logs[0]
+    assert log.transitions is log.transitions and log.set_levels is log.set_levels
+
+
+def test_every_simulator_route_rejects_a_two_driver_net():
+    two = Netlist("two", [Gate("g1", GateKind.BUF, ("a",), "y"),
+                          Gate("g2", GateKind.BUF, ("b",), "y")],
+                  inputs=[PortGroup("A", "a"), PortGroup("B", "b")],
+                  outputs=[PortGroup("Y", "y")])
+    base = gen_stage(gen_hybrid_rca(AdderSpec(2, 2, True)))
+    first = base.gates[0]
+    stage = Netlist("two-stage", [*base.gates, Gate("extra", GateKind.BUF,
+                                                    (base.input_nets[0],), first.output)],
+                    base.inputs, base.outputs, base.ackin, base.ackout)
+    for bad, route in (
+            (two, lambda: simulate_transaction(two, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0)])),
+            (two, lambda: classify_indication(two, DelayTable.unit(), trials=4)),
+            (stage, lambda: run_protocol(stage, DelayTable.unit(), 1))):
+        with pytest.raises(ValueError) as want:
+            bad.topo_gates()
+        with pytest.raises(ValueError) as got:
+            route()
+        assert str(got.value) == str(want.value)
+    assert str(want.value) == f"net {first.output!r} has multiple drivers: [{first.id!r}, 'extra']"
+
+
+def test_cyclic_netlist_still_simulates():
+    # a latch: y holds itself high once a rises, so it never returns to zero
+    latch = Netlist("latch", [Gate("g", GateKind.OR2, ("a", "y"), "y")],
+                    inputs=[PortGroup("A", "a")], outputs=[PortGroup("Y", "y")])
+    log = simulate_transaction(latch, DelayTable.unit(), [("A", 1, 0)])
+    assert log.transitions["y"] == [(1, 1)] and not log.rtz_complete
+    with pytest.raises(SimulationLimitError):
+        simulate_transaction(latch, DelayTable.unit(), [("A", 1, 0)], max_events=1)

@@ -1,9 +1,10 @@
 """Command-line front end for batch generation, simulation, verification,
 timing analysis, and reporting.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error or unwritable
-output file, 4 check failure, 5 handshake deadlock, 141 stdout closed by
-its reader (the status a shell shows for a tool that SIGPIPE stopped).
+Exit codes: 0 success, 2 usage error, 3 input parse error or an output
+that cannot be written (a file or standard output), 4 check failure, 5
+handshake deadlock, 141 stdout closed by its reader (the status a shell
+shows for a tool that SIGPIPE stopped).
 All randomness flows from --seed (default 1011), so reruns with identical
 flags produce identical reports.
 """
@@ -11,6 +12,7 @@ flags produce identical reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -54,29 +56,26 @@ class CliError(Exception):
 _BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 
-def _load_netlist(path: str) -> Netlist:
+def _read(what: str, load, path: str):
+    """`load(path)`, with a malformed or unreadable file as a parse error."""
     try:
-        n = Netlist.load(path)
-        n.topo_gates()  # a cycle or a two-driver net is a parse error; the order is cached
+        return load(path)
     except _BAD_INPUT as exc:
-        raise CliError(f"cannot read netlist {path!r}: {exc}", EXIT_PARSE)
+        raise CliError(f"cannot read {what} {path!r}: {exc}", EXIT_PARSE)
+
+
+def _checked_netlist(path: str) -> Netlist:
+    n = Netlist.load(path)
+    n.topo_gates()  # a cycle or a two-driver net is a parse error; the order is cached
     return n
 
 
+def _load_netlist(path: str) -> Netlist:
+    return _read("netlist", _checked_netlist, path)
+
+
 def _load_delays(path: str | None) -> DelayTable:
-    if path is None:
-        return DelayTable.unit()
-    try:
-        return DelayTable.load(path)
-    except _BAD_INPUT as exc:
-        raise CliError(f"cannot read delay table {path!r}: {exc}", EXIT_PARSE)
-
-
-def _open_out(path: str):
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise CliError(f"cannot write {path!r}: {exc}", EXIT_PARSE)
+    return DelayTable.unit() if path is None else _read("delay table", DelayTable.load, path)
 
 
 def _build_circuit(args) -> Netlist:
@@ -105,26 +104,23 @@ def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
         raise CliError(f"vector files drive adder inputs A0.., B0.., CIN; "
                        f"netlist {netlist.name!r} has other inputs", EXIT_PARSE)
     vectors = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError(f"line {lineno}: expected 'a_hex b_hex cin'")
-                a, b, cin = int(parts[0], 16), int(parts[1], 16), int(parts[2])
-                if cin not in (0, 1) or not (0 <= a < 2**width and 0 <= b < 2**width):
-                    raise ValueError(f"line {lineno}: value out of range for width {width}")
-                vec = {f"A{i}": (a >> i) & 1 for i in range(width)}
-                vec.update({f"B{i}": (b >> i) & 1 for i in range(width)})
-                vec["CIN"] = cin
-                vectors.append(vec)
-        if not vectors:
-            raise ValueError("no vector lines")
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read vectors {path!r}: {exc}", EXIT_PARSE)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 'a_hex b_hex cin'")
+            a, b, cin = int(parts[0], 16), int(parts[1], 16), int(parts[2])
+            if cin not in (0, 1) or not (0 <= a < 2**width and 0 <= b < 2**width):
+                raise ValueError(f"line {lineno}: value out of range for width {width}")
+            vec = {f"A{i}": (a >> i) & 1 for i in range(width)}
+            vec.update({f"B{i}": (b >> i) & 1 for i in range(width)})
+            vec["CIN"] = cin
+            vectors.append(vec)
+    if not vectors:
+        raise ValueError("no vector lines")
     return vectors
 
 
@@ -136,10 +132,7 @@ def cmd_build(args) -> int:
             print(f"error: {p}", file=sys.stderr)
         return EXIT_FAIL
     out = args.out or f"{n.name}.netlist.json"
-    try:
-        n.save(out)
-    except OSError as exc:
-        raise CliError(f"cannot write {out!r}: {exc}", EXIT_PARSE)
+    n.save(out)
     print(f"wrote {out}")
     for kind, count in n.gate_census().items():
         if count:
@@ -151,49 +144,38 @@ def cmd_sim(args) -> int:
     n = _load_netlist(args.netlist)
     delays = _load_delays(args.delays)
     if args.vectors:
-        vectors = _parse_vector_file(args.vectors, n)
+        vectors = _read("vectors", lambda path: _parse_vector_file(path, n), args.vectors)
     else:
         vectors = random_vectors(n, args.count, args.seed)
 
-    dump_fh = _open_out(args.dump) if args.dump else None
-    try:
-        if n.ackin is not None and n.ackout is not None:
-            logs, summary = run_protocol(n, delays, vectors, seed=args.seed)
-            for i, log in enumerate(logs):
-                if dump_fh:
-                    dump_waveform(log, dump_fh, header=f"transaction {i}")
-                print(f"transaction {i}: latency={log.latency} {delays.time_unit} "
-                      f"rtz={log.rtz_complete} illegal={log.illegal_seen}")
-            print(f"completed {summary.completed}/{summary.transactions}, "
-                  f"illegal={summary.illegal_states}, rtz_failures={summary.rtz_failures}, "
-                  f"deadlocks={len(summary.deadlocks)}")
-            if summary.deadlocks:
-                for idx, blocking in summary.deadlocks:
-                    print(f"deadlock in transaction {idx}: blocked pairs {blocking}",
-                          file=sys.stderr)
-                return EXIT_DEADLOCK
-            if summary.illegal_states or summary.rtz_failures:
+    staged = n.ackin is not None and n.ackout is not None
+    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump_fh:
+        if staged:
+            logs, summary = run_protocol(n, delays, vectors)
+        else:  # simulated one by one, up to the first failing transaction
+            logs = (simulate_transaction(n, delays, [(name, bit, 0) for name, bit in vec.items()])
+                    for vec in vectors)
+        for i, log in enumerate(logs):
+            if dump_fh:
+                dump_waveform(log, dump_fh, header=f"transaction {i}")
+            print(f"transaction {i}: latency={log.latency} {delays.time_unit} "
+                  f"rtz={log.rtz_complete} illegal={log.illegal_seen}")
+            if not staged and (log.illegal_seen or not log.rtz_complete):
                 return EXIT_FAIL
-        else:
-            for i, vec in enumerate(vectors):
-                inputs = [(name, bit, 0) for name, bit in vec.items()]
-                log = simulate_transaction(n, delays, inputs)
-                if dump_fh:
-                    dump_waveform(log, dump_fh, header=f"transaction {i}")
-                print(f"transaction {i}: latency={log.latency} {delays.time_unit} "
-                      f"rtz={log.rtz_complete} illegal={log.illegal_seen}")
-                if log.illegal_seen or not log.rtz_complete:
-                    return EXIT_FAIL
-    finally:
-        if dump_fh:
-            dump_fh.close()
-    return EXIT_OK
+    if not staged:
+        return EXIT_OK
+    print(f"completed {summary.completed}/{summary.transactions}, "
+          f"illegal={summary.illegal_states}, rtz_failures={summary.rtz_failures}, "
+          f"deadlocks={len(summary.deadlocks)}")
+    for idx, blocking in summary.deadlocks:
+        print(f"deadlock in transaction {idx}: blocked pairs {blocking}", file=sys.stderr)
+    if summary.deadlocks:
+        return EXIT_DEADLOCK
+    return EXIT_FAIL if summary.illegal_states or summary.rtz_failures else EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.width is None:
-        raise CliError("rca needs --width", EXIT_USAGE)
-    n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
+    n = _build_circuit(args)
     result = exhaustive_verify(n, args.width, mode=args.mode, seed=args.seed,
                                count=args.count)
     print(f"checked {result.checked} vectors: failures={result.failures}, "
@@ -225,7 +207,7 @@ def cmd_compare(args) -> int:
     report = compare_report(source)
     text = report.to_csv() if args.format == "csv" else report.to_text()
     if args.out:
-        with _open_out(args.out) as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
@@ -288,14 +270,13 @@ def _parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sim)
 
     v = sub.add_parser("verify", help="check an adder against the integer oracle")
-    v.add_argument("--circuit", default="rca", choices=["rca"])
     v.add_argument("--width", type=int)
     v.add_argument("--safa", type=int, default=0)
     v.add_argument("--redundant", action=argparse.BooleanOptionalAction, default=True)
     v.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
     v.add_argument("--count", type=int, default=10_000)
     add_seed(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, circuit="rca", stage=False)
 
     t = sub.add_parser("sta", help="critical-path analysis of a netlist file")
     t.add_argument("--netlist", required=True)
@@ -326,23 +307,28 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
         try:
+            args = parser.parse_args(argv)
             code = args.func(args)
+        except SystemExit as exc:
+            code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         except (CliError, ValueError) as exc:  # a ValueError is a bad argument value
             print(f"error: {exc}", file=sys.stderr)
             code = exc.code if isinstance(exc, CliError) else EXIT_USAGE
-        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
-    except BrokenPipeError:
-        # keep the flush at exit from raising again; the process-wide SIGPIPE
-        # disposition stays as it is, since main also runs in-process
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_PIPE
+        sys.stdout.flush()  # a closed reader or a full device shows here, not at exit
+    except OSError as exc:  # every input is read through _read, so an output failed
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # keep the flush at exit from raising again; the process-wide SIGPIPE
+            # disposition stays as it is, since main also runs in-process
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_PIPE
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

@@ -291,9 +291,8 @@ def exhaustive_verify(
         for vector, bits, steady in picked:
             log = simulate_transaction(n, delays, [(name, bit, 0)
                                                    for name, bit in zip(ports, bits)])
-            expect = np.zeros(len(form.names), dtype=bool)
-            expect[[form.ids[x] for x, v in log.set_levels.items() if v]] = True
-            differ = np.flatnonzero(steady[scan] != expect[scan])
+            levels = np.array(log.set_net_levels, dtype=bool)
+            differ = np.flatnonzero(steady[scan] != levels[scan])
             net = form.names[scan[differ[0]]] if differ.size else None
             rtz_failures += not log.rtz_complete
             if net is not None or not log.rtz_complete or log.illegal_seen \

@@ -131,6 +131,25 @@ def test_sim_without_output_groups_reports_no_latency(tmp_path, capsys):
     assert main(["sta", "--netlist", str(net)]) == EXIT_OK
 
 
+def test_sim_block_stops_at_first_failing_transaction(tmp_path, capsys):
+    # both rails follow the same OR, so every valid input drives Y to (1, 1)
+    net = tmp_path / "or2.netlist.json"
+    net.write_text(json.dumps({
+        "name": "or2", "inputs": [{"group": "A", "rail1": "a1", "rail0": "a0"}],
+        "outputs": [{"group": "Y", "rail1": "y1", "rail0": "y0"}],
+        "gates": [{"id": "g1", "kind": "OR2", "in": ["a1", "a0"], "out": "y1"},
+                  {"id": "g0", "kind": "OR2", "in": ["a1", "a0"], "out": "y0"}]}))
+    assert main(["sim", "--netlist", str(net), "--count", "3"]) == EXIT_FAIL
+    assert capsys.readouterr().out == "transaction 0: latency=None ps rtz=True illegal=True\n"
+
+    safa = _build(tmp_path, "safa")
+    capsys.readouterr()
+    assert main(["sim", "--netlist", str(safa), "--count", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["transaction 0", "transaction 1"]
+    assert all(line.endswith("rtz=True illegal=False") for line in lines)
+
+
 def test_sim_missing_netlist_is_parse_error(tmp_path):
     assert main(["sim", "--netlist", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
@@ -164,8 +183,13 @@ def test_sim_rejects_inputs_that_check_nothing(tmp_path, capsys, circuit, flags,
 def test_unwritable_output_is_parse_error(tmp_path, capsys, command):
     if command[0] == "sim":
         command = ["sim", "--netlist", str(_build(tmp_path, "safa", "--stage")), *command[1:]]
-    assert main([*command, str(tmp_path / "no-such-dir" / "x")]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: cannot write")
+    # a file that cannot be opened, and one whose writes fail
+    targets = [tmp_path / "no-such-dir" / "x", *filter(os.path.exists, ["/dev/full"])]
+    for target in targets:
+        capsys.readouterr()
+        assert main([*command, str(target)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 CYCLIC = {
@@ -293,22 +317,42 @@ def test_two_driver_net_is_parse_error(tmp_path, capsys):
         critical_path(Netlist.load(path), DelayTable.unit())
 
 
+def _run_detached(tmp_path, argv, stdout):
+    """Run the CLI in a subprocess writing to `stdout`, once with a block-buffered
+    and once with an unbuffered standard output; yield each finished process."""
+    net = _build(tmp_path, "rca", "--width", "8", "--stage")
+    path = [str(Path(dradder.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    for flags in ([], ["-u"]):
+        yield subprocess.run([sys.executable, *flags, "-m", "dradder.cli",
+                              *(str(net) if a == "@netlist" else a for a in argv)],
+                             stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--source", "table2"], ["sta", "--netlist", "@netlist"], ["sweep", "--width", "32"],
 ], ids=["compare", "sta", "sweep"])
 def test_closed_stdout_exits_141(tmp_path, argv):
-    net = _build(tmp_path, "rca", "--width", "8", "--stage")
-    path = [str(Path(dradder.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     read, write = os.pipe()
     os.close(read)  # the reader is gone before the first write
     try:
-        proc = subprocess.run([sys.executable, "-m", "dradder.cli",
-                               *(str(net) if a == "@netlist" else a for a in argv)],
-                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        for proc in _run_detached(tmp_path, argv, write):
+            assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["sta", "--netlist", "@netlist"], ["sweep", "--width", "32"],
+], ids=["sta", "sweep"])
+def test_full_stdout_exits_3(tmp_path, argv):
+    with open("/dev/full", "w") as full:
+        for proc in _run_detached(tmp_path, argv, full):
+            assert proc.returncode == EXIT_PARSE
+            assert proc.stderr.startswith(b"error: cannot write")
+            assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -171,7 +171,8 @@ def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
         def corrupted(*args, **kwargs):
             log = real(*args, **kwargs)
             for x in flips:
-                log.set_levels[x] = 1 - log.set_levels.get(x, 0)
+                k = log.names.index(x)
+                log.set_net_levels[k] = 1 - log.set_net_levels[k]
             log.rtz_complete = bool(flips)
             return log
 

@@ -237,8 +237,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help and usage writes raise OSError, which
+    argparse's own swallows, so they fail like every other output."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dradder",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -317,18 +326,19 @@ def main(argv=None) -> int:
             code = exc.code if isinstance(exc, CliError) else EXIT_USAGE
         sys.stdout.flush()  # a closed reader or a full device shows here, not at exit
     except OSError as exc:  # every input is read through _read, so an output failed
-        try:
-            sys.stdout.flush()
-        except OSError:
-            # keep the flush at exit from raising again; the process-wide SIGPIPE
-            # disposition stays as it is, since main also runs in-process
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            return EXIT_PIPE
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if not isinstance(exc, BrokenPipeError):
+            with contextlib.suppress(OSError):  # a full stderr loses the message, not the code
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                # keep the flush at exit from raising again; the process-wide SIGPIPE
+                # disposition stays as it is, since main also runs in-process
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+        return EXIT_PIPE if isinstance(exc, BrokenPipeError) else EXIT_PARSE
     return code
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 class GateKind(str, Enum):
@@ -61,8 +61,7 @@ GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     id: str
     kind: GateKind
     inputs: tuple[str, ...]
@@ -84,8 +83,7 @@ class IntForm:
     order: tuple[FanoutEntry, ...] | None  # gates' entries in topo_gates() order; None if cyclic
 
 
-@dataclass(frozen=True)
-class PortGroup:
+class PortGroup(NamedTuple):
     """A named dual-rail port (rail1, rail0), or a single wire when rail0 is None."""
 
     name: str
@@ -170,7 +168,8 @@ class Netlist:
         report: list[str] = []
         unorderable = None
         seen: set[str] = set()
-        drivers: dict[str, list[int]] = {}  # every gate driving each net, as positions
+        driver: dict[str, int] = {}  # each driven net's first driver, as a position
+        extra: dict[str, list[int]] = {}  # every driver, only of nets with two or more
         for k, g in enumerate(gates):
             if g.id in seen:
                 report.append(f"duplicate gate id {g.id!r}")
@@ -179,38 +178,42 @@ class Netlist:
                 report.append(f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} "
                               f"inputs, got {len(g.inputs)}")
                 unorderable = unorderable or report[-1]
-            drivers.setdefault(g.output, []).append(k)
+            if (first := driver.setdefault(g.output, k)) != k:
+                extra.setdefault(g.output, [first]).append(k)
         malformed = report[0] if report else None
 
-        first_conflict = len(report)
-        for net, pos in drivers.items():
-            who = [gates[k].id for k in pos]
-            if len(who) > 1:
-                report.append(f"net {net!r} has multiple drivers: {who}")
-            if net in primary:
-                report.append(f"net {net!r} is both a primary input and driven by {who}")
-        if unorderable is None and len(report) > first_conflict:
-            unorderable = report[first_conflict]
+        driven_primary = driver.keys() & primary
+        if extra or driven_primary:
+            first_conflict = len(report)
+            for net in sorted(extra.keys() | driven_primary, key=driver.__getitem__):
+                who = [gates[k].id for k in extra.get(net, (driver[net],))]
+                if net in extra:
+                    report.append(f"net {net!r} has multiple drivers: {who}")
+                if net in primary:
+                    report.append(f"net {net!r} is both a primary input and driven by {who}")
+            unorderable = unorderable or report[first_conflict]
 
-        indeg = [0] * len(gates)
+        indeg: list[int] = []
         dependents: list[list[int]] = [[] for _ in gates]
         for k, g in enumerate(gates):
+            d = 0
             for net in g.inputs:
-                if (pos := drivers.get(net)) is not None:
-                    indeg[k] += 1
-                    dependents[pos[0]].append(k)
+                if (first := driver.get(net)) is not None:
+                    d += 1
+                    dependents[first].append(k)
                 elif net not in primary:
                     report.append(f"gate {g.id!r} input net {net!r} has no driver")
+            indeg.append(d)
 
         for grp in self.inputs + self.outputs:
             for net in grp.rails():
-                if net not in drivers and net not in primary:
+                if net not in driver and net not in primary:
                     report.append(f"port group {grp.name!r} references undriven net {net!r}")
         # a driven net is read exactly when its first driver has dependents
         out_nets = set(self.output_nets)
         report += [f"net {net!r} dangles: no fanout and not a primary output"
-                   for net, pos in drivers.items()
-                   if not dependents[pos[0]] and net not in out_nets]
+                   for net, k in driver.items()
+                   if not dependents[k] and net not in out_nets]
 
         ready = deque(sorted((k for k, d in enumerate(indeg) if d == 0),
                              key=lambda k: gates[k].id))

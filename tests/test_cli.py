@@ -317,9 +317,10 @@ def test_two_driver_net_is_parse_error(tmp_path, capsys):
         critical_path(Netlist.load(path), DelayTable.unit())
 
 
-def _run_detached(tmp_path, argv, stdout):
-    """Run the CLI in a subprocess writing to `stdout`, once with a block-buffered
-    and once with an unbuffered standard output; yield each finished process."""
+def _run_detached(tmp_path, argv, stdout, stderr=subprocess.PIPE):
+    """Run the CLI in a subprocess writing to `stdout` and `stderr`, once with a
+    block-buffered and once with an unbuffered standard output; yield each
+    finished process."""
     net = _build(tmp_path, "rca", "--width", "8", "--stage")
     path = [str(Path(dradder.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -327,7 +328,7 @@ def _run_detached(tmp_path, argv, stdout):
     for flags in ([], ["-u"]):
         yield subprocess.run([sys.executable, *flags, "-m", "dradder.cli",
                               *(str(net) if a == "@netlist" else a for a in argv)],
-                             stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+                             stdout=stdout, stderr=stderr, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,14 +346,24 @@ def test_closed_stdout_exits_141(tmp_path, argv):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
-    ["sta", "--netlist", "@netlist"], ["sweep", "--width", "32"],
-], ids=["sta", "sweep"])
+    ["sta", "--netlist", "@netlist"], ["sweep", "--width", "32"], ["--help"], ["sta", "--help"],
+], ids=["sta", "sweep", "help", "sta-help"])
 def test_full_stdout_exits_3(tmp_path, argv):
     with open("/dev/full", "w") as full:
         for proc in _run_detached(tmp_path, argv, full):
             assert proc.returncode == EXIT_PARSE
             assert proc.stderr.startswith(b"error: cannot write")
             assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["sta"], ["sta", "--netlist", os.devnull]],
+                         ids=["usage", "input"])
+def test_full_stderr_exits_3(tmp_path, argv):
+    # the error message cannot be written, so the exit code is all that is left
+    with open("/dev/full", "w") as full:
+        for proc in _run_detached(tmp_path, argv, subprocess.PIPE, full):
+            assert (proc.returncode, proc.stdout) == (EXIT_PARSE, b"")
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -184,16 +186,19 @@ def test_validate_flags_duplicate_gate_ids():
 
 
 def test_validate_flags_multiple_drivers():
-    bad = Netlist(
-        name="multi",
-        gates=[
-            Gate("g1", GateKind.BUF, ("a",), "y"),
-            Gate("g2", GateKind.BUF, ("b",), "y"),
-        ],
-        inputs=[PortGroup("A", "a"), PortGroup("B", "b")],
-        outputs=[PortGroup("Y", "y")],
-    )
-    assert any("driver" in m for m in bad.validate())
+    gates = [Gate("g1", GateKind.BUF, ("a",), "y"), Gate("g2", GateKind.BUF, ("b",), "y")]
+    ports = [PortGroup("A", "a"), PortGroup("B", "b")]
+    multi = "net 'y' has multiple drivers: ['g1', 'g2']"
+    # a primary input driven by two gates gets both findings, each naming both
+    for inputs, expect in [
+        (ports, [multi]),
+        (ports + [PortGroup("Y", "y")],
+         [multi, "net 'y' is both a primary input and driven by ['g1', 'g2']"]),
+    ]:
+        bad = Netlist("multi", gates, inputs, outputs=[PortGroup("Y", "y")])
+        assert bad.validate() == expect
+        with pytest.raises(ValueError, match=re.escape(multi)):
+            bad.topo_gates()
 
 
 def test_validate_flags_undriven_net():
@@ -269,6 +274,23 @@ def test_topological_order_is_derived_once():
     assert n.topo_gates() is n.topo_gates()
 
 
+@pytest.mark.parametrize("width, safa, stage, digest", [
+    (32, 2, True, "6a2fde68d02acf8a989983f9d5b01642ac07f2fc5c37299c73ce636e1999dca6"),
+    (128, 0, True, "d865aa0b2c01ea1272860a540d37cb932e310147694388afeda6d22724d5073e"),
+    (128, 128, True, "cc0c097849dc4895edabfdfc0a189b3a0e396eed53929f66437317ea718d5e89"),
+    (1024, 2, False, "488661d75668ea82a5c7319dcb51991fdb262fbc4557b92337b24717bf4c62d5"),
+])
+def test_topological_order_of_generated_netlists_is_pinned(width, safa, stage, digest):
+    # the Kahn order (ready queue sorted by id, then first in, first out) that
+    # STA, the steady-state evaluator and IntForm.order all follow
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+
+    n = gen_hybrid_rca(AdderSpec(width, safa, True))
+    n = gen_stage(n) if stage else n
+    ids = "\n".join(g.id for g in n.topo_gates())
+    assert hashlib.sha256(ids.encode()).hexdigest() == digest
+
+
 def test_int_form_order_reuses_fanout_entries():
     from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
 
@@ -309,3 +331,19 @@ def test_scalar_and_dual_rail_port_groups():
     pair = PortGroup("A", "a1", "a0")
     assert scalar.scalar
     assert not pair.scalar
+    assert scalar.rails() == ("go",) and pair.rails() == ("a1", "a0")
+
+
+def test_gates_and_port_groups_are_immutable_values():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+
+    gate, grp = Gate("g1", GateKind.AND2, ("a", "b"), "g1"), PortGroup("A", "a1", "a0")
+    for value, twin in ((gate, Gate("g1", GateKind.AND2, ("a", "b"), "g1")),
+                        (grp, PortGroup("A", "a1", "a0"))):
+        assert value == twin and hash(value) == hash(twin)
+    with pytest.raises(AttributeError):
+        gate.output = "z"
+    with pytest.raises(AttributeError):
+        grp.rail0 = None
+    n = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, True)))
+    assert Netlist.from_dict(n.to_dict()).gates == n.gates

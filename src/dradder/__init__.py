@@ -52,7 +52,6 @@ from .verification import (
     ALL_EQUATION_SETS,
     DAFA_EQUATIONS,
     SAFA_EQUATIONS,
-    DualRailVar,
     EquationSet,
     OutputPair,
     VerifyResult,

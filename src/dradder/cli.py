@@ -203,6 +203,8 @@ def cmd_sta(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.source == "table2" and args.delays is not None:
+        raise CliError("--delays applies only to --source formula", EXIT_USAGE)
     source = "table2-practical" if args.source == "table2" else _load_delays(args.delays)
     report = compare_report(source)
     text = report.to_csv() if args.format == "csv" else report.to_text()

@@ -289,9 +289,7 @@ class ProtocolSummary:
 def run_protocol(
     stage: Netlist,
     delays: DelayTable,
-    vectors: Sequence[dict[str, int]] | int,
-    *,
-    seed: int = DEFAULT_SEED,
+    vectors: Sequence[dict[str, int]],
 ) -> tuple[list[TransactionLog], ProtocolSummary]:
     """Drive a handshake stage through one 4-phase cycle per vector.
 
@@ -302,8 +300,6 @@ def run_protocol(
     """
     if stage.ackout is None or stage.ackin is None:
         raise ValueError(f"{stage.name!r} has no handshake ports; wrap it with gen_stage")
-    if isinstance(vectors, int):
-        vectors = random_vectors(stage, vectors, seed)
 
     ackout = stage.int_form.ids[stage.ackout]
     logs: list[TransactionLog] = []

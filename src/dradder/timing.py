@@ -292,7 +292,15 @@ def hybrid_latency(width: int, safa_stages: int, d: DelayTable) -> int:
 
 def sweep_hybrid(width: int, d: DelayTable) -> SweepResult:
     """Evaluate the latency curve over every legal SAFA count and return
-    all minimizers (smallest count first)."""
+    all minimizers (smallest count first).
+
+    The curve is the paper's closed form (`hybrid_latency`), not STA of the
+    generated stages. Up to the input buffer the closed form counts, the two
+    agree under unit delays and the acceptance tests' strictly dominant
+    tables, but not under every table: with BUF 0, AND2 4, AND4 3, OR2 5,
+    OR3 2, OR4 2, AO21 6, AO22 4, AO222 5, C2 5, the w=32 curve has its
+    minimum 107 at s=0 alone, while `critical_path` over the generated w=32
+    stages gives a minimum of 111, at s=0 and s=2."""
     if width < 2:
         raise ValueError(f"sweep needs width >= 2, got {width}")
     curve = tuple(

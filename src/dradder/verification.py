@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import Netlist
+from .netlist import Netlist, PortGroup
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
 
 
@@ -128,6 +128,8 @@ _ONES = np.uint64(2**64 - 1)
 # once as fit it at 8 bytes per word and net, so its memory does not grow
 # with the lane count.
 _CHUNK_BYTES = 32 << 20
+# vectors of each sweep replayed on the event-driven simulator
+_SIM_SAMPLE = 32
 # plane k < 6 of an exhaustive sweep is bit k of the lane's position in its word
 _LOW_PLANES = [sum(1 << j for j in range(_LANES) if j >> k & 1) for k in range(6)]
 
@@ -224,8 +226,6 @@ def exhaustive_verify(
     mode: str = "exhaustive",
     seed: int = DEFAULT_SEED,
     count: int = 10_000,
-    sim_sample: int = 32,
-    delays: DelayTable | None = None,
 ) -> VerifyResult:
     """Check an adder netlist against the integer oracle.
 
@@ -233,10 +233,10 @@ def exhaustive_verify(
     width 8); random mode draws `count` seeded vectors at any width. The
     full sweep runs through the vectorized steady-state evaluator (set phase
     decoded and compared with the oracle), 64 lanes per word and in chunks
-    of bounded memory; a seeded subsample of `sim_sample` vectors is
-    additionally replayed on the event-driven simulator, whose set-phase
-    level of every net must equal the steady-state one. The first
-    counterexample is the lowest failing lane. `rtz_failures` counts
+    of bounded memory; a seeded subsample of `_SIM_SAMPLE` vectors is
+    additionally replayed on the event-driven simulator under unit delays,
+    whose set-phase level of every net must equal the steady-state one. The
+    first counterexample is the lowest failing lane. `rtz_failures` counts
     sampled transactions that did not return to zero: the steady-state
     reset cannot fail (module doc).
     """
@@ -263,9 +263,9 @@ def exhaustive_verify(
     scan = np.array([form.ids[x] for x in inputs_first] + [out for _, _, out, _ in form.order])
     words = -(-total // _LANES)
     step = max(1, _CHUNK_BYTES // (8 * len(form.names)))
-    sample = sorted(random.Random(seed).sample(range(total), min(sim_sample, total)))
+    sample = sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total)))
 
-    delays = delays or DelayTable.unit()
+    delays = DelayTable.unit()
     illegal = spacerish = failures = sim_checked = rtz_failures = 0
     first = sim_first = None
     for w0 in range(0, words, step):
@@ -320,13 +320,6 @@ def exhaustive_verify(
 
 
 @dataclass(frozen=True)
-class DualRailVar:
-    name: str
-    rail1: str
-    rail0: str
-
-
-@dataclass(frozen=True)
 class OutputPair:
     """A complementary pair of sum-of-products equations (rail1, rail0)."""
 
@@ -341,7 +334,7 @@ class OutputPair:
 @dataclass(frozen=True)
 class EquationSet:
     name: str
-    variables: tuple[DualRailVar, ...]
+    variables: tuple[PortGroup, ...]
     outputs: tuple[OutputPair, ...]
 
     def check_product(self, p: frozenset[str]) -> None:
@@ -361,8 +354,8 @@ class EquationSet:
         return frozenset(rails)
 
 
-def _dr(name: str) -> DualRailVar:
-    return DualRailVar(name, f"{name}1", f"{name}0")
+def _dr(name: str) -> PortGroup:
+    return PortGroup(name, f"{name}1", f"{name}0")
 
 
 def _products(*terms: str) -> tuple[frozenset[str], ...]:
@@ -434,7 +427,7 @@ ALL_EQUATION_SETS = (SAFA_EQUATIONS, DAFA_EQUATIONS)
 
 
 def structurally_disjoint(p: frozenset[str], q: frozenset[str],
-                          variables: tuple[DualRailVar, ...]) -> bool:
+                          variables: tuple[PortGroup, ...]) -> bool:
     """True iff the two products contain opposite rails of some variable."""
     return any(
         (v.rail1 in p and v.rail0 in q) or (v.rail0 in p and v.rail1 in q)

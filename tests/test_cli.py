@@ -20,6 +20,7 @@ from dradder.cli import (
     EXIT_USAGE,
     main,
 )
+from dradder.generators import gen_stage
 from dradder.netlist import Netlist
 from dradder.simulator import DelayTable
 from dradder.timing import critical_path
@@ -141,6 +142,11 @@ def test_sim_block_stops_at_first_failing_transaction(tmp_path, capsys):
                   {"id": "g0", "kind": "OR2", "in": ["a1", "a0"], "out": "y0"}]}))
     assert main(["sim", "--netlist", str(net), "--count", "3"]) == EXIT_FAIL
     assert capsys.readouterr().out == "transaction 0: latency=None ps rtz=True illegal=True\n"
+    # staged, the same block runs every transaction and fails on the summary
+    gen_stage(Netlist.load(net)).save(net)
+    assert main(["sim", "--netlist", str(net), "--count", "2"]) == EXIT_FAIL
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "completed 2/2, illegal=2, rtz_failures=0, deadlocks=0"
 
     safa = _build(tmp_path, "safa")
     capsys.readouterr()
@@ -372,16 +378,18 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "failures=0" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [
-    ["--width", "10"],
-    ["--width", "8", "--mode", "random", "--count", "-5"],
-    ["--width", "8", "--mode", "random", "--count", "0"],
-], ids=["exhaustive-too-wide", "negative-count", "zero-count"])
-def test_verify_rejects_bad_arguments(capsys, flags):
-    assert main(["verify", *flags]) == EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    ["verify", "--width", "10"],
+    ["verify", "--width", "8", "--mode", "random", "--count", "-5"],
+    ["verify", "--width", "8", "--mode", "random", "--count", "0"],
+    # the published table takes no delays, so the file is never read
+    ["compare", "--source", "table2", "--delays", "missing.json"],
+], ids=["exhaustive-too-wide", "negative-count", "zero-count", "table2-with-delays"])
+def test_verify_rejects_bad_arguments(capsys, argv):
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
-    assert "checked" not in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_verify_random_mode_at_width_64(capsys):

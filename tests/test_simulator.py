@@ -148,7 +148,8 @@ def test_random_vectors_deterministic():
 
 def test_protocol_cycles_complete_on_stage():
     stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
-    logs, summary = run_protocol(stage, DelayTable.unit(), 20, seed=DEFAULT_SEED)
+    vectors = random_vectors(stage, 20, DEFAULT_SEED)
+    logs, summary = run_protocol(stage, DelayTable.unit(), vectors)
     assert summary.transactions == 20
     assert summary.completed == 20
     assert summary.illegal_states == 0
@@ -159,7 +160,7 @@ def test_protocol_cycles_complete_on_stage():
 
 def test_protocol_requires_handshake_ports():
     with pytest.raises(ValueError):
-        run_protocol(gen_safa(), DelayTable.unit(), 1)
+        run_protocol(gen_safa(), DelayTable.unit(), [{}])
 
 
 def test_protocol_reports_deadlock_on_broken_stage():
@@ -174,6 +175,39 @@ def test_protocol_reports_deadlock_on_broken_stage():
     assert len(summary.deadlocks) == 1
     idx, blocking = summary.deadlocks[0]
     assert idx == 0 and blocking
+
+
+def test_monitor_flags_an_input_falling_in_the_set_phase():
+    log = simulate_transaction(gen_safa(), DelayTable.unit(),
+                               [("A", 1, 0), ("B", 1, 0), ("CIN", 0, 0), ("A", 0, 5)])
+    assert log.monotonic is False
+
+
+_A = PortGroup("A", "a1", "a0")
+_Y = PortGroup("Y", "y1", "y0")
+_Y_COPIES_A = [Gate("g1", GateKind.BUF, ("a1",), "y1"), Gate("g0", GateKind.BUF, ("a0",), "y0")]
+
+
+@pytest.mark.parametrize("gates, illegal, rtz_failures", [
+    # both rails follow the same OR, so every valid input drives Y to (1, 1)
+    ([Gate("g1", GateKind.OR2, ("a1", "a0"), "y1"),
+      Gate("g0", GateKind.OR2, ("a1", "a0"), "y0")], 2, 0),
+    # a dangling latch holds itself high once A=1 arrives
+    (_Y_COPIES_A + [Gate("z", GateKind.OR2, ("a1", "z"), "z")], 0, 1),
+], ids=["illegal-output", "latch"])
+def test_protocol_counts_illegal_states_and_rtz_failures(gates, illegal, rtz_failures):
+    stage = gen_stage(Netlist("block", gates, [_A], [_Y]))
+    _, summary = run_protocol(stage, DelayTable.unit(), [{"A": 1}, {"A": 0}])
+    assert (summary.completed, summary.illegal_states, summary.rtz_failures,
+            summary.deadlocks) == (2, illegal, rtz_failures, [])
+
+
+def test_classification_counts_all_outputs_early_witnesses():
+    # Y copies A and nothing reads B, so Y is valid whenever B is the delayed pair
+    block = Netlist("copy", _Y_COPIES_A, [_A, PortGroup("B", "b1", "b0")], [_Y])
+    rep = classify_indication(block, DelayTable.unit(), trials=8)
+    assert rep.classification == "early"
+    assert len(rep.full_early_set_witnesses) == 4
 
 
 def test_classification_single_bit_adder_is_early():
@@ -208,7 +242,7 @@ def test_waveform_dump_format():
 def test_simulator_event_trace_is_pinned():
     # recorded before the simulator moved onto the integer netlist form
     stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, redundant_carry=True)))
-    logs, summary = run_protocol(stage, DelayTable.unit(), 12, seed=7)
+    logs, summary = run_protocol(stage, DelayTable.unit(), random_vectors(stage, 12, 7))
     assert summary.completed == 12
     assert sum(log.events for log in logs) == 2108
     trace = json.dumps([[log.latency, log.events, log.set_end,
@@ -282,7 +316,7 @@ def test_transaction_log_key_order_is_pinned():
     # the digest covers the order of the named dicts' keys; recorded on the
     # heap queue with name-keyed dicts built for every transaction
     stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, True)))
-    logs, _ = run_protocol(stage, DelayTable.unit(), 6, seed=5)
+    logs, _ = run_protocol(stage, DelayTable.unit(), random_vectors(stage, 6, 5))
     rows = [[list(log.transitions.items()), list(log.set_levels.items())] for log in logs]
     assert sum(log.events for log in logs) == 1064
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
@@ -305,7 +339,7 @@ def test_every_simulator_route_rejects_a_two_driver_net():
     for bad, route in (
             (two, lambda: simulate_transaction(two, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0)])),
             (two, lambda: classify_indication(two, DelayTable.unit(), trials=4)),
-            (stage, lambda: run_protocol(stage, DelayTable.unit(), 1))):
+            (stage, lambda: run_protocol(stage, DelayTable.unit(), random_vectors(stage, 1)))):
         with pytest.raises(ValueError) as want:
             bad.topo_gates()
         with pytest.raises(ValueError) as got:

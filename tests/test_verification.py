@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from dradder.generators import AdderSpec, gen_dafa, gen_hybrid_rca, gen_safa, gen_stage
+from dradder.netlist import Netlist, PortGroup
 from dradder.simulator import DelayTable
 from dradder.verification import (
     ALL_EQUATION_SETS,
     DAFA_EQUATIONS,
     SAFA_EQUATIONS,
+    DsopResult,
+    EquationSet,
+    OutputPair,
     dsop_check,
     equation_equivalence,
     exhaustive_verify,
@@ -116,9 +120,9 @@ def test_verify_catches_a_wired_in_bug():
 @pytest.mark.parametrize("width, safa", [(63, 1), (64, 2), (128, 0)])
 def test_random_verify_at_any_width(width, safa):
     n = gen_hybrid_rca(AdderSpec(width, safa, True))
-    res = exhaustive_verify(n, width, mode="random", count=300, sim_sample=8)
+    res = exhaustive_verify(n, width, mode="random", count=300)
     assert res.passed, (res.first_counterexample, res.notes)
-    assert res.checked == 300 and res.sim_checked == 8
+    assert res.checked == 300 and res.sim_checked == 32
 
 
 def test_wide_counterexample_is_exact():
@@ -129,7 +133,7 @@ def test_wide_counterexample_is_exact():
     k = next(i for i, grp in enumerate(outs) if grp.name == "SUM63")
     outs[k] = type(outs[k])(outs[k].name, outs[k].rail0, outs[k].rail1)
     broken = Netlist(name="swapped", gates=n.gates, inputs=n.inputs, outputs=outs)
-    res = exhaustive_verify(broken, 64, mode="random", count=200, sim_sample=2)
+    res = exhaustive_verify(broken, 64, mode="random", count=200)
     assert not res.passed
     assert res.failures == 200
     cex = res.first_counterexample
@@ -200,6 +204,16 @@ def test_embedded_equations_are_monotonic_covers():
         assert res.passed, (eqs.name, res.violations[:3])
 
 
+def test_product_checks_flag_overlapping_products():
+    # Y1 = A1 + A1·B1 covers A=1, B=1 twice
+    eqs = EquationSet("overlap", (PortGroup("A", "A1", "A0"), PortGroup("B", "B1", "B0")),
+                      (OutputPair("Y", (frozenset({"A1"}), frozenset({"A1", "B1"})),
+                                  (frozenset({"A0"}),)),))
+    assert dsop_check(eqs) == DsopResult(passed=False, offending=("Y", 0, 1),
+                                         methods_agree=True)
+    assert len(monotonic_cover_check(eqs).violations) == 1
+
+
 def test_disjointness_checkers_agree_on_random_products():
     rng = random.Random(1011)
     variables = SAFA_EQUATIONS.variables
@@ -224,6 +238,11 @@ def test_netlists_realize_their_equations():
     assert equation_equivalence(gen_safa(), SAFA_EQUATIONS)
     assert equation_equivalence(gen_dafa(True), DAFA_EQUATIONS)
     assert equation_equivalence(gen_dafa(False), DAFA_EQUATIONS)
+    safa = gen_safa()
+    swapped = [PortGroup(g.name, g.rail0, g.rail1) if g.name == "SUM" else g
+               for g in safa.outputs]
+    assert not equation_equivalence(Netlist(safa.name, safa.gates, safa.inputs, swapped),
+                                    SAFA_EQUATIONS)
 
 
 def test_contradictory_product_rejected():

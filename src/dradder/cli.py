@@ -87,12 +87,10 @@ def _build_circuit(args) -> Netlist:
         if args.width is None:
             raise CliError("rca needs --width", EXIT_USAGE)
         n = gen_hybrid_rca(AdderSpec(args.width, args.safa, args.redundant))
-    elif args.circuit == "cd":
+    else:  # "cd", the last of argparse's choices
         if args.pairs is None:
             raise CliError("cd needs --pairs", EXIT_USAGE)
         n = gen_completion_detector(args.pairs)
-    else:
-        raise CliError(f"unknown circuit {args.circuit!r}", EXIT_USAGE)
     return gen_stage(n) if args.stage else n
 
 

@@ -79,7 +79,9 @@ class IntForm:
     ids: dict[str, int]
     names: tuple[str, ...]  # names[ids[net]] == net
     fanout: tuple[tuple[FanoutEntry, ...], ...]  # per net id, every gate reading it
+    ports: dict[PortGroup, tuple[int, ...]]  # every input and output group's rail ids, rail1 first
     partner: tuple[int | None, ...]  # the other rail of a dual-rail port net
+    ackin: int | None  # the ackin net's id, on a handshake stage
     order: tuple[FanoutEntry, ...] | None  # gates' entries in topo_gates() order; None if cyclic
 
 
@@ -264,13 +266,14 @@ class Netlist:
             entry = entry_of[g.id] = (GATE_FN[g.kind], gather, ids[g.output], g.kind)
             for k in pos:
                 fanout[k].append(entry)
+        ports = {grp: tuple(ids[r] for r in grp.rails()) for grp in self.inputs + self.outputs}
         partner: list[int | None] = [None] * len(ids)
-        for grp in self.inputs + self.outputs:
-            if not grp.scalar:
-                partner[ids[grp.rail1]] = ids[grp.rail0]
-                partner[ids[grp.rail0]] = ids[grp.rail1]
+        for rails in ports.values():
+            if len(rails) == 2:
+                partner[rails[0]], partner[rails[1]] = rails[1], rails[0]
         order = self._structure[0]
-        return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), tuple(partner),
+        return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), ports, tuple(partner),
+                       None if self.ackin is None else ids[self.ackin],
                        None if order is None else tuple(entry_of[g.id] for g in order))
 
     # -- serialization -------------------------------------------------------

@@ -8,9 +8,11 @@ filtering is needed; a monitor asserts the monotonicity instead.
 
 Pending events wait in one bucket per time, in the order they were driven,
 and a heap holds the distinct bucket times. A zero-delay drive joins the
-bucket being drained, so events of one time apply in drive order. A
-transaction's log keeps the per-net-id lists the simulator filled; its
-name-keyed `transitions` and `set_levels` dicts are built on first read.
+bucket being drained, so events of one time apply in drive order. The
+stage environment drives and reads ports by the rail ids `IntForm.ports`
+resolves once per netlist, and a transaction applies its inputs in time
+order. A transaction's log keeps the per-net-id lists the simulator filled;
+its name-keyed `transitions` and `set_levels` dicts are built on first read.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class DelayTable:
                 raise ValueError(f"delay for {kind.value} must be an integer, got {d!r}")
             if d < 0 or (d < 1 and kind is not GateKind.BUF):
                 raise ValueError(f"bad delay for {kind.value}: {d}")
+        if not isinstance(self.time_unit, str):
+            raise ValueError(f"time_unit must be a string, got {self.time_unit!r}")
 
     def __getitem__(self, kind: GateKind) -> int:
         return self.delays[kind]
@@ -117,11 +121,9 @@ class _Sim:
     """Single-run simulator core: a time-bucketed event queue over the netlist's
     integer form, plus the 4-phase stage environment that drives and reads its ports."""
 
-    def __init__(self, netlist: Netlist, delays: DelayTable,
-                 max_events: int = DEFAULT_MAX_EVENTS):
+    def __init__(self, netlist: Netlist, delays: DelayTable):
         self.form = form = netlist.int_form
         self.delays = delays.delays
-        self.max_events = max_events
         self.levels = [0] * len(form.names)
         self.pending = [0] * len(form.names)
         self.buckets: dict[int, list[tuple[int, int]]] = {}  # time -> [(net id, value)]
@@ -133,12 +135,11 @@ class _Sim:
         self.illegal_seen = False
         self.monotonic = True
         self.direction = 0  # +1 set phase, -1 reset phase, 0 unmonitored
-        self.ackin = netlist.ackin
+        self.ackin = form.ackin
         if self.ackin is not None:
             self.drive(self.ackin, 1, 0)
 
-    def drive(self, net: str, value: int, time: int) -> None:
-        k = self.form.ids[net]
+    def drive(self, k: int, value: int, time: int) -> None:
         if self.pending[k] != value:
             bucket = self.buckets.get(time)
             if bucket is None:
@@ -154,7 +155,7 @@ class _Sim:
         fanout, partner, delays = self.form.fanout, self.form.partner, self.delays
         pop, push = heapq.heappop, heapq.heappush
         wrong = {1: 0, -1: 1}.get(self.direction)  # the value breaking monotonicity
-        events, max_events, now = self.events, self.max_events, self.now
+        events, max_events, now = self.events, DEFAULT_MAX_EVENTS, self.now
         while times:
             time = pop(times)
             bucket = buckets[time]
@@ -197,9 +198,10 @@ class _Sim:
 
     def put(self, grp, bit: int | None, time: int) -> None:
         """Drive the group's codeword for `bit` at `time`; `None` drives the spacer."""
-        self.drive(grp.rail1, 0 if bit is None else bit, time)
-        if not grp.scalar:
-            self.drive(grp.rail0, 0 if bit is None else 1 - bit, time)
+        rails = self.form.ports[grp]
+        self.drive(rails[0], 0 if bit is None else bit, time)
+        if len(rails) == 2:
+            self.drive(rails[1], 0 if bit is None else 1 - bit, time)
 
     def spacer(self, groups, time: int) -> None:
         """Return `groups` to spacer at `time` and, on a stage, drop ackin."""
@@ -211,8 +213,7 @@ class _Sim:
     def valid_since(self, grp) -> int | None:
         """Time the group last entered a valid codeword, or `None` if it holds none now."""
         high, times = 0, []
-        for rail in grp.rails():
-            k = self.form.ids[rail]
+        for k in self.form.ports[grp]:
             high += self.levels[k]
             if self.transitions[k]:
                 times.append(self.transitions[k][-1][0])
@@ -223,21 +224,20 @@ def simulate_transaction(
     netlist: Netlist,
     delays: DelayTable,
     inputs: Sequence[tuple[str, int, int]],
-    *,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> TransactionLog:
     """Run one full 4-phase transaction: apply the given input values at
     their apply times, run to quiescence, then apply the spacer everywhere
     and run the return-to-zero phase to quiescence.
 
-    `inputs` is a list of (group name, bit value, apply time). Input groups
-    not listed stay at spacer. The netlist starts all-zero; for a handshake
-    stage the ackin net is driven high at t=0 and low with the spacer.
+    `inputs` is a list of (group name, bit value, apply time), applied in
+    time order (a stable sort). Input groups not listed stay at spacer. The
+    netlist starts all-zero; for a handshake stage the ackin net is driven
+    high at t=0 and low with the spacer.
     """
-    sim = _Sim(netlist, delays, max_events)
+    sim = _Sim(netlist, delays)
     sim.direction = +1
     input_apply: dict[str, int] = {}
-    for name, bit, t in inputs:
+    for name, bit, t in sorted(inputs, key=lambda inp: inp[2]):
         sim.put(netlist.group(name), bit, t)
         input_apply[name] = t
     set_end = sim.run()
@@ -386,11 +386,9 @@ def classify_indication(
         for grp in others:
             sim.put(grp, None, sim.now + 1)
         sim.run()
-        if not any(sim.levels[sim.form.ids[r]] for g in fb.outputs for r in g.rails()):
+        if not any(sim.levels[k] for g in fb.outputs for k in sim.form.ports[g]):
             early_reset.append({"trial": trial, "delayed": delayed.name,
                                 "vector": dict(vec)})
-        sim.spacer([delayed], sim.now + 1)
-        sim.run()
 
     if full_early_set or (early_set and early_reset):
         cls = "early"

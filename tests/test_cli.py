@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dradder
+from dradder import cli
 from dradder.cli import (
     EXIT_DEADLOCK,
     EXIT_FAIL,
@@ -24,6 +25,7 @@ from dradder.generators import gen_stage
 from dradder.netlist import Netlist
 from dradder.simulator import DelayTable
 from dradder.timing import critical_path
+from dradder.verification import VerifyResult
 
 
 def _build(tmp_path, *args):
@@ -279,11 +281,12 @@ def _delays(**override):
     (["classify", "--netlist"], TWO_DRIVERS, "multiple drivers"),
     (["sweep", "--width", "4", "--delays"], _delays(AO21=1.7), "must be an integer"),
     (["sweep", "--width", "4", "--delays"], _delays(C2=True), "must be an integer"),
+    (["sweep", "--width", "4", "--delays"], _delays(time_unit=5), "time_unit must be a string"),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
         "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id",
         "sta-rail1-list", "sta-int-gate-id", "sta-string-inputs",
         "sim-two-drivers", "classify-two-drivers",
-        "delays-float", "delays-bool"])
+        "delays-float", "delays-bool", "delays-int-time-unit"])
 def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -378,13 +381,27 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "failures=0" in capsys.readouterr().out
 
 
+def test_verify_reports_a_failure(monkeypatch, capsys):
+    failing = VerifyResult(passed=False, checked=9, failures=1,
+                           first_counterexample={"a": 1, "b": 2, "cin": 0},
+                           illegal_states=0, rtz_failures=0, sim_checked=9,
+                           notes=["1 output pairs never reached a valid codeword"])
+    monkeypatch.setattr(cli, "exhaustive_verify", lambda *args, **kwargs: failing)
+    assert main(["verify", "--width", "2"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["note: 1 output pairs never reached a valid codeword"]
+    assert captured.err == "counterexample: {'a': 1, 'b': 2, 'cin': 0}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--width", "10"],
     ["verify", "--width", "8", "--mode", "random", "--count", "-5"],
     ["verify", "--width", "8", "--mode", "random", "--count", "0"],
     # the published table takes no delays, so the file is never read
     ["compare", "--source", "table2", "--delays", "missing.json"],
-], ids=["exhaustive-too-wide", "negative-count", "zero-count", "table2-with-delays"])
+    ["build", "cd"],
+], ids=["exhaustive-too-wide", "negative-count", "zero-count", "table2-with-delays",
+        "cd-without-pairs"])
 def test_verify_rejects_bad_arguments(capsys, argv):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -414,6 +431,13 @@ def test_compare_subcommand_csv(tmp_path, capsys):
     assert out.splitlines()[0].startswith("legend,")
     assert any(line.startswith("Adder13,") and ",35.3," in line
                for line in out.splitlines())
+
+
+def test_compare_out_file_gets_the_stdout_text(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    for argv in (["--out", str(out)], []):
+        assert main(["compare", "--format", "csv", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {out}\n" + out.read_bytes().decode()
 
 
 def test_compare_formula_with_delay_file(tmp_path, capsys):

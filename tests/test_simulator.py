@@ -12,6 +12,7 @@ from dradder.generators import (
     gen_safa,
     gen_stage,
 )
+from dradder import simulator
 from dradder.netlist import Gate, GateKind, Netlist, PortGroup
 from dradder.simulator import (
     DEFAULT_SEED,
@@ -132,12 +133,23 @@ def test_c_element_holds_between_agreements():
     assert trans[-1][1] == 0
 
 
-def test_event_budget_enforced():
+def test_event_budget_enforced(monkeypatch):
     n = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, True)))
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_EVENTS", 10)
     with pytest.raises(SimulationLimitError):
-        simulate_transaction(n, DelayTable.unit(),
-                             [("A0", 1, 0), ("B0", 1, 0), ("CIN", 1, 0)],
-                             max_events=10)
+        simulate_transaction(n, DelayTable.unit(), [("A0", 1, 0), ("B0", 1, 0), ("CIN", 1, 0)])
+
+
+def test_inputs_apply_in_time_order_whatever_their_listed_order():
+    listed = [("A", 1, 5), ("A", 0, 3), ("B", 1, 0), ("CIN", 0, 0)]
+    seen = set()
+    for inputs in (listed, sorted(listed, key=lambda inp: inp[2]), listed[::-1]):
+        log = simulate_transaction(gen_safa(), DelayTable.unit(), inputs)
+        assert log.rtz_complete  # a1 rises last, so the spacer must lower it
+        seen.add(json.dumps([log.input_apply, log.output_valid, log.latency, log.events,
+                             log.transitions, log.set_levels, log.illegal_seen, log.monotonic],
+                            sort_keys=True))
+    assert len(seen) == 1
 
 
 def test_random_vectors_deterministic():
@@ -348,11 +360,12 @@ def test_every_simulator_route_rejects_a_two_driver_net():
     assert str(want.value) == f"net {first.output!r} has multiple drivers: [{first.id!r}, 'extra']"
 
 
-def test_cyclic_netlist_still_simulates():
+def test_cyclic_netlist_still_simulates(monkeypatch):
     # a latch: y holds itself high once a rises, so it never returns to zero
     latch = Netlist("latch", [Gate("g", GateKind.OR2, ("a", "y"), "y")],
                     inputs=[PortGroup("A", "a")], outputs=[PortGroup("Y", "y")])
     log = simulate_transaction(latch, DelayTable.unit(), [("A", 1, 0)])
     assert log.transitions["y"] == [(1, 1)] and not log.rtz_complete
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_EVENTS", 1)
     with pytest.raises(SimulationLimitError):
-        simulate_transaction(latch, DelayTable.unit(), [("A", 1, 0)], max_events=1)
+        simulate_transaction(latch, DelayTable.unit(), [("A", 1, 0)])

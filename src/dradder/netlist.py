@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 
@@ -43,21 +42,36 @@ ARITY: dict[GateKind, int] = {
 }
 
 
-# What each gate kind computes from its input levels `i` and, for C2, its
-# previous output `held`. Written with & and | only, so one entry evaluates
-# 0/1 ints, numpy bool arrays and uint64 words packing 64 lanes each alike.
-GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
-    GateKind.BUF: lambda i, held: i[0],
-    GateKind.AND2: lambda i, held: i[0] & i[1],
-    GateKind.AND4: lambda i, held: i[0] & i[1] & i[2] & i[3],
-    GateKind.OR2: lambda i, held: i[0] | i[1],
-    GateKind.OR3: lambda i, held: i[0] | i[1] | i[2],
-    GateKind.OR4: lambda i, held: i[0] | i[1] | i[2] | i[3],
-    GateKind.AO21: lambda i, held: (i[0] & i[1]) | i[2],
-    GateKind.AO22: lambda i, held: (i[0] & i[1]) | (i[2] & i[3]),
-    GateKind.AO222: lambda i, held: (i[0] & i[1]) | (i[2] & i[3]) | (i[4] & i[5]),
+# What each gate kind computes from the levels `L` at its input positions
+# `pos` and, for C2, its previous output `held`: the one definition of gate
+# semantics. Written with & and | only, so one entry evaluates 0/1 ints,
+# numpy bool arrays and uint64 words packing 64 lanes each alike. Every kind
+# is positive unate in its inputs and `held` and outputs 0 from all-zero
+# inputs; the simulator's skip of idle evaluations relies on both.
+GATE_AT: dict[GateKind, Callable[[Sequence, tuple[int, ...], Any], Any]] = {
+    GateKind.BUF: lambda L, p, held: L[p[0]],
+    GateKind.AND2: lambda L, p, held: L[p[0]] & L[p[1]],
+    GateKind.AND4: lambda L, p, held: L[p[0]] & L[p[1]] & L[p[2]] & L[p[3]],
+    GateKind.OR2: lambda L, p, held: L[p[0]] | L[p[1]],
+    GateKind.OR3: lambda L, p, held: L[p[0]] | L[p[1]] | L[p[2]],
+    GateKind.OR4: lambda L, p, held: L[p[0]] | L[p[1]] | L[p[2]] | L[p[3]],
+    GateKind.AO21: lambda L, p, held: (L[p[0]] & L[p[1]]) | L[p[2]],
+    GateKind.AO22: lambda L, p, held: (L[p[0]] & L[p[1]]) | (L[p[2]] & L[p[3]]),
+    GateKind.AO222: lambda L, p, held: ((L[p[0]] & L[p[1]]) | (L[p[2]] & L[p[3]])
+                                        | (L[p[4]] & L[p[5]])),
     # follows its inputs when they agree, else holds
-    GateKind.C2: lambda i, held: (i[0] & i[1]) | (held & (i[0] | i[1])),
+    GateKind.C2: lambda L, p, held: (L[p[0]] & L[p[1]]) | (held & (L[p[0]] | L[p[1]])),
+}
+
+
+def _over_own_inputs(f: Callable, arity: int) -> Callable[[Sequence, Any], Any]:
+    pos = tuple(range(arity))
+    return lambda i, held: f(i, pos, held)
+
+
+# The same functions over a sequence `i` of one gate's input levels.
+GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
+    kind: _over_own_inputs(f, ARITY[kind]) for kind, f in GATE_AT.items()
 }
 
 
@@ -68,8 +82,10 @@ class Gate(NamedTuple):
     output: str
 
 
-# (gate function, input-level gather, output net id, gate kind)
-FanoutEntry = tuple[Callable, Callable, int, GateKind]
+# (GATE_AT function, input net ids by position, output net id, gate kind):
+# the simulator evaluates a gate as fn(levels, pos, held), unless the input
+# that changed moved to the value its output already holds
+FanoutEntry = tuple[Callable, tuple[int, ...], int, GateKind]
 
 
 @dataclass(frozen=True)
@@ -259,11 +275,10 @@ class Netlist:
             ids.setdefault(net, len(ids))
         fanout: list[list[FanoutEntry]] = [[] for _ in ids]
         entry_of: dict[str, FanoutEntry] = {}  # by gate id, unique here
+        id_of = ids.__getitem__
         for g in self.gates:
-            pos = [ids[x] for x in g.inputs]
-            # itemgetter of one index returns a scalar; GATE_FN indexes a sequence
-            gather = itemgetter(*pos) if len(pos) > 1 else itemgetter(pos[0], pos[0])
-            entry = entry_of[g.id] = (GATE_FN[g.kind], gather, ids[g.output], g.kind)
+            pos = tuple(map(id_of, g.inputs))
+            entry = entry_of[g.id] = (GATE_AT[g.kind], pos, ids[g.output], g.kind)
             for k in pos:
                 fanout[k].append(entry)
         ports = {grp: tuple(ids[r] for r in grp.rails()) for grp in self.inputs + self.outputs}

@@ -1,10 +1,16 @@
 """Deterministic event-driven simulation under a per-gate-kind delay table.
 
-The model is transport delay with integer time units: every input change
-schedules a re-evaluation of the driven gates, and a gate schedules its new
-output value one gate delay later. Identical-value writes are suppressed.
-The generated circuits are monotone per handshake phase, so no inertial
-filtering is needed; a monitor asserts the monotonicity instead.
+The model is transport delay with integer time units: an input change
+re-evaluates the gates it drives, each by its `netlist.GATE_AT` entry over
+the levels at its input positions, and a gate schedules its new output value
+one gate delay later. Identical-value writes are suppressed. Every gate kind
+is positive unate and outputs 0 from all-zero inputs, so between events a
+gate's pending output equals its function of the current levels and that
+output; an input changing to the value the output already has cannot move
+it, and that evaluation is skipped. The skip holds for any netlist, cyclic
+ones included, and under any delay table. The generated circuits are
+monotone per handshake phase, so no inertial filtering is needed; a monitor
+asserts the monotonicity instead.
 
 Pending events wait in one bucket per time, in the order they were driven,
 and a heap holds the distinct bucket times. A zero-delay drive joins the
@@ -179,9 +185,11 @@ class _Sim:
                     other = partner[net]
                     if other is not None and levels[other]:
                         self.illegal_seen = True
-                for fn, gather, out, kind in fanout[net]:
+                for fn, pos, out, kind in fanout[net]:
                     held = pending[out]
-                    new = fn(gather(levels), held)
+                    if held == value:
+                        continue  # moved to the output's own value: a unate gate stays
+                    new = fn(levels, pos, held)
                     if new != held:
                         due = time + delays[kind]
                         later = buckets.get(due)

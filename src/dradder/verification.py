@@ -3,7 +3,7 @@
 Adder sweeps work on bit-planes: one array per operand bit (the carry-in,
 then A and B least significant first), one lane per vector, so they are
 exact at any width. A plane packs 64 lanes into each uint64 word, lane j
-at bit j % 64 of word j // 64, and `GATE_FN`, written with & and | only,
+at bit j % 64 of word j // 64, and `GATE_AT`, written with & and | only,
 evaluates the words unchanged. Exhaustive mode takes plane k from bit k of
 the vector index; random mode draws raw words from a seeded generator (so
 its vectors differ from those of the earlier one-byte-per-lane sweep for
@@ -23,8 +23,10 @@ last word out of every count. Two evaluation routes check every sweep:
   the steady-state level of that lane, and the transaction must return to
   zero.
 
-Both routes take gate semantics from the one table `netlist.GATE_FN`, whose
-truth tables the tests pin. Each kind outputs 0 from all-zero inputs,
+Both routes take gate semantics from the one table `netlist.GATE_AT`,
+whose truth tables the tests pin through `GATE_FN`, its form over a gate's
+own input list; the simulator also skips the evaluations a positive unate
+gate provably cannot act on. Each kind outputs 0 from all-zero inputs,
 whatever a C-element holds, so the steady state after the spacer is
 all-zero for any acyclic netlist: return to zero is observed only on the
 event-simulated sample. The cross-check also guards event scheduling and
@@ -105,8 +107,8 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
         levels[form.ids[net]] = v
     if n.ackin is not None:
         levels[form.ids[n.ackin]] = ~zero
-    for fn, gather, out, _ in form.order:
-        levels[out] = fn(gather(levels), False)  # False: no bool-to-int promotion
+    for fn, pos, out, _ in form.order:
+        levels[out] = fn(levels, pos, False)  # False: no bool-to-int promotion
     return dict(zip(form.names, levels))
 
 

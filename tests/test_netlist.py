@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dradder.netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup
+from dradder.netlist import ARITY, GATE_AT, GATE_FN, Gate, GateKind, Netlist, PortGroup
 from packed import pack, unpack
 
 
@@ -90,6 +90,36 @@ def test_gate_fn_is_zero_on_all_zero_inputs(kind):
         assert GATE_FN[kind]([0] * ARITY[kind], held) == 0
         zeros = [np.zeros(3, dtype=bool)] * ARITY[kind]
         assert not GATE_FN[kind](zeros, np.full(3, bool(held))).any()
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_fn_is_positive_unate_and_settles(kind):
+    # the premise of the simulator's skip: an input that moves to the value the
+    # output already holds cannot move the output. An inverting kind fails here.
+    f = GATE_FN[kind]
+    for row in itertools.product((0, 1), repeat=ARITY[kind] + 1):  # inputs, then held
+        out = f(list(row[:-1]), row[-1])
+        # the output, held back, is its own next value
+        assert f(list(row[:-1]), out) == out
+        for j in range(len(row)):
+            if not row[j]:
+                up = row[:j] + (1,) + row[j + 1:]
+                # raising input j (or held) never lowers the output, and so
+                # lowering it from `up` back to `row` never raises it
+                assert f(list(up[:-1]), up[-1]) >= out
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_at_reads_levels_at_the_given_positions(kind):
+    # input k of the gate sits at position 2 * (arity - k) - 1 and every other
+    # level is 2, so a read of a wrong position changes the output of some row
+    arity = ARITY[kind]
+    pos = tuple(2 * (arity - k) - 1 for k in range(arity))
+    for row in itertools.product((0, 1), repeat=arity + 1):
+        levels = [2] * (2 * arity + 1)
+        for p, v in zip(pos, row[:-1]):
+            levels[p] = v
+        assert GATE_AT[kind](levels, pos, row[-1]) == GATE_FN[kind](list(row[:-1]), row[-1])
 
 
 def test_eval_rejects_wrong_arity():

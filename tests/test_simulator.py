@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from dradder.generators import (
     gen_stage,
 )
 from dradder import simulator
-from dradder.netlist import Gate, GateKind, Netlist, PortGroup
+from dradder.netlist import ARITY, Gate, GateKind, Netlist, PortGroup
 from dradder.simulator import (
     DEFAULT_SEED,
     DelayTable,
@@ -279,17 +280,19 @@ def test_simulator_rejects_wrong_arity_gate():
         classify_indication(n, DelayTable.unit(), trials=4)
 
 
+_SKEWED = DelayTable({GateKind.BUF: 1, GateKind.AND2: 2, GateKind.AND4: 3,
+                      GateKind.OR2: 2, GateKind.OR3: 3, GateKind.OR4: 4,
+                      GateKind.AO21: 4, GateKind.AO22: 5, GateKind.AO222: 7,
+                      GateKind.C2: 4})
+
+
 def test_classify_indication_reports_are_pinned():
     # recorded before the probe and transactions shared one stage environment
-    skewed = DelayTable({GateKind.BUF: 1, GateKind.AND2: 2, GateKind.AND4: 3,
-                         GateKind.OR2: 2, GateKind.OR3: 3, GateKind.OR4: 4,
-                         GateKind.AO21: 4, GateKind.AO22: 5, GateKind.AO222: 7,
-                         GateKind.C2: 4})
     blocks = [gen_safa(), gen_dafa(True), gen_dafa(False), gen_completion_detector(4),
               gen_hybrid_rca(AdderSpec(8, 2, True)), gen_stage(gen_safa())]
     reports = []
     for block in blocks:
-        for delays in (DelayTable.unit(), skewed):
+        for delays in (DelayTable.unit(), _SKEWED):
             rep = classify_indication(block, delays, trials=64, seed=1011)
             reports.append([block.name, rep.classification, rep.early_set_witnesses,
                             rep.full_early_set_witnesses, rep.early_reset_witnesses])
@@ -369,3 +372,65 @@ def test_cyclic_netlist_still_simulates(monkeypatch):
     monkeypatch.setattr(simulator, "DEFAULT_MAX_EVENTS", 1)
     with pytest.raises(SimulationLimitError):
         simulate_transaction(latch, DelayTable.unit(), [("A", 1, 0)])
+
+
+def _random_netlist(seed: int) -> Netlist:
+    """A small seeded netlist over three dual-rail groups and one wire, with
+    every gate kind, a three-BUF chain and inputs drawn from all earlier nets
+    (a net may feed one gate twice)."""
+    rng = random.Random(seed)
+    inputs = [PortGroup(g, f"{g.lower()}1", f"{g.lower()}0") for g in "ABC"]
+    inputs.append(PortGroup("S", "s"))
+    nets = [r for grp in inputs for r in grp.rails()]
+    gates = []
+    for k in range(3):
+        gates.append(Gate(f"b{k}", GateKind.BUF, (nets[-1],), f"z{k}"))
+        nets.append(f"z{k}")
+    kinds = list(GateKind) * 2
+    rng.shuffle(kinds)
+    for k, kind in enumerate(kinds):
+        ins = tuple(rng.choice(nets) for _ in range(ARITY[kind]))
+        gates.append(Gate(f"g{k}", kind, ins, f"n{k}"))
+        nets.append(f"n{k}")
+    outputs = [PortGroup("Y", nets[-1], nets[-2]), PortGroup("Z", nets[-3], nets[-4]),
+               PortGroup("W", nets[-5])]
+    return Netlist(f"random{seed}", gates, inputs, outputs)
+
+
+# a latch on the wire S, read by a C-element; a pulse into the latch shorter
+# than its delay would circulate forever under transport delay, and only
+# dual-rail groups change value in the set phase below
+_LOOP = Netlist("loop", [Gate("f", GateKind.OR2, ("s", "q"), "q"),
+                         Gate("c", GateKind.C2, ("q", "a0"), "y1"),
+                         Gate("o", GateKind.OR2, ("b0", "y1"), "y0")],
+                [PortGroup("A", "a1", "a0"), PortGroup("B", "b1", "b0"), PortGroup("S", "s")],
+                [PortGroup("Y", "y1", "y0")])
+
+
+def test_transactions_on_random_netlists_are_pinned():
+    # recorded before the simulator skipped evaluations a monotone gate cannot
+    # act on; covers every gate kind, zero-delay BUF chains, a cyclic netlist,
+    # partial vectors and rails that rise and fall again in the set phase
+    tables = [DelayTable.unit(), _SKEWED, DelayTable({**_SKEWED.delays, GateKind.BUF: 0})]
+    rows = []
+    for netlist in [_random_netlist(seed) for seed in range(4)] + [_LOOP]:
+        rng = random.Random(netlist.name)
+        for delays in tables:
+            for _ in range(6):
+                schedule = []
+                for grp in netlist.inputs:
+                    if rng.random() < 0.2:
+                        continue  # left at spacer
+                    bit, t = rng.randint(0, 1), rng.randint(0, 6)
+                    schedule.append((grp.name, bit, t))
+                    if not grp.scalar and rng.random() < 0.3:
+                        schedule.append((grp.name, 1 - bit, t + rng.randint(1, 6)))
+                log = simulate_transaction(netlist, delays, schedule)
+                rows.append([list(log.transitions.items()), log.events, log.set_end,
+                             log.illegal_seen, log.monotonic, log.rtz_complete,
+                             log.set_net_levels, log.latency, log.output_valid])
+    assert (len(rows), sum(row[1] for row in rows)) == (90, 2407)
+    # illegal state seen, monotonic, returned to zero
+    assert [sum(row[k] for row in rows) for k in (3, 4, 5)] == [50, 36, 85]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "fecde3817624566167bd473a3bfcfc0666e65759d54636f6894ac59ba68b3c49"

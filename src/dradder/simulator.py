@@ -17,8 +17,11 @@ and a heap holds the distinct bucket times. A zero-delay drive joins the
 bucket being drained, so events of one time apply in drive order. The
 stage environment drives and reads ports by the rail ids `IntForm.ports`
 resolves once per netlist, and a transaction applies its inputs in time
-order. A transaction's log keeps the per-net-id lists the simulator filled;
-its name-keyed `transitions` and `set_levels` dicts are built on first read.
+order. Events are ints: a queued or applied event is `net << 1 | value`. A
+transaction's log keeps them as one flat trace in the order they applied,
+with their times in a parallel list, so it holds no per-event object; its
+name-keyed `transitions` and `set_levels` dicts are rebuilt from the trace on
+first read.
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ class DelayTable:
 class TransactionLog:
     """Record of one 4-phase data transaction on a netlist.
 
-    The simulator fills the per-net-id fields; `transitions` and `set_levels`
+    Every event the transaction applied is one int, `net << 1 | level`, in
+    `trace`, in the order it applied; `trace_times` holds its time. The first
+    `set_events` of them make up the set phase. `transitions` and `set_levels`
     name them on first read and keep the dicts they build."""
 
     input_apply: dict[str, int]
@@ -105,22 +110,27 @@ class TransactionLog:
     events: int
     set_end: int
     names: tuple[str, ...]  # net names by net id
-    net_transitions: list[list[tuple[int, int]] | None]  # by net id; None if it never switched
-    touched: list[int]  # net ids in order of their first transition
-    set_touched: int  # how many of `touched` had switched by set_end
+    trace: list[int]  # net id << 1 | new level, one per event, in applied order
+    trace_times: list[int]  # the time of each event in `trace`
+    set_events: int  # how many of `trace` applied by set_end
     set_net_levels: list[int]  # every net's level at set_end, by net id
 
     @cached_property
     def transitions(self) -> dict[str, list[tuple[int, int]]]:
-        """(time, level) changes of every net that switched, by net name."""
-        names, trans = self.names, self.net_transitions
-        return {names[k]: trans[k] for k in self.touched}
+        """(time, level) changes of every net that switched, by net name, in
+        order of each net's first transition."""
+        by_net: dict[int, list[tuple[int, int]]] = {}
+        for ev, time in zip(self.trace, self.trace_times):
+            by_net.setdefault(ev >> 1, []).append((time, ev & 1))
+        names = self.names
+        return {names[k]: trans for k, trans in by_net.items()}
 
     @cached_property
     def set_levels(self) -> dict[str, int]:
         """Level at set_end of every net that had switched by then, by net name."""
         names, levels = self.names, self.set_net_levels
-        return {names[k]: levels[k] for k in self.touched[:self.set_touched]}
+        first = dict.fromkeys(ev >> 1 for ev in self.trace[:self.set_events])
+        return {names[k]: levels[k] for k in first}
 
 
 class _Sim:
@@ -132,12 +142,13 @@ class _Sim:
         self.delays = delays.delays
         self.levels = [0] * len(form.names)
         self.pending = [0] * len(form.names)
-        self.buckets: dict[int, list[tuple[int, int]]] = {}  # time -> [(net id, value)]
+        self.buckets: dict[int, list[int]] = {}  # time -> [net id << 1 | value]
         self.times: list[int] = []  # heap of the bucket times
         self.now = 0
         self.events = 0
-        self.transitions: list[list[tuple[int, int]] | None] = [None] * len(form.names)
-        self.touched: list[int] = []  # net ids in order of their first transition
+        self.trace: list[int] = []  # every applied event, net id << 1 | value
+        self.trace_times: list[int] = []  # the time of each
+        self.last = [0] * len(form.names)  # time of each net's last transition
         self.illegal_seen = False
         self.monotonic = True
         self.direction = 0  # +1 set phase, -1 reset phase, 0 unmonitored
@@ -151,13 +162,13 @@ class _Sim:
             if bucket is None:
                 bucket = self.buckets[time] = []
                 heapq.heappush(self.times, time)
-            bucket.append((k, value))
+            bucket.append(k << 1 | value)
             self.pending[k] = value
 
     def run(self) -> int:
         """Process events until the queue is empty; returns the last event time."""
         levels, pending, buckets, times = self.levels, self.pending, self.buckets, self.times
-        transitions, touched = self.transitions, self.touched
+        trace, trace_times, last = self.trace, self.trace_times, self.last
         fanout, partner, delays = self.form.fanout, self.form.partner, self.delays
         pop, push = heapq.heappop, heapq.heappush
         wrong = {1: 0, -1: 1}.get(self.direction)  # the value breaking monotonicity
@@ -165,7 +176,8 @@ class _Sim:
         while times:
             time = pop(times)
             bucket = buckets[time]
-            for net, value in bucket:  # also visits what is appended on the way
+            for ev in bucket:  # also visits what is appended on the way
+                net, value = ev >> 1, ev & 1
                 if levels[net] == value:
                     continue
                 events += 1
@@ -174,11 +186,9 @@ class _Sim:
                         f"{events} events exceed the {max_events} budget")
                 now = time
                 levels[net] = value
-                trans = transitions[net]
-                if trans is None:
-                    trans = transitions[net] = []
-                    touched.append(net)
-                trans.append((time, value))
+                trace.append(ev)
+                trace_times.append(time)
+                last[net] = time
                 if value == wrong:
                     self.monotonic = False
                 if value:
@@ -196,7 +206,7 @@ class _Sim:
                         if later is None:
                             later = buckets[due] = []
                             push(times, due)
-                        later.append((out, new))
+                        later.append(out << 1 | new)
                         pending[out] = new
             del buckets[time]
         self.events, self.now = events, now
@@ -220,12 +230,11 @@ class _Sim:
 
     def valid_since(self, grp) -> int | None:
         """Time the group last entered a valid codeword, or `None` if it holds none now."""
-        high, times = 0, []
+        high = since = 0  # a rail that never switched reads time 0
         for k in self.form.ports[grp]:
             high += self.levels[k]
-            if self.transitions[k]:
-                times.append(self.transitions[k][-1][0])
-        return max(times) if high == 1 else None
+            since = max(since, self.last[k])
+        return since if high == 1 else None
 
 
 def simulate_transaction(
@@ -249,7 +258,7 @@ def simulate_transaction(
         sim.put(netlist.group(name), bit, t)
         input_apply[name] = t
     set_end = sim.run()
-    set_net_levels, set_touched = list(sim.levels), len(sim.touched)
+    set_net_levels, set_events = list(sim.levels), len(sim.trace)
 
     output_valid = {grp.name: sim.valid_since(grp) for grp in netlist.outputs}
     latency = None
@@ -270,9 +279,9 @@ def simulate_transaction(
         events=sim.events,
         set_end=set_end,
         names=sim.form.names,
-        net_transitions=sim.transitions,
-        touched=sim.touched,
-        set_touched=set_touched,
+        trace=sim.trace,
+        trace_times=sim.trace_times,
+        set_events=set_events,
         set_net_levels=set_net_levels,
     )
 
@@ -303,13 +312,19 @@ def run_protocol(
 
     Each cycle: valid data in, wait for ackout high, spacer in, wait for
     ackout low. A quiescent set phase without ackout rising (or a reset
-    phase without it falling) is a deadlock; the blocking output pairs are
-    reported.
+    phase without it falling) is a deadlock. It reports the blocking output
+    pairs: those that never turned valid in the set phase, or those not back
+    at spacer after the reset phase.
     """
     if stage.ackout is None or stage.ackin is None:
         raise ValueError(f"{stage.name!r} has no handshake ports; wrap it with gen_stage")
 
-    ackout = stage.int_form.ids[stage.ackout]
+    def ends_high(trace: list[int], k: int) -> bool:
+        # levels alternate from 0, so a net ends high when it rose more than it fell
+        return trace.count(k << 1 | 1) > trace.count(k << 1)
+
+    form = stage.int_form
+    ackout = form.ids[stage.ackout]
     logs: list[TransactionLog] = []
     summary = ProtocolSummary()
     for idx, vec in enumerate(vectors):
@@ -318,11 +333,13 @@ def run_protocol(
         log = simulate_transaction(stage, delays, inputs)
         logs.append(log)
 
-        ack_trans = log.net_transitions[ackout] or []
-        rose = any(t <= log.set_end and v == 1 for t, v in ack_trans)
-        fell = not ack_trans or ack_trans[-1][1] == 0
-        if not (rose and fell):
+        if (ackout << 1 | 1) not in log.trace[:log.set_events]:
             blocking = tuple(n for n, t in log.output_valid.items() if t is None)
+            summary.deadlocks.append((idx, blocking))
+            continue
+        if ends_high(log.trace, ackout):
+            blocking = tuple(grp.name for grp in stage.outputs
+                             if any(ends_high(log.trace, k) for k in form.ports[grp]))
             summary.deadlocks.append((idx, blocking))
             continue
         summary.completed += 1

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import io
 import json
+import platform
 import random
 
 import pytest
@@ -407,25 +409,33 @@ _LOOP = Netlist("loop", [Gate("f", GateKind.OR2, ("s", "q"), "q"),
                 [PortGroup("Y", "y1", "y0")])
 
 
+def _random_schedule(netlist: Netlist, rng: random.Random) -> list[tuple[str, int, int]]:
+    """Inputs for one transaction: each group left at spacer or applied at a
+    random time, and some dual-rail groups flipped again later."""
+    schedule = []
+    for grp in netlist.inputs:
+        if rng.random() < 0.2:
+            continue  # left at spacer
+        bit, t = rng.randint(0, 1), rng.randint(0, 6)
+        schedule.append((grp.name, bit, t))
+        if not grp.scalar and rng.random() < 0.3:
+            schedule.append((grp.name, 1 - bit, t + rng.randint(1, 6)))
+    return schedule
+
+
+_PIN_TABLES = [DelayTable.unit(), _SKEWED, DelayTable({**_SKEWED.delays, GateKind.BUF: 0})]
+
+
 def test_transactions_on_random_netlists_are_pinned():
     # recorded before the simulator skipped evaluations a monotone gate cannot
     # act on; covers every gate kind, zero-delay BUF chains, a cyclic netlist,
     # partial vectors and rails that rise and fall again in the set phase
-    tables = [DelayTable.unit(), _SKEWED, DelayTable({**_SKEWED.delays, GateKind.BUF: 0})]
     rows = []
     for netlist in [_random_netlist(seed) for seed in range(4)] + [_LOOP]:
         rng = random.Random(netlist.name)
-        for delays in tables:
+        for delays in _PIN_TABLES:
             for _ in range(6):
-                schedule = []
-                for grp in netlist.inputs:
-                    if rng.random() < 0.2:
-                        continue  # left at spacer
-                    bit, t = rng.randint(0, 1), rng.randint(0, 6)
-                    schedule.append((grp.name, bit, t))
-                    if not grp.scalar and rng.random() < 0.3:
-                        schedule.append((grp.name, 1 - bit, t + rng.randint(1, 6)))
-                log = simulate_transaction(netlist, delays, schedule)
+                log = simulate_transaction(netlist, delays, _random_schedule(netlist, rng))
                 rows.append([list(log.transitions.items()), log.events, log.set_end,
                              log.illegal_seen, log.monotonic, log.rtz_complete,
                              log.set_net_levels, log.latency, log.output_valid])
@@ -434,3 +444,50 @@ def test_transactions_on_random_netlists_are_pinned():
     assert [sum(row[k] for row in rows) for k in (3, 4, 5)] == [50, 36, 85]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
         "fecde3817624566167bd473a3bfcfc0666e65759d54636f6894ac59ba68b3c49"
+
+
+def test_transaction_logs_keep_their_invariants():
+    # each net's transitions alternate from a rise in time order, the set-end
+    # levels and the flags agree with them, and every event is one transition
+    for netlist in [_random_netlist(seed) for seed in range(10)] + [_LOOP]:
+        rng = random.Random(f"invariants {netlist.name}")
+        ids = netlist.int_form.ids
+        for delays in _PIN_TABLES:
+            for _ in range(8):
+                log = simulate_transaction(netlist, delays, _random_schedule(netlist, rng))
+                want_set_levels = [0] * len(ids)
+                for net, trans in log.transitions.items():
+                    times = [t for t, _ in trans]
+                    assert times == sorted(times), net
+                    assert [v for _, v in trans] == [1 - k % 2 for k in range(len(trans))], net
+                    want_set_levels[ids[net]] = next(
+                        (v for t, v in reversed(trans) if t <= log.set_end), 0)
+                assert log.set_net_levels == want_set_levels
+                assert log.rtz_complete == all(trans[-1][1] == 0
+                                               for trans in log.transitions.values())
+                assert log.events == sum(map(len, log.transitions.values()))
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="counts objects the CPython cyclic collector tracks")
+def test_transaction_log_keeps_no_per_event_objects():
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(32, 2, True)))
+    inputs = [(grp.name, 1, 0) for grp in stage.inputs]
+    simulate_transaction(stage, DelayTable.unit(), inputs)  # builds the cached int form
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        log = simulate_transaction(stage, DelayTable.unit(), inputs)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert log.events > 600 and grown < 32
+
+
+def test_protocol_names_outputs_stuck_in_the_reset_phase():
+    # Y's rail 1 latches, so ackout rises and never falls again
+    latch = Netlist("latch", [Gate("g1", GateKind.OR2, ("a1", "y1"), "y1"),
+                              Gate("g0", GateKind.BUF, ("a0",), "y0")], [_A], [_Y])
+    _, summary = run_protocol(gen_stage(latch), DelayTable.unit(), [{"A": 1}, {"A": 0}])
+    assert (summary.completed, summary.deadlocks) == (1, [(0, ("Y",))])

@@ -45,7 +45,8 @@ class _Builder:
         self.gates: list[Gate] = []
 
     def add(self, gid: str, kind: GateKind, ins: tuple[str, ...]) -> str:
-        self.gates.append(Gate(gid, kind, ins, gid))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; same value
+        self.gates.append(tuple.__new__(Gate, (gid, kind, ins, gid)))
         return gid
 
 

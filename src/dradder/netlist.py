@@ -8,10 +8,11 @@ gate graph is required to be a DAG.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, chain, filterfalse
+from operator import eq
 from typing import Any, Callable, NamedTuple, Sequence
 
 
@@ -98,7 +99,9 @@ class IntForm:
     ports: dict[PortGroup, tuple[int, ...]]  # every input and output group's rail ids, rail1 first
     partner: tuple[int | None, ...]  # the other rail of a dual-rail port net
     ackin: int | None  # the ackin net's id, on a handshake stage
-    order: tuple[FanoutEntry, ...] | None  # gates' entries in topo_gates() order; None if cyclic
+    # the gates' entries in topo_gates() order, which is the gate list when
+    # every gate follows its drivers; None if cyclic
+    order: tuple[FanoutEntry, ...] | None
 
 
 class PortGroup(NamedTuple):
@@ -114,6 +117,62 @@ class PortGroup(NamedTuple):
 
     def rails(self) -> tuple[str, ...]:
         return (self.rail1,) if self.scalar else (self.rail1, self.rail0)
+
+
+class Structure(NamedTuple):
+    """A netlist's gate graph as Netlist._structure derives it once."""
+
+    order: tuple[Gate, ...] | None  # the gates in topo_gates() order; None if cyclic
+    positions: Sequence[int] | None  # the same order as positions in the gate list
+    report: tuple[str, ...]  # validate()'s findings
+    malformed: str | None  # the first duplicate id or wrong input count
+    unorderable: str | None  # the first wrong input count or net with two drivers
+    source: dict[str, int]  # per net, its first driver's position; -1 for an undriven input
+    src: list[int]  # per gate input, its net's source; -1 if no gate drives it
+    off: list[int]  # gate k's inputs are src[off[k]:off[k + 1]]
+
+
+def _post_order(src: list[int], off: list[int]) -> list[int] | None:
+    """Gate positions in depth-first post-order over driver edges, or None
+    if the graph has a cycle. Gates are taken in list order and each gate's
+    drivers in input order; a gate whose drivers are all placed is placed at
+    once, so a list in which every gate follows its drivers comes back as
+    it is. Iterative, so a chain of any length orders without recursion."""
+    count = len(off) - 1
+    placed = bytearray(count + 1)
+    placed[count] = 1  # read as placed[-1]: a net no gate drives
+    visiting = bytearray(count)
+    done = placed.__getitem__
+    order: list[int] = []
+    for k in range(count):
+        if placed[k]:
+            continue
+        # every gate before k is placed by now, so most gates pass on max()
+        drivers = src[off[k]:off[k + 1]]
+        if max(drivers, default=-1) < k or all(map(done, drivers)):
+            placed[k] = 1
+            order.append(k)
+            continue
+        visiting[k] = 1
+        stack, at = [k], [off[k]]  # gates being visited and each one's next input
+        while stack:
+            g, i, end = stack[-1], at[-1], off[stack[-1] + 1]
+            while i < end and placed[src[i]]:
+                i += 1
+            if i == end:
+                stack.pop()
+                at.pop()
+                placed[g] = 1
+                order.append(g)
+                continue
+            at[-1] = i + 1
+            j = src[i]
+            if visiting[j]:  # unplaced and visiting: j is on the stack
+                return None
+            visiting[j] = 1
+            stack.append(j)
+            at.append(off[j])
+    return order
 
 
 class Netlist:
@@ -170,95 +229,92 @@ class Netlist:
 
     def validate(self) -> list[str]:
         """Structural validation report; empty list means the netlist is well formed."""
-        return list(self._structure[1])
+        return list(self._structure.report)
 
     @cached_property
-    def _structure(self) -> tuple[tuple[Gate, ...] | None, list[str], str | None, str | None]:
-        """Everything known about the gate graph's shape, derived once: the
-        gates in topological order (None if the graph has a cycle), the
-        validate() report, the first duplicate id or wrong input count, and
-        the first wrong input count or net with two drivers (a primary input
-        counts as one), which the order cannot be used with.
-
-        Kahn's algorithm over gate positions; a gate depends on the first
-        driver of each input net, and the ready queue starts sorted by id."""
+    def _structure(self) -> Structure:
+        """Everything known about the gate graph's shape, derived once in one
+        pass over gate positions: each input's driver position, the
+        validate() report, the load-time and order-time errors, and the gates
+        in depth-first post-order (`_post_order`), which is the gate list
+        itself when every gate follows its drivers."""
         gates, primary = self.gates, set(self.input_nets)
+        count = len(gates)
+        ins = [g.inputs for g in gates]
+        outs = [g.output for g in gates]
+        # each driven net's first driver: inserted from the back, the first wins
+        source = dict(zip(reversed(outs), range(count - 1, -1, -1)))
         report: list[str] = []
         unorderable = None
-        seen: set[str] = set()
-        driver: dict[str, int] = {}  # each driven net's first driver, as a position
-        extra: dict[str, list[int]] = {}  # every driver, only of nets with two or more
-        for k, g in enumerate(gates):
-            if g.id in seen:
-                report.append(f"duplicate gate id {g.id!r}")
-            seen.add(g.id)
-            if len(g.inputs) != ARITY[g.kind]:
-                report.append(f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} "
-                              f"inputs, got {len(g.inputs)}")
-                unorderable = unorderable or report[-1]
-            if (first := driver.setdefault(g.output, k)) != k:
-                extra.setdefault(g.output, [first]).append(k)
+        arity = list(map(len, ins))
+        if len({g.id for g in gates}) < count or arity != [ARITY[g.kind] for g in gates]:
+            seen: set[str] = set()
+            for g in gates:
+                if g.id in seen:
+                    report.append(f"duplicate gate id {g.id!r}")
+                seen.add(g.id)
+                if len(g.inputs) != ARITY[g.kind]:
+                    report.append(f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} "
+                                  f"inputs, got {len(g.inputs)}")
+                    unorderable = unorderable or report[-1]
         malformed = report[0] if report else None
 
-        driven_primary = driver.keys() & primary
-        if extra or driven_primary:
+        driven_primary = source.keys() & primary
+        if len(source) < count or driven_primary:
+            extra: dict[str, list[int]] = {}  # every driver, only of nets with two or more
+            for k, net in enumerate(outs):
+                if (first := source[net]) != k:
+                    extra.setdefault(net, [first]).append(k)
             first_conflict = len(report)
-            for net in sorted(extra.keys() | driven_primary, key=driver.__getitem__):
-                who = [gates[k].id for k in extra.get(net, (driver[net],))]
+            for net in sorted(extra.keys() | driven_primary, key=source.__getitem__):
+                who = [gates[k].id for k in extra.get(net, (source[net],))]
                 if net in extra:
                     report.append(f"net {net!r} has multiple drivers: {who}")
                 if net in primary:
                     report.append(f"net {net!r} is both a primary input and driven by {who}")
             unorderable = unorderable or report[first_conflict]
 
-        indeg: list[int] = []
-        dependents: list[list[int]] = [[] for _ in gates]
-        for k, g in enumerate(gates):
-            d = 0
-            for net in g.inputs:
-                if (first := driver.get(net)) is not None:
-                    d += 1
-                    dependents[first].append(k)
-                elif net not in primary:
-                    report.append(f"gate {g.id!r} input net {net!r} has no driver")
-            indeg.append(d)
-
+        for net in primary:
+            source.setdefault(net, -1)  # an input no gate drives comes from position -1
+        src = list(map(source.get, chain.from_iterable(ins)))
+        if None in src:  # a net that is neither driven nor a primary input
+            report += [f"gate {g.id!r} input net {net!r} has no driver"
+                       for g in gates for net in g.inputs if net not in source]
+            src = [-1 if j is None else j for j in src]
         for grp in self.inputs + self.outputs:
             for net in grp.rails():
-                if net not in driver and net not in primary:
+                if net not in source:
                     report.append(f"port group {grp.name!r} references undriven net {net!r}")
-        # a driven net is read exactly when its first driver has dependents
         out_nets = set(self.output_nets)
-        report += [f"net {net!r} dangles: no fanout and not a primary output"
-                   for net, k in driver.items()
-                   if not dependents[k] and net not in out_nets]
+        report += [f"net {outs[k]!r} dangles: no fanout and not a primary output"
+                   for k in filterfalse(set(src).__contains__, range(count))
+                   if source[outs[k]] == k and outs[k] not in out_nets]
 
-        ready = deque(sorted((k for k, d in enumerate(indeg) if d == 0),
-                             key=lambda k: gates[k].id))
-        order: list[Gate] = []
-        while ready:
-            k = ready.popleft()
-            order.append(gates[k])
-            for succ in dependents[k]:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(gates):
+        off = list(accumulate(arity, initial=0))
+        positions = _post_order(src, off)
+        if positions is None:
             report.append("gate graph contains a cycle")
-            return None, report, malformed, unorderable
-        return tuple(order), report, malformed, unorderable
+            order = None
+        elif all(map(eq, positions, range(count))):
+            positions, order = range(count), gates
+        else:
+            order = tuple(map(gates.__getitem__, positions))
+        return Structure(order, positions, tuple(report), malformed, unorderable,
+                         source, src, off)
 
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in topological order, the one route by which STA and the
-        steady-state evaluator walk a netlist. Raises ValueError on a wrong
-        input count (the simulator's message), a net with two drivers or a
-        cycle."""
-        order, _, _, unorderable = self._structure
-        if unorderable is not None:
-            raise ValueError(unorderable)
-        if order is None:
+        steady-state evaluator walk a netlist: the depth-first post-order of
+        `_post_order`, which is the gate list itself when every gate follows
+        its drivers, as in every generated netlist. Raises ValueError on a
+        wrong input count (the simulator's message), a net with two drivers
+        or a cycle."""
+        s = self._structure
+        if s.unorderable is not None:
+            raise ValueError(s.unorderable)
+        if s.order is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
-        return order
+        return s.order
 
     @cached_property
     def int_form(self) -> IntForm:
@@ -267,18 +323,19 @@ class Netlist:
         Raises ValueError on a duplicate gate id, a wrong input count or a net
         with two drivers, the last with topo_gates()'s message; a cyclic
         netlist still gets a form."""
-        if err := self._structure[2] or self._structure[3]:
+        s = self._structure
+        if err := s.malformed or s.unorderable:
             raise ValueError(err)
         ids: dict[str, int] = {}
         for net in (*self.input_nets, *self.output_nets,
                     *(x for g in self.gates for x in (*g.inputs, g.output))):
             ids.setdefault(net, len(ids))
         fanout: list[list[FanoutEntry]] = [[] for _ in ids]
-        entry_of: dict[str, FanoutEntry] = {}  # by gate id, unique here
+        entries: list[FanoutEntry] = []  # by gate position
         id_of = ids.__getitem__
         for g in self.gates:
             pos = tuple(map(id_of, g.inputs))
-            entry = entry_of[g.id] = (GATE_AT[g.kind], pos, ids[g.output], g.kind)
+            entries.append(entry := (GATE_AT[g.kind], pos, ids[g.output], g.kind))
             for k in pos:
                 fanout[k].append(entry)
         ports = {grp: tuple(ids[r] for r in grp.rails()) for grp in self.inputs + self.outputs}
@@ -286,10 +343,10 @@ class Netlist:
         for rails in ports.values():
             if len(rails) == 2:
                 partner[rails[0]], partner[rails[1]] = rails[1], rails[0]
-        order = self._structure[0]
         return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), ports, tuple(partner),
                        None if self.ackin is None else ids[self.ackin],
-                       None if order is None else tuple(entry_of[g.id] for g in order))
+                       None if s.positions is None
+                       else tuple(map(entries.__getitem__, s.positions)))
 
     # -- serialization -------------------------------------------------------
 
@@ -336,7 +393,7 @@ class Netlist:
             ackin=text(acks.get("ackin"), "ackin", optional=True),
             ackout=text(acks.get("ackout"), "ackout", optional=True),
         )
-        if err := n._structure[2]:
+        if err := n._structure.malformed:
             raise ValueError(err)
         return n
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from operator import attrgetter
 
-from .netlist import ARITY, Gate, GateKind, Netlist
+from .netlist import Gate, GateKind, Netlist
 from .simulator import DelayTable
 
 K = GateKind
@@ -132,46 +131,49 @@ def critical_path(n: Netlist, d: DelayTable) -> CriticalPath:
     flag rather than its C2 coefficient; paths toward the ack network are not
     considered. Raises ValueError where topo_gates() does.
 
-    Two integer passes and one walk. Arrival times go forward in topological
-    order; an input or undriven net arrives at 0. Back from the critical
-    endpoints, an input of a net's driver is tight when its arrival plus the
-    gate's delay is the net's arrival, and the tight edges span exactly the
-    maximum-arrival paths. The walk starts at the undriven nets, takes the
-    smallest gate id at each step and stops at the first critical endpoint,
-    since a prefix sorts before its extensions.
+    Two integer passes and one walk, on gate positions: each gate input is
+    read through its driver's position (`Netlist._structure`'s `src` and
+    `off`), and nothing is keyed by net name. Arrival times go forward in
+    topo_gates() order, the gate list when every gate follows its drivers;
+    an input or undriven net (position -1) arrives at 0. Back from the
+    critical endpoints, an input of a gate is tight when its arrival plus
+    the gate's delay is the gate's arrival, and the tight edges span exactly
+    the maximum-arrival paths. The walk starts at the undriven nets, takes
+    the smallest gate id at each step and stops at the first critical
+    endpoint, since a prefix sorts before its extensions.
     """
-    delay = d.delays
-    arrival: dict[str, int] = {}
-    driver: dict[str, Gate] = {}
-    get, zeros = arrival.get, (0,) * max(ARITY.values())
-    for g in n.topo_gates():
-        # map(get, inputs, zeros) reads each input's arrival, 0 if it has none
-        arrival[g.output] = max(map(get, g.inputs, zeros)) + delay[g.kind]
-        driver[g.output] = g
+    n.topo_gates()  # a wrong input count, a two-driver net or a cycle raises here
+    s = n._structure
+    gates, src, off = n.gates, s.src, s.off
+    delay = [d.delays[g.kind] for g in gates]
+    arrival = [0] * (len(gates) + 1)  # by gate position; the last slot, [-1], stays 0
+    at = arrival.__getitem__
+    for k in s.positions:
+        arrival[k] = max(map(at, src[off[k]:off[k + 1]])) + delay[k]
 
-    endpoints = [r for grp in n.outputs for r in grp.rails()]
-    value = max((get(r, 0) for r in endpoints), default=0)
-    critical = {r for r in endpoints if get(r, 0) == value}
+    endpoints = [s.source.get(r, -1) for grp in n.outputs for r in grp.rails()]
+    value = max(map(at, endpoints), default=0)
+    critical = {k for k in endpoints if arrival[k] == value}
     path: list[Gate] = []
-    if critical and critical <= driver.keys():
-        succ: dict[str, list[Gate]] = {}  # per net, the tight gates reading it
+    if critical and -1 not in critical:
+        succ: dict[int, list[int]] = {}  # per driver position, the tight gates reading it
         stack, seen = list(critical), set(critical)
         while stack:
-            g = driver[stack.pop()]
-            start = arrival[g.output] - delay[g.kind]
-            for x in g.inputs:
-                if get(x, 0) == start:
-                    succ.setdefault(x, []).append(g)
-                    if x in driver and x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-        step = [g for x, gates in succ.items() if x not in driver for g in gates]
+            g = stack.pop()
+            start = arrival[g] - delay[g]
+            for j in src[off[g]:off[g + 1]]:
+                if arrival[j] == start:
+                    succ.setdefault(j, []).append(g)
+                    if j >= 0 and j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+        step = succ[-1]  # the tight gates reading an input or undriven net
         while True:
-            g = min(step, key=attrgetter("id"))
-            path.append(g)
-            if g.output in critical:
+            g = min(step, key=lambda k: gates[k].id)
+            path.append(gates[g])
+            if g in critical:
                 break
-            step = succ[g.output]
+            step = succ[g]
 
     coeff: dict[GateKind, int] = {}
     for g in path:

@@ -260,7 +260,8 @@ def exhaustive_verify(
     form = n.int_form
     rails = [n.group(name).rails() for name in ports]
     # the cross-check names the first disagreeing net of: the input nets,
-    # swept rails first, then the gate outputs in topological order
+    # swept rails first, then the gate outputs in topo_gates() order, which
+    # is the gate list when every gate follows its drivers
     inputs_first = dict.fromkeys([*itertools.chain(*rails), *n.input_nets])
     scan = np.array([form.ids[x] for x in inputs_first] + [out for _, _, out, _ in form.order])
     words = -(-total // _LANES)

@@ -1,5 +1,7 @@
-import hashlib
+import gc
 import itertools
+import platform
+import random
 import re
 
 import numpy as np
@@ -132,6 +134,13 @@ def test_eval_rejects_wrong_arity():
         Netlist.from_dict(bad.to_dict())
     # validate() reports it rather than raising
     assert "gate 'g3': AND2 takes 2 inputs, got 3" in bad.validate()
+
+
+def test_gate_without_inputs_is_reported_not_raised():
+    bad = Netlist("empty", [Gate("g", GateKind.BUF, (), "y")], [], [PortGroup("Y", "y")])
+    assert bad.validate() == ["gate 'g': BUF takes 1 inputs, got 0"]
+    with pytest.raises(ValueError, match="BUF takes 1 inputs, got 0"):
+        bad.topo_gates()
 
 
 def test_every_route_rejects_a_wrong_arity_gate():
@@ -304,21 +313,148 @@ def test_topological_order_is_derived_once():
     assert n.topo_gates() is n.topo_gates()
 
 
-@pytest.mark.parametrize("width, safa, stage, digest", [
-    (32, 2, True, "6a2fde68d02acf8a989983f9d5b01642ac07f2fc5c37299c73ce636e1999dca6"),
-    (128, 0, True, "d865aa0b2c01ea1272860a540d37cb932e310147694388afeda6d22724d5073e"),
-    (128, 128, True, "cc0c097849dc4895edabfdfc0a189b3a0e396eed53929f66437317ea718d5e89"),
-    (1024, 2, False, "488661d75668ea82a5c7319dcb51991fdb262fbc4557b92337b24717bf4c62d5"),
+@pytest.mark.parametrize("width, safa, stage", [
+    (32, 2, True), (128, 0, True), (128, 128, True), (1024, 2, False),
 ])
-def test_topological_order_of_generated_netlists_is_pinned(width, safa, stage, digest):
-    # the Kahn order (ready queue sorted by id, then first in, first out) that
-    # STA, the steady-state evaluator and IntForm.order all follow
+def test_topological_order_of_generated_netlists_is_pinned(width, safa, stage):
+    # every generated gate follows its drivers, so the depth-first order that
+    # STA, the steady-state evaluator and IntForm.order all follow is the
+    # gate list itself
     from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
 
     n = gen_hybrid_rca(AdderSpec(width, safa, True))
     n = gen_stage(n) if stage else n
-    ids = "\n".join(g.id for g in n.topo_gates())
-    assert hashlib.sha256(ids.encode()).hexdigest() == digest
+    assert n.topo_gates() == n.gates
+
+
+def _reordered(n: Netlist, gates) -> Netlist:
+    return Netlist(n.name, gates, n.inputs, n.outputs, n.ackin, n.ackout)
+
+
+def _respects_edges(n: Netlist) -> bool:
+    order = n.topo_gates()
+    at = {g.output: k for k, g in enumerate(order)}
+    return sorted(order) == sorted(n.gates) and all(
+        at[x] < k for k, g in enumerate(order) for x in g.inputs if x in at)
+
+
+def _recursive_post_order(n: Netlist) -> list[str]:
+    """The depth-first post-order by plain recursion, the reference the
+    iterative walk is checked against: gates in list order, each gate's
+    drivers in input order first."""
+    driver = {g.output: g for g in reversed(n.gates)}
+    order: list[str] = []
+    placed: set[str] = set()
+
+    def visit(g: Gate) -> None:
+        if g.id not in placed:
+            for x in g.inputs:
+                if x in driver:
+                    visit(driver[x])
+            placed.add(g.id)
+            order.append(g.id)
+
+    for g in n.gates:
+        visit(g)
+    return order
+
+
+def test_depth_first_order_of_a_shuffled_netlist_is_pinned():
+    from dradder.generators import AdderSpec, gen_hybrid_rca
+
+    adder = gen_hybrid_rca(AdderSpec(2, 2, True))
+    gates = list(adder.gates)
+    random.Random(7).shuffle(gates)
+    n = _reordered(adder, gates)
+    assert [g.id for g in n.topo_gates()] == [
+        "safa1/cg2", "safa0/cg2", "safa0/cg3", "safa1/sc3", "safa1/cg1", "safa1/sc2",
+        "safa0/cg4", "safa1/sc4", "safa0/sc3", "safa0/sc1", "safa0/cg1", "safa0/sc2",
+        "safa0/sum1", "safa1/sum0", "safa1/sc1", "safa0/sc4", "safa0/sum0", "safa1/sum1",
+        "safa1/cg4", "safa1/cg3",
+    ]
+    assert [g.id for g in n.topo_gates()] == _recursive_post_order(n)
+    assert _respects_edges(n)
+
+
+@pytest.mark.parametrize("width, safa", [(4, 0), (4, 2), (4, 4), (32, 0), (32, 2), (32, 32)])
+def test_out_of_order_stages_check_like_ordered_ones(width, safa):
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+    from dradder.verification import exhaustive_verify, steady_set_levels
+
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(width, safa, True)))
+    shuffled = list(stage.gates)
+    random.Random(width * 1000 + safa).shuffle(shuffled)
+    rng = np.random.default_rng(safa)
+    lanes = {x: rng.integers(0, 2, 64).astype(bool) for x in stage.input_nets
+             if x != stage.ackin}
+    kwargs = {} if width == 4 else {"mode": "random", "count": 256, "seed": safa}
+    expect = (critical_path(stage, DelayTable.unit()), steady_set_levels(stage, lanes),
+              exhaustive_verify(stage, width, **kwargs))
+    assert expect[2].passed
+    for gates in (stage.gates[::-1], shuffled):
+        n = _reordered(stage, gates)
+        assert n.validate() == []
+        assert _respects_edges(n)
+        assert [g.id for g in n.topo_gates()] == _recursive_post_order(n)
+        assert critical_path(n, DelayTable.unit()) == expect[0]
+        levels = steady_set_levels(n, lanes)
+        assert levels.keys() == expect[1].keys()
+        assert all(np.array_equal(levels[x], expect[1][x]) for x in levels)
+        assert exhaustive_verify(n, width, **kwargs) == expect[2]
+
+
+def test_out_of_order_path_detects_every_cycle():
+    buf, or2 = GateKind.BUF, GateKind.OR2
+    # each case reads a later gate's output first, so the walk goes deep
+    prefix = [Gate("p1", buf, ("p0",), "p1"), Gate("p0", buf, ("a",), "p0")]
+    cases = {
+        "self-loop": [*prefix, Gate("s", or2, ("p1", "s"), "s")],
+        "after an acyclic prefix": [*prefix, Gate("c1", or2, ("p1", "c2"), "c1"),
+                                    Gate("c2", buf, ("c1",), "c2")],
+        "unreached from earlier gates": [*prefix, Gate("u1", buf, ("u2",), "u1"),
+                                         Gate("u2", buf, ("u1",), "u2")],
+    }
+    for case, gates in cases.items():
+        n = Netlist("loop", gates, [PortGroup("A", "a")],
+                    [PortGroup("Y", g.output) for g in gates])
+        assert n.validate() == ["gate graph contains a cycle"], case
+        with pytest.raises(ValueError, match="contains a cycle"):
+            n.topo_gates()
+        assert n.int_form.order is None
+    acyclic = Netlist("ok", prefix, [PortGroup("A", "a")], [PortGroup("Y", "p1")])
+    assert [g.id for g in acyclic.topo_gates()] == ["p0", "p1"]
+
+
+def test_reversed_wide_stage_orders_without_recursion():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(1024, 2, True)))
+    n = _reordered(stage, stage.gates[::-1])
+    assert n.validate() == []
+    assert _respects_edges(n)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="counts objects the CPython cyclic collector tracks")
+def test_structure_and_timing_keep_no_per_gate_containers():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(256, 2, True)))
+    unit = DelayTable.unit()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        problems = stage.validate()
+        cp = critical_path(stage, unit)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert problems == [] and len(cp.path) > 100 and grown < 32
 
 
 def test_int_form_order_reuses_fanout_entries():

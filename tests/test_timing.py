@@ -170,8 +170,9 @@ def _max_arrival_paths(n: Netlist, d: DelayTable):
 
 @st.composite
 def _dags(draw):
-    """A small single-driver DAG with shuffled gate ids, an undriven net,
-    outputs anywhere, and a delay table whose BUF may be zero-delay."""
+    """A small single-driver DAG with shuffled gate ids, its gates listed in
+    any order, an undriven net, outputs anywhere, and a delay table whose BUF
+    may be zero-delay."""
     kinds = [K.BUF, K.BUF, K.AND2, K.OR2, K.OR3, K.AO21, K.AO22, K.C2]
     inputs = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
     nets = [*inputs, "ghost"]
@@ -184,7 +185,8 @@ def _dags(draw):
         gates.append(Gate(ids[k], kind, tuple(ins), f"n{k}"))
         nets.append(f"n{k}")
     outs = draw(st.lists(st.sampled_from(nets), max_size=4, unique=True))
-    n = Netlist("dag", gates, [PortGroup(f"I{k}", x) for k, x in enumerate(inputs)],
+    n = Netlist("dag", draw(st.permutations(gates)),
+                [PortGroup(f"I{k}", x) for k, x in enumerate(inputs)],
                 [PortGroup(f"O{k}", x) for k, x in enumerate(outs)])
     table = DelayTable({k: draw(st.integers(0 if k is K.BUF else 1, 2)) for k in GateKind})
     return n, table

@@ -283,7 +283,8 @@ def gen_stage(fb: Netlist) -> Netlist:
     ext_inputs = []
     for grp in fb.inputs:
         for rail in grp.rails():
-            b.gates.append(Gate(f"reg/{rail}", K.C2, (f"{rail}_d", "ackin"), rail))
+            reg = (f"reg/{rail}", K.C2, (f"{rail}_d", "ackin"), rail)
+            b.gates.append(tuple.__new__(Gate, reg))  # as in _Builder.add
         ext_inputs.append(PortGroup(grp.name, f"{grp.rail1}_d", f"{grp.rail0}_d"))
     b.gates.extend(fb.gates)
     ackout = _emit_completion_tree(b, "cd/", fb.outputs)

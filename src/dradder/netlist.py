@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, filterfalse
-from operator import eq
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import itemgetter, lt
 from typing import Any, Callable, NamedTuple, Sequence
 
 
@@ -116,7 +116,7 @@ class PortGroup(NamedTuple):
         return self.rail0 is None
 
     def rails(self) -> tuple[str, ...]:
-        return (self.rail1,) if self.scalar else (self.rail1, self.rail0)
+        return self[1:2] if self[2] is None else self[1:]
 
 
 class Structure(NamedTuple):
@@ -132,13 +132,19 @@ class Structure(NamedTuple):
     off: list[int]  # gate k's inputs are src[off[k]:off[k + 1]]
 
 
-def _post_order(src: list[int], off: list[int]) -> list[int] | None:
+def _post_order(src: list[int], off: list[int], arity: list[int]) -> Sequence[int] | None:
     """Gate positions in depth-first post-order over driver edges, or None
-    if the graph has a cycle. Gates are taken in list order and each gate's
-    drivers in input order; a gate whose drivers are all placed is placed at
-    once, so a list in which every gate follows its drivers comes back as
-    it is. Iterative, so a chain of any length orders without recursion."""
-    count = len(off) - 1
+    if the graph has a cycle. A list in which every gate reads only earlier
+    positions, as every generated netlist is, is recognised in one C-level
+    pass that builds no list per gate, and comes back as `range(count)`.
+    Any other list takes the walk: gates in list order and each gate's
+    drivers in input order, a gate whose drivers are all placed placed at
+    once. A gate reading itself or a later gate is placed after that gate
+    or closes a cycle, so the walk never gives the list order back.
+    Iterative, so a chain of any length orders without recursion."""
+    count = len(arity)
+    if all(map(lt, src, chain.from_iterable(map(repeat, range(count), arity)))):
+        return range(count)
     placed = bytearray(count + 1)
     placed[count] = 1  # read as placed[-1]: a net no gate drives
     visiting = bytearray(count)
@@ -236,18 +242,21 @@ class Netlist:
         """Everything known about the gate graph's shape, derived once in one
         pass over gate positions: each input's driver position, the
         validate() report, the load-time and order-time errors, and the gates
-        in depth-first post-order (`_post_order`), which is the gate list
-        itself when every gate follows its drivers."""
+        in topological order (`_post_order`), with the gate fields read by
+        C-level maps. When every gate reads only earlier positions the order
+        is the gate list itself, recognised in one pass; only other lists
+        take the depth-first walk."""
         gates, primary = self.gates, set(self.input_nets)
         count = len(gates)
-        ins = [g.inputs for g in gates]
-        outs = [g.output for g in gates]
+        ins = list(map(itemgetter(2), gates))
+        outs = list(map(itemgetter(3), gates))
         # each driven net's first driver: inserted from the back, the first wins
         source = dict(zip(reversed(outs), range(count - 1, -1, -1)))
         report: list[str] = []
         unorderable = None
         arity = list(map(len, ins))
-        if len({g.id for g in gates}) < count or arity != [ARITY[g.kind] for g in gates]:
+        if (len(set(map(itemgetter(0), gates))) < count
+                or arity != list(map(ARITY.__getitem__, map(itemgetter(1), gates)))):
             seen: set[str] = set()
             for g in gates:
                 if g.id in seen:
@@ -291,12 +300,12 @@ class Netlist:
                    if source[outs[k]] == k and outs[k] not in out_nets]
 
         off = list(accumulate(arity, initial=0))
-        positions = _post_order(src, off)
+        positions = _post_order(src, off, arity)
         if positions is None:
             report.append("gate graph contains a cycle")
             order = None
-        elif all(map(eq, positions, range(count))):
-            positions, order = range(count), gates
+        elif type(positions) is range:  # the gate list is already in order
+            order = gates
         else:
             order = tuple(map(gates.__getitem__, positions))
         return Structure(order, positions, tuple(report), malformed, unorderable,
@@ -304,14 +313,16 @@ class Netlist:
 
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in topological order, the one route by which STA and the
-        steady-state evaluator walk a netlist: the depth-first post-order of
-        `_post_order`, which is the gate list itself when every gate follows
-        its drivers, as in every generated netlist. Raises ValueError on a
-        wrong input count (the simulator's message), a net with two drivers
-        or a cycle."""
+        steady-state evaluator walk a netlist. When every gate follows its
+        drivers, as in every generated netlist, this is the gate list itself,
+        recognised in one pass; any other list gets `_post_order`'s
+        depth-first post-order. Raises ValueError on a duplicate gate id or
+        a wrong input count, whichever comes first (the messages int_form
+        and the simulator raise), then on a net with two drivers, then on a
+        cycle."""
         s = self._structure
-        if s.unorderable is not None:
-            raise ValueError(s.unorderable)
+        if err := s.malformed or s.unorderable:
+            raise ValueError(err)
         if s.order is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
         return s.order

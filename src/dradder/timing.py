@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .netlist import Gate, GateKind, Netlist
 from .simulator import DelayTable
@@ -142,10 +143,10 @@ def critical_path(n: Netlist, d: DelayTable) -> CriticalPath:
     the smallest gate id at each step and stops at the first critical
     endpoint, since a prefix sorts before its extensions.
     """
-    n.topo_gates()  # a wrong input count, a two-driver net or a cycle raises here
+    n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     s = n._structure
     gates, src, off = n.gates, s.src, s.off
-    delay = [d.delays[g.kind] for g in gates]
+    delay = list(map(d.delays.__getitem__, map(itemgetter(1), gates)))
     arrival = [0] * (len(gates) + 1)  # by gate position; the last slot, [-1], stays 0
     at = arrival.__getitem__
     for k in s.positions:

@@ -94,7 +94,7 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
     net-id order, vectorized across input vectors: boolean lanes, or uint64
     words that pack 64 lanes each when the inputs are uint64. C2 settles to
     AND under monotone rising inputs. The ackin net, when present, is held high."""
-    n.topo_gates()  # a wrong input count, a two-driver net or a cycle raises here
+    n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     form = n.int_form
     lanes = {k: _lanes(v) for k, v in inputs.items()}
     if len({v.dtype for v in lanes.values()}) > 1:
@@ -256,7 +256,7 @@ def exhaustive_verify(
         draw = np.random.default_rng(seed).integers
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    n.topo_gates()  # a wrong input count, a two-driver net or a cycle raises here
+    n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     form = n.int_form
     rails = [n.group(name).rails() for name in ports]
     # the cross-check names the first disagreeing net of: the input nets,

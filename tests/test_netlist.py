@@ -3,10 +3,14 @@ import itertools
 import platform
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dradder import netlist as netlist_module
 from dradder.netlist import ARITY, GATE_AT, GATE_FN, Gate, GateKind, Netlist, PortGroup
 from packed import pack, unpack
 
@@ -219,9 +223,30 @@ def test_validate_flags_duplicate_gate_ids():
     report = bad.validate()
     assert any("duplicate" in m for m in report)
     assert not any("cycle" in m for m in report)
-    assert len(bad.topo_gates()) == 3
+    with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
+        bad.topo_gates()
     with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
         Netlist.from_dict(bad.to_dict())
+
+
+def test_every_route_rejects_a_duplicate_gate_id():
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+    from dradder.verification import steady_set_levels
+
+    # two gates named g0 end tied maximum-arrival paths: STA would report
+    # path ('g0',) with whichever kind its walk met first
+    dup = Netlist("dup", [Gate("g0", GateKind.OR2, ("ghost", "ghost"), "n0"),
+                          Gate("g0", GateKind.OR3, ("ghost", "ghost", "i0"), "n1")],
+                  [PortGroup("I0", "i0")], [PortGroup("O0", "n1"), PortGroup("O1", "n0")])
+    message = "duplicate gate id 'g0'"
+    for route in (dup.topo_gates, lambda: critical_path(dup, DelayTable.unit()),
+                  lambda: steady_set_levels(dup, {"i0": np.ones(2, dtype=bool)}),
+                  lambda: dup.int_form):
+        with pytest.raises(ValueError) as info:
+            route()
+        assert str(info.value) == message
+    assert message in dup.validate()  # validate() reports rather than raises
 
 
 def test_validate_flags_multiple_drivers():
@@ -292,13 +317,15 @@ def test_validate_reports_every_finding_kind_in_order():
         "net 'd' dangles: no fanout and not a primary output",
         "gate graph contains a cycle",
     ]
-    # the routes that raise take the first finding they cannot run with
+    # the routes that raise take the first duplicate id or wrong input count
+    for route in (bad.topo_gates, lambda: bad.int_form,
+                  lambda: Netlist.from_dict(bad.to_dict())):
+        with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
+            route()
+    # without the duplicate, the wrong input count comes before the two drivers
+    rest = _reordered(bad, bad.gates[:1] + bad.gates[2:])
     with pytest.raises(ValueError, match="gate 'g2': OR2 takes 2 inputs, got 3"):
-        bad.topo_gates()
-    with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
-        bad.int_form
-    with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
-        Netlist.from_dict(bad.to_dict())
+        rest.topo_gates()
 
 
 def test_topological_order_respects_edges():
@@ -407,9 +434,11 @@ def test_out_of_order_stages_check_like_ordered_ones(width, safa):
 
 def test_out_of_order_path_detects_every_cycle():
     buf, or2 = GateKind.BUF, GateKind.OR2
-    # each case reads a later gate's output first, so the walk goes deep
+    # each case but the first reads a later gate's output first, so the walk
+    # goes deep; in the first only the self-read sends the list to the walk
     prefix = [Gate("p1", buf, ("p0",), "p1"), Gate("p0", buf, ("a",), "p0")]
     cases = {
+        "reads its own output": [Gate("q", buf, ("a",), "q"), Gate("s", or2, ("q", "s"), "s")],
         "self-loop": [*prefix, Gate("s", or2, ("p1", "s"), "s")],
         "after an acyclic prefix": [*prefix, Gate("c1", or2, ("p1", "c2"), "c1"),
                                     Gate("c2", buf, ("c1",), "c2")],
@@ -427,6 +456,71 @@ def test_out_of_order_path_detects_every_cycle():
     assert [g.id for g in acyclic.topo_gates()] == ["p0", "p1"]
 
 
+def _walk(n: Netlist) -> list[Gate]:
+    """The gates in the depth-first walk's order, with `_post_order`'s
+    ordered-list check forced to fail."""
+    s = n._structure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netlist_module, "lt", lambda a, b: False)
+        positions = netlist_module._post_order(s.src, s.off, [len(g.inputs) for g in n.gates])
+    return list(map(n.gates.__getitem__, positions))
+
+
+def _follows_drivers(n: Netlist) -> bool:
+    at = {g.output: k for k, g in enumerate(n.gates)}
+    return all(at.get(x, -1) < k for k, g in enumerate(n.gates) for x in g.inputs)
+
+
+@st.composite
+def _listed_dags(draw):
+    """A small single-driver DAG over two inputs and an undriven net, its
+    gates listed as built (each after its drivers) or in any order."""
+    kinds = [GateKind.BUF, GateKind.AND2, GateKind.OR3, GateKind.AO22]
+    nets = ["a", "b", "ghost"]
+    gates = []
+    for k in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(kinds))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=ARITY[kind], max_size=ARITY[kind]))
+        gates.append(Gate(f"g{k}", kind, tuple(ins), f"n{k}"))
+        nets.append(f"n{k}")
+    if draw(st.booleans()):
+        gates = draw(st.permutations(gates))
+    return Netlist("dag", gates, [PortGroup("A", "a"), PortGroup("B", "b")],
+                   [PortGroup("Y", nets[-1])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_listed_dags())
+def test_ordered_lists_skip_the_walk_and_others_take_it(n):
+    order = n.topo_gates()
+    assert list(order) == _walk(n)
+    assert [g.id for g in order] == _recursive_post_order(n)
+    # the gate list itself exactly when every gate follows its drivers
+    assert (order == n.gates) == _follows_drivers(n)
+    assert (order is n.gates) == _follows_drivers(n)
+
+
+def test_gate_moved_before_its_driver_takes_the_walk():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, True)))
+    gates = list(stage.gates)
+    moved = gates.pop(next(k for k, g in enumerate(gates) if g.id == "safa1/cg3"))
+    n = _reordered(stage, [moved, *gates])
+    ids = [g.id for g in n.topo_gates()]
+    assert n.validate() == [] and n.topo_gates() != n.gates
+    # the moved gate's drivers' cones first, each in input order, then the
+    # moved gate, then the rest as listed
+    head = [
+        "reg/a1_1", "reg/b1_1", "reg/b1_0", "reg/a1_0", "safa1/cg2",
+        "reg/a0_1", "reg/b0_1", "reg/b0_0", "reg/a0_0", "safa0/cg2", "reg/cin_1", "safa0/cg3",
+        "safa1/cg3",
+    ]
+    assert ids == head + [g.id for g in gates if g.id not in head]
+    assert ids == _recursive_post_order(n) == [g.id for g in _walk(n)]
+    assert _respects_edges(n)
+
+
 def test_reversed_wide_stage_orders_without_recursion():
     from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
 
@@ -434,6 +528,15 @@ def test_reversed_wide_stage_orders_without_recursion():
     n = _reordered(stage, stage.gates[::-1])
     assert n.validate() == []
     assert _respects_edges(n)
+
+
+def _traced(f):
+    """f()'s result, the bytes it left allocated and the most it had allocated at once."""
+    tracemalloc.start()
+    try:
+        return (f(), *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
@@ -444,17 +547,31 @@ def test_structure_and_timing_keep_no_per_gate_containers():
     from dradder.timing import critical_path
 
     stage = gen_stage(gen_hybrid_rca(AdderSpec(256, 2, True)))
-    unit = DelayTable.unit()
+    count, unit = len(stage.gates), DelayTable.unit()
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        problems = stage.validate()
-        cp = critical_path(stage, unit)
+        problems, held, peak = _traced(stage.validate)
+        cp, _, sta_peak = _traced(lambda: critical_path(stage, unit))
         grown = len(gc.get_objects()) - before
     finally:
         gc.enable()
     assert problems == [] and len(cp.path) > 100 and grown < 32
+    # on the way, beyond what the structure keeps (src, off, source), the
+    # passes hold a few flat lists and sets: less than one more container
+    # per gate would take (an empty list alone is 56 bytes)
+    assert peak - held < 120 * count and sta_peak < 48 * count
+
+    # the ordered-list check holds a few iterators whatever the gate count;
+    # the walk, on the reversed list, holds arrays over the gates
+    s = stage._structure
+    arity = [len(g.inputs) for g in stage.gates]
+    positions, _, check_peak = _traced(lambda: netlist_module._post_order(s.src, s.off, arity))
+    assert positions == range(count) and check_peak < 1024
+    r = _reordered(stage, stage.gates[::-1])._structure
+    _, _, walk_peak = _traced(lambda: netlist_module._post_order(r.src, r.off, arity[::-1]))
+    assert walk_peak > 8 * count
 
 
 def test_int_form_order_reuses_fanout_entries():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import Gate, GateKind, Netlist, PortGroup
+from .netlist import Gate, GateKind, Netlist, PortGroup, _collector_paused
 
 K = GateKind
 
@@ -194,6 +194,7 @@ def gen_dafa(redundant: bool = True) -> Netlist:
     )
 
 
+@_collector_paused
 def gen_hybrid_rca(spec: AdderSpec) -> Netlist:
     """Ripple-carry adder: SAFAs at bits 0..s-1, DAFAs above, carry chained.
 
@@ -266,6 +267,7 @@ def gen_completion_detector(pairs: int) -> Netlist:
                    outputs=[PortGroup("DONE", root)])
 
 
+@_collector_paused
 def gen_stage(fb: Netlist) -> Netlist:
     """Wrap a function block into a 4-phase handshake stage.
 

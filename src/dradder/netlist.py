@@ -7,10 +7,11 @@ gate graph is required to be a DAG.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, chain, filterfalse, repeat
 from operator import itemgetter, lt
 from typing import Any, Callable, NamedTuple, Sequence
@@ -181,6 +182,29 @@ def _post_order(src: list[int], off: list[int], arity: list[int]) -> Sequence[in
     return order
 
 
+def _collector_paused(fn: Callable) -> Callable:
+    """Run `fn` with CPython's cyclic garbage collector paused, then resume it.
+
+    For the routines that allocate GC-tracked tuples for every gate. No
+    netlist holds a reference cycle, so a one-shot netlist is freed by
+    reference counting, and the collections its allocations would trigger
+    (the older generations walk every live netlist) only cost time. A
+    collector the caller has already disabled stays disabled, so nested
+    calls cost nothing. The pause is process-wide: dradder is
+    single-threaded, and a gc.disable() made by another thread while a
+    paused call runs is undone when that call returns."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 class Netlist:
     """Immutable-after-construction gate graph with named ports."""
 
@@ -238,6 +262,7 @@ class Netlist:
         return list(self._structure.report)
 
     @cached_property
+    @_collector_paused
     def _structure(self) -> Structure:
         """Everything known about the gate graph's shape, derived once in one
         pass over gate positions: each input's driver position, the

@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .netlist import Gate, GateKind, Netlist
+from .netlist import Gate, GateKind, Netlist, _collector_paused
 from .simulator import DelayTable
 
 K = GateKind
@@ -122,6 +122,7 @@ def _is_register(gate_id: str) -> bool:
     return gate_id.startswith("reg/")
 
 
+@_collector_paused
 def critical_path(n: Netlist, d: DelayTable) -> CriticalPath:
     """Longest weighted input-to-data-output path through the gate DAG.
 

@@ -1,8 +1,10 @@
 import gc
+import inspect
 import itertools
 import platform
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -572,6 +574,158 @@ def test_structure_and_timing_keep_no_per_gate_containers():
     r = _reordered(stage, stage.gates[::-1])._structure
     _, _, walk_peak = _traced(lambda: netlist_module._post_order(r.src, r.off, arity[::-1]))
     assert walk_peak > 8 * count
+
+
+_CPYTHON_GC = pytest.mark.skipif(platform.python_implementation() != "CPython",
+                                 reason="watches the CPython cyclic collector")
+
+
+def _paused_routines():
+    """The four routines that run with the cyclic collector paused, as
+    (name, call on a netlist) pairs; gen_hybrid_rca ignores its netlist."""
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    return [("gen_hybrid_rca", lambda n: gen_hybrid_rca(AdderSpec(8, 2, True))),
+            ("gen_stage", gen_stage),
+            ("_structure", lambda n: n._structure),
+            ("critical_path", lambda n: critical_path(n, DelayTable.unit()))]
+
+
+def _fresh_adder() -> Netlist:
+    from dradder.generators import AdderSpec, gen_hybrid_rca
+
+    return gen_hybrid_rca(AdderSpec(8, 2, True))
+
+
+@_CPYTHON_GC
+def test_collector_is_on_again_after_each_paused_routine():
+    for name, routine in _paused_routines():
+        assert gc.isenabled()
+        routine(_fresh_adder())
+        assert gc.isenabled(), name
+
+
+@_CPYTHON_GC
+def test_collector_is_on_again_after_a_paused_routine_raises():
+    from dradder.generators import gen_completion_detector, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    with pytest.raises(ValueError, match="scalar port groups"):
+        gen_stage(gen_completion_detector(2))
+    assert gc.isenabled()
+    adder = _fresh_adder()
+    extra = Gate("extra", GateKind.BUF, (adder.input_nets[0],), adder.gates[0].output)
+    bad = Netlist("two", [*adder.gates, extra], adder.inputs, adder.outputs)
+    with pytest.raises(ValueError, match="multiple drivers"):
+        critical_path(bad, DelayTable.unit())
+    assert gc.isenabled()
+
+
+@_CPYTHON_GC
+def test_a_collector_the_caller_disabled_stays_disabled():
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    class Watched(dict):  # records the collector's state at each delay lookup
+        def __getitem__(self, kind):
+            seen.append(gc.isenabled())
+            return super().__getitem__(kind)
+
+    seen: list[bool] = []
+    unit = DelayTable(Watched(DelayTable.unit().delays))
+    # critical_path reads its delays after topo_gates() has run _structure,
+    # whose own pause must not turn the collector back on
+    seen.clear()
+    critical_path(_fresh_adder(), unit)
+    assert seen and not any(seen) and gc.isenabled()
+
+    gc.disable()
+    try:
+        for name, routine in _paused_routines():
+            routine(_fresh_adder())
+            assert not gc.isenabled(), name
+        seen.clear()
+        critical_path(_fresh_adder(), unit)
+        assert seen and not any(seen) and not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_paused_property_still_caches():
+    n = _fresh_adder()
+    assert n._structure is n._structure
+
+
+def test_paused_functions_keep_their_names_signatures_and_docs():
+    from dradder.generators import gen_hybrid_rca, gen_stage
+    from dradder.timing import critical_path
+
+    for fn, module, signature, doc in [
+        (gen_hybrid_rca, "dradder.generators", "(spec: 'AdderSpec') -> 'Netlist'",
+         "Ripple-carry adder: SAFAs at bits 0..s-1, DAFAs above, carry chained."),
+        (gen_stage, "dradder.generators", "(fb: 'Netlist') -> 'Netlist'",
+         "Wrap a function block into a 4-phase handshake stage."),
+        (critical_path, "dradder.timing", "(n: 'Netlist', d: 'DelayTable') -> 'CriticalPath'",
+         "Longest weighted input-to-data-output path through the gate DAG."),
+    ]:
+        assert fn.__module__ == module and fn.__qualname__ == fn.__name__
+        assert str(inspect.signature(fn)) == signature
+        assert fn.__doc__.splitlines()[0] == doc
+        assert fn.__doc__ == inspect.unwrap(fn).__doc__
+    assert Netlist._structure.__doc__.startswith("Everything known about the gate graph")
+
+
+@_CPYTHON_GC
+def test_no_collection_starts_inside_a_paused_routine():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    codes = {inspect.unwrap(f).__code__
+             for f in (gen_hybrid_rca, gen_stage, critical_path,
+                       Netlist._structure.func)}
+    inside: list[str] = []
+
+    def watch(phase, info):
+        if phase == "start":
+            frame = sys._getframe(1)  # the frame whose allocation set it off
+            while frame is not None and frame.f_code not in codes:
+                frame = frame.f_back
+            if frame is not None:
+                inside.append(frame.f_code.co_name)
+
+    gc.callbacks.append(watch)
+    try:
+        stage = gen_stage(gen_hybrid_rca(AdderSpec(256, 2, True)))
+        problems = stage.validate()
+        cp = critical_path(stage, DelayTable.unit())
+    finally:
+        gc.callbacks.remove(watch)
+    assert problems == [] and cp.path
+    assert inside == []
+
+
+@_CPYTHON_GC
+def test_generated_stages_hold_no_reference_cycle():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    gc.collect()
+    gc.disable()
+    try:
+        stage = gen_stage(gen_hybrid_rca(AdderSpec(32, 2, True)))
+        problems = stage.validate()
+        cp = critical_path(stage, DelayTable.unit())
+        form = stage.int_form
+        del stage, cp, form
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert problems == [] and freed == 0
 
 
 def test_int_form_order_reuses_fanout_entries():

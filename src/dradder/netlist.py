@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
-from itertools import accumulate, chain, filterfalse, repeat
-from operator import itemgetter, lt
+from itertools import accumulate, chain, filterfalse, islice, repeat
+from operator import itemgetter, lt, sub
 from typing import Any, Callable, NamedTuple, Sequence
 
 
@@ -92,9 +92,9 @@ FanoutEntry = tuple[Callable, tuple[int, ...], int, GateKind]
 
 @dataclass(frozen=True)
 class IntForm:
-    """A netlist over integer net ids: every port rail, ack net and gate net."""
+    """A netlist over `Structure`'s net ids: every port rail, ack net and gate net."""
 
-    ids: dict[str, int]
+    ids: dict[str, int]  # the netlist's `_structure.ids` itself
     names: tuple[str, ...]  # names[ids[net]] == net
     fanout: tuple[tuple[FanoutEntry, ...], ...]  # per net id, every gate reading it
     ports: dict[PortGroup, tuple[int, ...]]  # every input and output group's rail ids, rail1 first
@@ -121,56 +121,62 @@ class PortGroup(NamedTuple):
 
 
 class Structure(NamedTuple):
-    """A netlist's gate graph as Netlist._structure derives it once."""
+    """A netlist's gate graph as Netlist._structure derives it once. Net ids:
+    the distinct input nets are 0..base-1, gate k's output is base + k (its
+    first driver wins, also over an input), and undriven gate inputs, then
+    undriven output nets, come last; only a malformed netlist has those."""
 
     order: tuple[Gate, ...] | None  # the gates in topo_gates() order; None if cyclic
     positions: Sequence[int] | None  # the same order as positions in the gate list
     report: tuple[str, ...]  # validate()'s findings
     malformed: str | None  # the first duplicate id or wrong input count
     unorderable: str | None  # the first wrong input count or net with two drivers
-    source: dict[str, int]  # per net, its first driver's position; -1 for an undriven input
-    src: list[int]  # per gate input, its net's source; -1 if no gate drives it
+    ids: dict[str, int]  # every net's id
+    base: int  # the first gate output's id: a net's driver position is its id - base
+    src: list[int]  # per gate input, its net's id
     off: list[int]  # gate k's inputs are src[off[k]:off[k + 1]]
 
 
-def _post_order(src: list[int], off: list[int], arity: list[int]) -> Sequence[int] | None:
+def _post_order(src: list[int], off: list[int], base: int) -> Sequence[int] | None:
     """Gate positions in depth-first post-order over driver edges, or None
-    if the graph has a cycle. A list in which every gate reads only earlier
-    positions, as every generated netlist is, is recognised in one C-level
-    pass that builds no list per gate, and comes back as `range(count)`.
-    Any other list takes the walk: gates in list order and each gate's
-    drivers in input order, a gate whose drivers are all placed placed at
-    once. A gate reading itself or a later gate is placed after that gate
-    or closes a cycle, so the walk never gives the list order back.
-    Iterative, so a chain of any length orders without recursion."""
-    count = len(arity)
-    if all(map(lt, src, chain.from_iterable(map(repeat, range(count), arity)))):
+    if the graph has a cycle; `src` holds net ids, gate k's output being
+    base + k. A list in which every gate reads only earlier ids, as every
+    generated netlist does, is recognised in one C-level pass that builds
+    no list per gate. Any other list takes the walk, iterative so that a
+    chain of any length orders without recursion: gates in list order and
+    each gate's drivers in input order, a gate whose drivers are all placed
+    placed at once. The list order itself comes back as `range(count)`."""
+    count = len(off) - 1
+    end = base + count
+    if all(map(lt, src, chain.from_iterable(
+            map(repeat, range(base, end), map(sub, islice(off, 1, None), off))))):
         return range(count)
-    placed = bytearray(count + 1)
-    placed[count] = 1  # read as placed[-1]: a net no gate drives
-    visiting = bytearray(count)
+    placed = bytearray(b"\1") * max(end, max(src) + 1)  # by net id; an undriven net is placed
+    placed[base:end] = bytes(count)
+    visiting = bytearray(len(placed))
     done = placed.__getitem__
+    first = [0] * base + off  # gate k's inputs are src[first[k]:first[k + 1]]
     order: list[int] = []
-    for k in range(count):
+    for k in range(base, end):
         if placed[k]:
             continue
         # every gate before k is placed by now, so most gates pass on max()
-        drivers = src[off[k]:off[k + 1]]
-        if max(drivers, default=-1) < k or all(map(done, drivers)):
+        drivers = src[first[k]:first[k + 1]]
+        if max(drivers, default=0) < k or all(map(done, drivers)):
             placed[k] = 1
-            order.append(k)
+            order.append(k - base)
             continue
         visiting[k] = 1
-        stack, at = [k], [off[k]]  # gates being visited and each one's next input
+        stack, at = [k], [first[k]]  # gates being visited and each one's next input
         while stack:
-            g, i, end = stack[-1], at[-1], off[stack[-1] + 1]
-            while i < end and placed[src[i]]:
+            g, i, stop = stack[-1], at[-1], first[stack[-1] + 1]
+            while i < stop and placed[src[i]]:
                 i += 1
-            if i == end:
+            if i == stop:
                 stack.pop()
                 at.pop()
                 placed[g] = 1
-                order.append(g)
+                order.append(g - base)
                 continue
             at[-1] = i + 1
             j = src[i]
@@ -178,8 +184,8 @@ def _post_order(src: list[int], off: list[int], arity: list[int]) -> Sequence[in
                 return None
             visiting[j] = 1
             stack.append(j)
-            at.append(off[j])
-    return order
+            at.append(first[j])
+    return range(count) if order == list(range(count)) else order
 
 
 def _collector_paused(fn: Callable) -> Callable:
@@ -265,18 +271,18 @@ class Netlist:
     @_collector_paused
     def _structure(self) -> Structure:
         """Everything known about the gate graph's shape, derived once in one
-        pass over gate positions: each input's driver position, the
-        validate() report, the load-time and order-time errors, and the gates
-        in topological order (`_post_order`), with the gate fields read by
-        C-level maps. When every gate reads only earlier positions the order
-        is the gate list itself, recognised in one pass; only other lists
-        take the depth-first walk."""
-        gates, primary = self.gates, set(self.input_nets)
+        pass over gate positions: every net's id, each gate input's net id,
+        the validate() report, the load-time and order-time errors, and the
+        gates in topological order (`_post_order`), with the gate fields read
+        by C-level maps."""
+        gates = self.gates
         count = len(gates)
         ins = list(map(itemgetter(2), gates))
         outs = list(map(itemgetter(3), gates))
-        # each driven net's first driver: inserted from the back, the first wins
-        source = dict(zip(reversed(outs), range(count - 1, -1, -1)))
+        ids = {net: k for k, net in enumerate(dict.fromkeys(self.input_nets))}
+        base = len(ids)
+        end = base + count
+        ids.update(zip(outs, range(base, end)))
         report: list[str] = []
         unorderable = None
         arity = list(map(len, ins))
@@ -293,39 +299,40 @@ class Netlist:
                     unorderable = unorderable or report[-1]
         malformed = report[0] if report else None
 
-        driven_primary = source.keys() & primary
-        if len(source) < count or driven_primary:
+        if len(ids) < end:  # a net with two drivers, or a driven input
+            # the first driver wins, also over an input
+            ids.update(zip(reversed(outs), range(end - 1, base - 1, -1)))
+            driven_primary = {net for net in islice(ids, base) if ids[net] >= base}
             extra: dict[str, list[int]] = {}  # every driver, only of nets with two or more
             for k, net in enumerate(outs):
-                if (first := source[net]) != k:
+                if (first := ids[net] - base) != k:
                     extra.setdefault(net, [first]).append(k)
             first_conflict = len(report)
-            for net in sorted(extra.keys() | driven_primary, key=source.__getitem__):
-                who = [gates[k].id for k in extra.get(net, (source[net],))]
+            for net in sorted(extra.keys() | driven_primary, key=ids.__getitem__):
+                who = [gates[k].id for k in extra.get(net, (ids[net] - base,))]
                 if net in extra:
                     report.append(f"net {net!r} has multiple drivers: {who}")
-                if net in primary:
+                if net in driven_primary:
                     report.append(f"net {net!r} is both a primary input and driven by {who}")
             unorderable = unorderable or report[first_conflict]
 
-        for net in primary:
-            source.setdefault(net, -1)  # an input no gate drives comes from position -1
-        src = list(map(source.get, chain.from_iterable(ins)))
-        if None in src:  # a net that is neither driven nor a primary input
+        src = list(map(ids.get, chain.from_iterable(ins)))
+        if None in src:  # a net that is neither driven nor an input
             report += [f"gate {g.id!r} input net {net!r} has no driver"
-                       for g in gates for net in g.inputs if net not in source]
-            src = [-1 if j is None else j for j in src]
-        for grp in self.inputs + self.outputs:
-            for net in grp.rails():
-                if net not in source:
-                    report.append(f"port group {grp.name!r} references undriven net {net!r}")
+                       for g in gates for net in g.inputs if net not in ids]
+        report += [f"port group {grp.name!r} references undriven net {net!r}"
+                   for grp in self.outputs for net in grp.rails() if net not in ids]
+        nets = chain(chain.from_iterable(ins) if None in src else (), self.output_nets)
+        if undriven := dict.fromkeys(net for net in nets if net not in ids):
+            ids.update(zip(undriven, range(end, end + len(undriven))))
+            src = list(map(ids.__getitem__, chain.from_iterable(ins)))
         out_nets = set(self.output_nets)
-        report += [f"net {outs[k]!r} dangles: no fanout and not a primary output"
-                   for k in filterfalse(set(src).__contains__, range(count))
-                   if source[outs[k]] == k and outs[k] not in out_nets]
+        report += [f"net {net!r} dangles: no fanout and not a primary output"
+                   for k in filterfalse(set(src).__contains__, range(base, end))
+                   if ids[net := outs[k - base]] == k and net not in out_nets]
 
         off = list(accumulate(arity, initial=0))
-        positions = _post_order(src, off, arity)
+        positions = _post_order(src, off, base)
         if positions is None:
             report.append("gate graph contains a cycle")
             order = None
@@ -334,7 +341,7 @@ class Netlist:
         else:
             order = tuple(map(gates.__getitem__, positions))
         return Structure(order, positions, tuple(report), malformed, unorderable,
-                         source, src, off)
+                         ids, base, src, off)
 
     def topo_gates(self) -> tuple[Gate, ...]:
         """Gates in topological order, the one route by which STA and the
@@ -354,7 +361,7 @@ class Netlist:
 
     @cached_property
     def int_form(self) -> IntForm:
-        """The netlist with integer net ids, derived once for simulation and verification.
+        """The netlist over `_structure`'s net ids, derived once for simulation and verification.
 
         Raises ValueError on a duplicate gate id, a wrong input count or a net
         with two drivers, the last with topo_gates()'s message; a cyclic
@@ -362,18 +369,14 @@ class Netlist:
         s = self._structure
         if err := s.malformed or s.unorderable:
             raise ValueError(err)
-        ids: dict[str, int] = {}
-        for net in (*self.input_nets, *self.output_nets,
-                    *(x for g in self.gates for x in (*g.inputs, g.output))):
-            ids.setdefault(net, len(ids))
+        ids, base, src, off = s.ids, s.base, s.src, s.off
         fanout: list[list[FanoutEntry]] = [[] for _ in ids]
         entries: list[FanoutEntry] = []  # by gate position
-        id_of = ids.__getitem__
-        for g in self.gates:
-            pos = tuple(map(id_of, g.inputs))
-            entries.append(entry := (GATE_AT[g.kind], pos, ids[g.output], g.kind))
-            for k in pos:
-                fanout[k].append(entry)
+        for k, kind in enumerate(map(itemgetter(1), self.gates)):
+            pos = tuple(src[off[k]:off[k + 1]])
+            entries.append(entry := (GATE_AT[kind], pos, base + k, kind))
+            for j in pos:
+                fanout[j].append(entry)
         ports = {grp: tuple(ids[r] for r in grp.rails()) for grp in self.inputs + self.outputs}
         partner: list[int | None] = [None] * len(ids)
         for rails in ports.values():

@@ -12,16 +12,15 @@ ones included, and under any delay table. The generated circuits are
 monotone per handshake phase, so no inertial filtering is needed; a monitor
 asserts the monotonicity instead.
 
-Pending events wait in one bucket per time, in the order they were driven,
-and a heap holds the distinct bucket times. A zero-delay drive joins the
-bucket being drained, so events of one time apply in drive order. The
-stage environment drives and reads ports by the rail ids `IntForm.ports`
-resolves once per netlist, and a transaction applies its inputs in time
-order. Events are ints: a queued or applied event is `net << 1 | value`. A
-transaction's log keeps them as one flat trace in the order they applied,
-with their times in a parallel list, so it holds no per-event object; its
-name-keyed `transitions` and `set_levels` dicts are rebuilt from the trace on
-first read.
+Nets are the ids of `Netlist.int_form`, which are the structure pass's:
+the input nets first, then gate k's output at base + k. Pending events
+wait in one bucket per time, in drive order, under a heap of the distinct
+times; a zero-delay drive joins the bucket being drained. The stage
+environment drives and reads ports by the rail ids `IntForm.ports` holds,
+and a transaction applies its inputs in time order. An event is the int
+`net << 1 | value`; a log keeps its events as one flat trace with a
+parallel list of times, so it holds no per-event object, and rebuilds its
+name-keyed `transitions` and `set_levels` from the trace on first read.
 """
 
 from __future__ import annotations

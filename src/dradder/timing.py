@@ -133,43 +133,43 @@ def critical_path(n: Netlist, d: DelayTable) -> CriticalPath:
     flag rather than its C2 coefficient; paths toward the ack network are not
     considered. Raises ValueError where topo_gates() does.
 
-    Two integer passes and one walk, on gate positions: each gate input is
-    read through its driver's position (`Netlist._structure`'s `src` and
-    `off`), and nothing is keyed by net name. Arrival times go forward in
-    topo_gates() order, the gate list when every gate follows its drivers;
-    an input or undriven net (position -1) arrives at 0. Back from the
-    critical endpoints, an input of a gate is tight when its arrival plus
-    the gate's delay is the gate's arrival, and the tight edges span exactly
-    the maximum-arrival paths. The walk starts at the undriven nets, takes
-    the smallest gate id at each step and stops at the first critical
-    endpoint, since a prefix sorts before its extensions.
+    Two integer passes and one walk over `Netlist._structure`'s net ids,
+    nothing keyed by net name. Arrival times, by net id, go forward in
+    topo_gates() order; a net no gate drives arrives at 0. Back from the
+    critical endpoints, a gate input is tight when its arrival plus the
+    gate's delay is the gate's arrival, and the tight edges span exactly the
+    maximum-arrival paths. The walk starts at the nets no gate drives, which
+    share one key, takes the smallest gate id at each step and stops at the
+    first critical endpoint, since a prefix sorts before its extensions.
     """
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     s = n._structure
-    gates, src, off = n.gates, s.src, s.off
+    gates, ids, base, src, off = n.gates, s.ids, s.base, s.src, s.off
+    end = base + len(gates)
     delay = list(map(d.delays.__getitem__, map(itemgetter(1), gates)))
-    arrival = [0] * (len(gates) + 1)  # by gate position; the last slot, [-1], stays 0
+    arrival = [0] * len(ids)  # by net id
     at = arrival.__getitem__
     for k in s.positions:
-        arrival[k] = max(map(at, src[off[k]:off[k + 1]])) + delay[k]
+        arrival[base + k] = max(map(at, src[off[k]:off[k + 1]])) + delay[k]
 
-    endpoints = [s.source.get(r, -1) for grp in n.outputs for r in grp.rails()]
+    endpoints = [ids[r] for grp in n.outputs for r in grp.rails()]
     value = max(map(at, endpoints), default=0)
-    critical = {k for k in endpoints if arrival[k] == value}
+    critical = {j - base for j in endpoints if arrival[j] == value}  # as gate positions
     path: list[Gate] = []
-    if critical and -1 not in critical:
+    if critical and all(0 <= k < len(gates) for k in critical):
         succ: dict[int, list[int]] = {}  # per driver position, the tight gates reading it
         stack, seen = list(critical), set(critical)
         while stack:
             g = stack.pop()
-            start = arrival[g] - delay[g]
+            start = arrival[base + g] - delay[g]
             for j in src[off[g]:off[g + 1]]:
                 if arrival[j] == start:
+                    j = j - base if base <= j < end else -1  # -1: a net no gate drives
                     succ.setdefault(j, []).append(g)
                     if j >= 0 and j not in seen:
                         seen.add(j)
                         stack.append(j)
-        step = succ[-1]  # the tight gates reading an input or undriven net
+        step = succ[-1]  # the tight gates reading a net no gate drives
         while True:
             g = min(step, key=lambda k: gates[k].id)
             path.append(gates[g])

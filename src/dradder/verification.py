@@ -23,15 +23,13 @@ last word out of every count. Two evaluation routes check every sweep:
   the steady-state level of that lane, and the transaction must return to
   zero.
 
-Both routes take gate semantics from the one table `netlist.GATE_AT`,
-whose truth tables the tests pin through `GATE_FN`, its form over a gate's
-own input list; the simulator also skips the evaluations a positive unate
-gate provably cannot act on. Each kind outputs 0 from all-zero inputs,
-whatever a C-element holds, so the steady state after the spacer is
-all-zero for any acyclic netlist: return to zero is observed only on the
-event-simulated sample. The cross-check also guards event scheduling and
-delays, the C-element holding its value across phases, and the
-simulator's illegal-state and monotonicity monitors.
+Both routes run on one netlist form, `Netlist.int_form`, whose gate
+entries take their semantics from the one table `netlist.GATE_AT`. Each
+kind outputs 0 from all-zero inputs, whatever a C-element holds, so the
+steady state after the spacer is all-zero for any acyclic netlist: return
+to zero is observed only on the event-simulated sample. The cross-check
+also guards event scheduling and delays, the C-element holding its value
+across phases, and the simulator's illegal-state and monotonicity monitors.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally
@@ -90,10 +88,10 @@ def _lanes(v) -> np.ndarray:
 
 
 def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Steady levels after a set phase from all-zero, one array per net in
-    net-id order, vectorized across input vectors: boolean lanes, or uint64
-    words that pack 64 lanes each when the inputs are uint64. C2 settles to
-    AND under monotone rising inputs. The ackin net, when present, is held high."""
+    """Steady levels after a set phase from all-zero, one array per net
+    keyed by name in net-id order, vectorized across input vectors: boolean
+    lanes, or uint64 words packing 64 lanes each when the inputs are uint64.
+    C2 settles to AND under monotone rising inputs; ackin, if any, is held high."""
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     form = n.int_form
     lanes = {k: _lanes(v) for k, v in inputs.items()}

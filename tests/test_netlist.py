@@ -464,7 +464,7 @@ def _walk(n: Netlist) -> list[Gate]:
     s = n._structure
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netlist_module, "lt", lambda a, b: False)
-        positions = netlist_module._post_order(s.src, s.off, [len(g.inputs) for g in n.gates])
+        positions = netlist_module._post_order(s.src, s.off, s.base)
     return list(map(n.gates.__getitem__, positions))
 
 
@@ -560,7 +560,7 @@ def test_structure_and_timing_keep_no_per_gate_containers():
     finally:
         gc.enable()
     assert problems == [] and len(cp.path) > 100 and grown < 32
-    # on the way, beyond what the structure keeps (src, off, source), the
+    # on the way, beyond what the structure keeps (src, off, ids), the
     # passes hold a few flat lists and sets: less than one more container
     # per gate would take (an empty list alone is 56 bytes)
     assert peak - held < 120 * count and sta_peak < 48 * count
@@ -568,11 +568,10 @@ def test_structure_and_timing_keep_no_per_gate_containers():
     # the ordered-list check holds a few iterators whatever the gate count;
     # the walk, on the reversed list, holds arrays over the gates
     s = stage._structure
-    arity = [len(g.inputs) for g in stage.gates]
-    positions, _, check_peak = _traced(lambda: netlist_module._post_order(s.src, s.off, arity))
+    positions, _, check_peak = _traced(lambda: netlist_module._post_order(s.src, s.off, s.base))
     assert positions == range(count) and check_peak < 1024
     r = _reordered(stage, stage.gates[::-1])._structure
-    _, _, walk_peak = _traced(lambda: netlist_module._post_order(r.src, r.off, arity[::-1]))
+    _, _, walk_peak = _traced(lambda: netlist_module._post_order(r.src, r.off, r.base))
     assert walk_peak > 8 * count
 
 
@@ -740,6 +739,46 @@ def test_int_form_order_reuses_fanout_entries():
                                          Gate("g2", GateKind.BUF, ("x",), "y")],
                      inputs=[], outputs=[PortGroup("Y", "y")])
     assert cyclic.int_form.order is None
+
+
+def _numbering(n: Netlist) -> list[str]:
+    """Check the one net numbering on `n`; returns the nets no gate drives
+    and no input names, in id order."""
+    s, form = n._structure, n.int_form
+    ids, base, count = s.ids, s.base, len(n.gates)
+    inputs = list(dict.fromkeys(n.input_nets))
+    assert base == len(inputs)
+    assert [ids[net] for net in inputs] == list(range(base))
+    assert [ids[g.output] for g in n.gates] == list(range(base, base + count))
+    assert s.src == [ids[net] for g in n.gates for net in g.inputs]
+    known = {*inputs, *(g.output for g in n.gates)}
+    rest = list(dict.fromkeys(net for net in itertools.chain(
+        *(g.inputs for g in n.gates), n.output_nets) if net not in known))
+    assert [ids[net] for net in rest] == list(range(base + count, len(ids)))
+    assert all(form.names[ids[net]] == net for net in ids)
+    assert form.ids is ids
+    return rest
+
+
+def test_nets_are_numbered_inputs_then_drivers_then_undriven():
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from test_simulator import _random_netlist
+
+    for seed in range(10):
+        assert _numbering(_random_netlist(seed)) == []
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    backwards = _reordered(stage, stage.gates[::-1])
+    assert _numbering(backwards) == []
+    assert backwards.int_form.ids[stage.gates[-1].output] == backwards._structure.base
+    holes = Netlist("holes", [Gate("g", GateKind.AND2, ("a", "ghost"), "y1"),
+                              Gate("h", GateKind.BUF, ("ghost",), "z")],
+                    [PortGroup("A", "a")], [PortGroup("Y", "y1", "y0"), PortGroup("Z", "z")],
+                    ackin="ai", ackout="ao")
+    assert _numbering(holes) == ["ghost", "y0", "ao"]
+    assert holes.validate() == ["gate 'g' input net 'ghost' has no driver",
+                                "gate 'h' input net 'ghost' has no driver",
+                                "port group 'Y' references undriven net 'y0'"]
+    assert holes.topo_gates() is holes.gates
 
 
 def test_gate_census_counts_every_kind():

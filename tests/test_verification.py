@@ -161,14 +161,20 @@ def test_oracle_planes_match_oracle_add(width):
 def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
     import dradder.verification as ver
 
-    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    built = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    # listed backwards, so net ids, which follow the gate list, disagree
+    # with topological order
+    stage = Netlist(built.name, built.gates[::-1], built.inputs, built.outputs,
+                    built.ackin, built.ackout)
     flipped = stage.group("SUM1", output=True).rail1
     real = ver.simulate_transaction
 
     # wrong set-phase levels on one net or on two, then a transaction left
     # short of zero; of two nets the first in topological order is named,
     # although dafa0/sum11 has the lower net id
-    assert stage.int_form.ids["dafa0/sum11"] < stage.int_form.ids["safa0/cg2"]
+    ids, topo = stage.int_form.ids, [g.output for g in stage.topo_gates()]
+    assert ids["dafa0/sum11"] < ids["safa0/cg2"]
+    assert topo.index("safa0/cg2") < topo.index("dafa0/sum11")
     for flips, net in (((flipped,), flipped),
                        (("safa0/cg2", "dafa0/sum11"), "safa0/cg2"),
                        ((), None)):

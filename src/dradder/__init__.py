@@ -2,17 +2,6 @@
 simulation with 4-phase return-to-zero handshaking, static timing analysis,
 and oracle-based verification."""
 
-from .codes import (
-    CodewordSetReport,
-    DecodeState,
-    OneOfFour,
-    RailPair,
-    check_codeword_set,
-    decode_dual_rail,
-    decode_one_of_four,
-    encode_dual_rail,
-    encode_one_of_four,
-)
 from .generators import (
     AdderSpec,
     gen_completion_detector,

@@ -10,7 +10,7 @@ from .generators import (
     gen_safa,
     gen_stage,
 )
-from .netlist import ARITY, GATE_FN, Gate, GateKind, Netlist, PortGroup
+from .netlist import ARITY, GATE_AT, Gate, GateKind, Netlist, PortGroup
 from .simulator import (
     DEFAULT_SEED,
     DelayTable,

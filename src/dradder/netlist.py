@@ -66,17 +66,6 @@ GATE_AT: dict[GateKind, Callable[[Sequence, tuple[int, ...], Any], Any]] = {
 }
 
 
-def _over_own_inputs(f: Callable, arity: int) -> Callable[[Sequence, Any], Any]:
-    pos = tuple(range(arity))
-    return lambda i, held: f(i, pos, held)
-
-
-# The same functions over a sequence `i` of one gate's input levels.
-GATE_FN: dict[GateKind, Callable[[Sequence, Any], Any]] = {
-    kind: _over_own_inputs(f, ARITY[kind]) for kind, f in GATE_AT.items()
-}
-
-
 class Gate(NamedTuple):
     id: str
     kind: GateKind

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dradder
 from dradder import netlist as netlist_module
-from dradder.netlist import ARITY, GATE_AT, GATE_FN, Gate, GateKind, Netlist, PortGroup
+from dradder.netlist import ARITY, GATE_AT, Gate, GateKind, Netlist, PortGroup
 from packed import pack, unpack
 
 
@@ -25,35 +26,40 @@ def test_arity_table():
     assert ARITY[GateKind.AO222] == 6
 
 
+def _own(kind, ins, held):
+    """GATE_AT[kind] over a sequence `ins` of the gate's own input levels."""
+    return GATE_AT[kind](ins, range(ARITY[kind]), held)
+
+
 def test_eval_combinational_gates():
-    assert GATE_FN[GateKind.BUF]([1], 0) == 1
-    assert GATE_FN[GateKind.AND2]([1, 0], 0) == 0
-    assert GATE_FN[GateKind.OR2]([1, 0], 0) == 1
-    assert GATE_FN[GateKind.AND4]([1, 1, 1, 1], 0) == 1
-    assert GATE_FN[GateKind.AND4]([1, 1, 0, 1], 0) == 0
-    assert GATE_FN[GateKind.OR4]([0, 0, 0, 0], 0) == 0
+    assert _own(GateKind.BUF, [1], 0) == 1
+    assert _own(GateKind.AND2, [1, 0], 0) == 0
+    assert _own(GateKind.OR2, [1, 0], 0) == 1
+    assert _own(GateKind.AND4, [1, 1, 1, 1], 0) == 1
+    assert _own(GateKind.AND4, [1, 1, 0, 1], 0) == 0
+    assert _own(GateKind.OR4, [0, 0, 0, 0], 0) == 0
     # AO21(a, b, c) = a*b + c
-    assert GATE_FN[GateKind.AO21]([1, 1, 0], 0) == 1
-    assert GATE_FN[GateKind.AO21]([1, 0, 0], 0) == 0
-    assert GATE_FN[GateKind.AO21]([0, 0, 1], 0) == 1
+    assert _own(GateKind.AO21, [1, 1, 0], 0) == 1
+    assert _own(GateKind.AO21, [1, 0, 0], 0) == 0
+    assert _own(GateKind.AO21, [0, 0, 1], 0) == 1
     # AO22(a, b, c, d) = a*b + c*d
-    assert GATE_FN[GateKind.AO22]([0, 1, 1, 1], 0) == 1
-    assert GATE_FN[GateKind.AO22]([0, 1, 1, 0], 0) == 0
+    assert _own(GateKind.AO22, [0, 1, 1, 1], 0) == 1
+    assert _own(GateKind.AO22, [0, 1, 1, 0], 0) == 0
     # AO222 adds a third product term
-    assert GATE_FN[GateKind.AO222]([0, 0, 0, 0, 1, 1], 0) == 1
-    assert GATE_FN[GateKind.AO222]([1, 0, 0, 1, 0, 1], 0) == 0
+    assert _own(GateKind.AO222, [0, 0, 0, 0, 1, 1], 0) == 1
+    assert _own(GateKind.AO222, [1, 0, 0, 1, 0, 1], 0) == 0
 
 
 def test_eval_c_element_holds_on_disagreement():
     # output follows inputs only when they agree, else keeps its held value
     for held in (0, 1):
-        assert GATE_FN[GateKind.C2]([1, 1], held) == 1
-        assert GATE_FN[GateKind.C2]([0, 0], held) == 0
-        assert GATE_FN[GateKind.C2]([1, 0], held) == held
-        assert GATE_FN[GateKind.C2]([0, 1], held) == held
+        assert _own(GateKind.C2, [1, 1], held) == 1
+        assert _own(GateKind.C2, [0, 0], held) == 0
+        assert _own(GateKind.C2, [1, 0], held) == held
+        assert _own(GateKind.C2, [0, 1], held) == held
 
 
-# Truth tables written independently of GATE_FN, from the gate definitions.
+# Truth tables written independently of GATE_AT, from the gate definitions.
 REFERENCE = {
     GateKind.BUF: lambda a, held: a[0],
     GateKind.AND2: lambda a, held: all(a),
@@ -72,19 +78,19 @@ REFERENCE = {
 def test_gate_fn_matches_truth_table_on_ints_and_arrays(kind):
     rows = list(itertools.product((0, 1), repeat=ARITY[kind] + 1))
     expect = [int(bool(REFERENCE[kind](row[:-1], row[-1]))) for row in rows]
-    assert [GATE_FN[kind](list(row[:-1]), row[-1]) for row in rows] == expect
+    assert [_own(kind, list(row[:-1]), row[-1]) for row in rows] == expect
     cols = [np.array(col, dtype=bool) for col in zip(*rows)]
-    out = GATE_FN[kind](cols[:-1], cols[-1])
+    out = _own(kind, cols[:-1], cols[-1])
     assert out.dtype == bool
     assert out.tolist() == [bool(e) for e in expect]
     # every input x held combination as one lane of packed words (AO222's
     # 128 combinations take two words)
     words = [pack(col) for col in cols]
-    out = GATE_FN[kind](words[:-1], words[-1])
+    out = _own(kind, words[:-1], words[-1])
     assert out.dtype == np.uint64 and len(out) == -(-len(rows) // 64)
     assert unpack(out, len(rows)).tolist() == [bool(e) for e in expect]
     # held=False, as the steady-state evaluator passes it, on words too
-    out = GATE_FN[kind](words[:-1], False)
+    out = _own(kind, words[:-1], False)
     assert out.dtype == np.uint64
     assert unpack(out, len(rows)).tolist() == \
         [bool(REFERENCE[kind](row[:-1], 0)) for row in rows]
@@ -95,26 +101,25 @@ def test_gate_fn_is_zero_on_all_zero_inputs(kind):
     # why the steady state after the spacer is all-zero for any acyclic
     # netlist: an inverting kind would break return-to-zero and fail here
     for held in (0, 1):
-        assert GATE_FN[kind]([0] * ARITY[kind], held) == 0
+        assert _own(kind, [0] * ARITY[kind], held) == 0
         zeros = [np.zeros(3, dtype=bool)] * ARITY[kind]
-        assert not GATE_FN[kind](zeros, np.full(3, bool(held))).any()
+        assert not _own(kind, zeros, np.full(3, bool(held))).any()
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_gate_fn_is_positive_unate_and_settles(kind):
     # the premise of the simulator's skip: an input that moves to the value the
     # output already holds cannot move the output. An inverting kind fails here.
-    f = GATE_FN[kind]
     for row in itertools.product((0, 1), repeat=ARITY[kind] + 1):  # inputs, then held
-        out = f(list(row[:-1]), row[-1])
+        out = _own(kind, list(row[:-1]), row[-1])
         # the output, held back, is its own next value
-        assert f(list(row[:-1]), out) == out
+        assert _own(kind, list(row[:-1]), out) == out
         for j in range(len(row)):
             if not row[j]:
                 up = row[:j] + (1,) + row[j + 1:]
                 # raising input j (or held) never lowers the output, and so
                 # lowering it from `up` back to `row` never raises it
-                assert f(list(up[:-1]), up[-1]) >= out
+                assert _own(kind, list(up[:-1]), up[-1]) >= out
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
@@ -127,7 +132,11 @@ def test_gate_at_reads_levels_at_the_given_positions(kind):
         levels = [2] * (2 * arity + 1)
         for p, v in zip(pos, row[:-1]):
             levels[p] = v
-        assert GATE_AT[kind](levels, pos, row[-1]) == GATE_FN[kind](list(row[:-1]), row[-1])
+        assert GATE_AT[kind](levels, pos, row[-1]) == REFERENCE[kind](row[:-1], row[-1])
+
+
+def test_gate_at_is_the_one_exported_gate_table():
+    assert dradder.GATE_AT is GATE_AT
 
 
 def test_eval_rejects_wrong_arity():

@@ -3,14 +3,16 @@
 The model is transport delay with integer time units: an input change
 re-evaluates the gates it drives, each by its `netlist.GATE_AT` entry over
 the levels at its input positions, and a gate schedules its new output value
-one gate delay later. Identical-value writes are suppressed. Every gate kind
-is positive unate and outputs 0 from all-zero inputs, so between events a
-gate's pending output equals its function of the current levels and that
-output; an input changing to the value the output already has cannot move
-it, and that evaluation is skipped. The skip holds for any netlist, cyclic
-ones included, and under any delay table. The generated circuits are
-monotone per handshake phase, so no inertial filtering is needed; a monitor
-asserts the monotonicity instead.
+one gate delay later. A drive is queued only when it differs from its net's
+pending value, and a net's drives come in time order, so each queued event
+changes its net. Every gate kind is positive unate and outputs 0 from
+all-zero inputs, so between events a gate's pending output equals its
+function of the current levels and that output; an input changing to the
+value the output already has cannot move it, and that evaluation is
+skipped. The skip holds for any netlist, cyclic ones included, and under
+any delay table. The generated circuits are monotone per handshake phase,
+so no inertial filtering is needed; a monitor asserts the monotonicity
+instead.
 
 Nets are the ids of `Netlist.int_form`, which are the structure pass's:
 the input nets first, then gate k's output at base + k. Pending events
@@ -156,6 +158,9 @@ class _Sim:
             self.drive(self.ackin, 1, 0)
 
     def drive(self, k: int, value: int, time: int) -> None:
+        """Queue net `k` to change to `value` at `time`, unless that is already
+        its pending value. A net's drives must come in time order: `run`
+        applies every event it pops without comparing it with the net's level."""
         if self.pending[k] != value:
             bucket = self.buckets.get(time)
             if bucket is None:
@@ -177,8 +182,6 @@ class _Sim:
             bucket = buckets[time]
             for ev in bucket:  # also visits what is appended on the way
                 net, value = ev >> 1, ev & 1
-                if levels[net] == value:
-                    continue
                 events += 1
                 if events > max_events:
                     raise SimulationLimitError(
@@ -246,7 +249,8 @@ def simulate_transaction(
     and run the return-to-zero phase to quiescence.
 
     `inputs` is a list of (group name, bit value, apply time), applied in
-    time order (a stable sort). Input groups not listed stay at spacer. The
+    time order (a stable sort). A bit other than 0 or 1, or an apply time
+    below 0, raises ValueError. Input groups not listed stay at spacer. The
     netlist starts all-zero; for a handshake stage the ackin net is driven
     high at t=0 and low with the spacer.
     """
@@ -254,6 +258,10 @@ def simulate_transaction(
     sim.direction = +1
     input_apply: dict[str, int] = {}
     for name, bit, t in sorted(inputs, key=lambda inp: inp[2]):
+        if bit not in (0, 1):
+            raise ValueError(f"input group {name!r} drives bit {bit!r}; bits are 0 or 1")
+        if t < 0:
+            raise ValueError(f"input group {name!r} applies at t={t}; apply times start at 0")
         sim.put(netlist.group(name), bit, t)
         input_apply[name] = t
     set_end = sim.run()

@@ -57,7 +57,7 @@ def _expr(**kinds: int) -> LatencyExpr:
     return LatencyExpr({K[k]: v for k, v in kinds.items()})
 
 
-_LEGENDS: tuple[AdderLegend, ...] = (
+LEGENDS: dict[str, AdderLegend] = {lg.name: lg for lg in (
     AdderLegend("Adder1", "RCA; homogeneous, redundant logic; early output",
                 3.10, _expr(AO22=32, C2=1, OR2=1)),
     AdderLegend("Adder2", "RCA; heterogeneous, no redundancy; weak-indication",
@@ -92,9 +92,7 @@ _LEGENDS: tuple[AdderLegend, ...] = (
                 2.54, _expr(C2=11, AO22=1, OR2=8)),
     AdderLegend("Adder17", "CSLA, 8-8-8-8 partition; homogeneous; early output",
                 2.46, _expr(C2=6, AO22=9, OR2=3)),
-)
-
-LEGENDS: dict[str, AdderLegend] = {lg.name: lg for lg in _LEGENDS}
+)}
 BASELINE = "Adder11"
 
 # Rows whose published headline reduction disagrees with the reference
@@ -248,7 +246,7 @@ def compare_report(d: DelayTable | str = "table2-practical") -> ComparisonReport
 
     base = latency(LEGENDS[BASELINE])
     rows = []
-    for lg in _LEGENDS:
+    for lg in LEGENDS.values():
         val = latency(lg)
         reduction = 100.0 * (val - base) / val
         flag = ""

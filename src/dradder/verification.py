@@ -5,13 +5,12 @@ then A and B least significant first), one lane per vector, so they are
 exact at any width. A plane packs 64 lanes into each uint64 word, lane j
 at bit j % 64 of word j // 64, and `GATE_AT`, written with & and | only,
 evaluates the words unchanged. Exhaustive mode takes plane k from bit k of
-the vector index; random mode draws raw words from a seeded generator (so
-its vectors differ from those of the earlier one-byte-per-lane sweep for
-the same seed). A sweep runs in chunks of words sized so that one chunk's
-net levels fit a fixed 32 MiB budget; it keeps only the decoded counts,
-the first failure and the levels at the sampled lanes, so its memory does
-not grow with the number of vectors. A mask keeps the padding lanes of the
-last word out of every count. Two evaluation routes check every sweep:
+the vector index; random mode draws raw words from a seeded generator. A
+sweep runs in chunks of words sized so that one chunk's net levels fit a
+fixed 32 MiB budget; it keeps only the decoded counts, the first failure
+and the levels at the sampled lanes, so its memory does not grow with the
+number of vectors. A mask keeps the padding lanes of the last word out of
+every count. Two evaluation routes check every sweep:
 
 * a vectorized steady-state evaluator (numpy, 64 lanes per word) used
   for exhaustive and large random sweeps, valid because every generated

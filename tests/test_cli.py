@@ -21,11 +21,17 @@ from dradder.cli import (
     EXIT_USAGE,
     main,
 )
-from dradder.generators import gen_stage
+from dradder.generators import (
+    AdderSpec,
+    gen_completion_detector,
+    gen_hybrid_rca,
+    gen_safa,
+    gen_stage,
+)
 from dradder.netlist import Netlist
-from dradder.simulator import DelayTable
-from dradder.timing import critical_path
-from dradder.verification import VerifyResult
+from dradder.simulator import DelayTable, classify_indication
+from dradder.timing import compare_report, critical_path
+from dradder.verification import VerifyResult, exhaustive_verify, oracle_add
 
 
 def _build(tmp_path, *args):
@@ -407,6 +413,48 @@ def test_verify_rejects_bad_arguments(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gen_completion_detector(0), ValueError, "need at least one rail pair, got 0"),
+    (lambda: gen_stage(Netlist("bare", [], [], [])), ValueError,
+     "'bare' has no dual-rail ports to wrap"),
+    (lambda: gen_safa().group("Z"), KeyError, "no input group 'Z' in safa"),
+    (lambda: gen_safa().group("A", output=True), KeyError, "no output group 'A' in safa"),
+    (lambda: classify_indication(gen_safa(), DelayTable.unit(), 0), ValueError,
+     "need at least one trial"),
+    (lambda: classify_indication(gen_completion_detector(1), DelayTable.unit(), 8), ValueError,
+     "classification needs at least two input pairs"),
+    (lambda: compare_report().row("Adder18"), ValueError, "unknown adder legend 'Adder18'"),
+    (lambda: oracle_add(0, 0, 0, 0), ValueError, "width must be >= 1, got 0"),
+    (lambda: exhaustive_verify(gen_hybrid_rca(AdderSpec(2, 0, True)), 2, mode="walk"),
+     ValueError, "unknown mode 'walk'"),
+], ids=["cd-no-pairs", "stage-no-ports", "unknown-input-group", "unknown-output-group",
+        "classify-no-trials", "classify-one-pair", "unknown-legend", "oracle-width-0",
+        "verify-unknown-mode"])
+def test_library_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.value.args == (message,)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "cd", "--pairs", "0"], "need at least one rail pair, got 0"),
+    (["classify", "--netlist", "@safa", "--trials", "0"], "need at least one trial"),
+], ids=["cd-zero-pairs", "classify-zero-trials"])
+def test_library_errors_reach_the_cli_as_usage_errors(tmp_path, capsys, argv, message):
+    safa = str(_build(tmp_path, "safa"))
+    capsys.readouterr()
+    assert main([safa if arg == "@safa" else arg for arg in argv]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_no_redundant_flag_reaches_the_generators(tmp_path, capsys):
+    assert main(["verify", "--width", "4", "--safa", "0", "--no-redundant"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("checked 512 vectors: failures=0,")
+    _build(tmp_path, "dafa", "--no-redundant")
+    census = capsys.readouterr().out.splitlines()[1:]
+    assert "  OR2    4" in census and not any("AO21" in line for line in census)
 
 
 def test_verify_random_mode_at_width_64(capsys):

@@ -66,7 +66,7 @@ def _read(what: str, load, path: str):
 
 def _checked_netlist(path: str) -> Netlist:
     n = Netlist.load(path)
-    n.topo_gates()  # a cycle or a two-driver net is a parse error; the order is cached
+    n.topo_gates()  # a cycle or a two-driver net is a parse error; the structure pass is cached
     return n
 
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import accumulate, chain, filterfalse, islice, repeat
 from operator import itemgetter, lt, sub
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 
 class GateKind(str, Enum):
@@ -110,15 +111,15 @@ class PortGroup(NamedTuple):
 
 
 class Structure(NamedTuple):
-    """A netlist's gate graph as Netlist._structure derives it once. Net ids:
-    the distinct input nets are 0..base-1, gate k's output is base + k (its
-    first driver wins, also over an input), and undriven gate inputs, then
-    undriven output nets, come last; only a malformed netlist has those."""
+    """A netlist's gate graph as Netlist._structure derives it once, its gate
+    order kept once, as positions. Net ids: the distinct input nets are
+    0..base-1, gate k's output is base + k (its first driver wins, also over
+    an input), and undriven gate inputs, then undriven output nets, come
+    last; only a malformed netlist has those."""
 
-    order: tuple[Gate, ...] | None  # the gates in topo_gates() order; None if cyclic
-    positions: Sequence[int] | None  # the same order as positions in the gate list
+    positions: Sequence[int] | None  # topo_gates() order as gate positions; None if cyclic
     report: tuple[str, ...]  # validate()'s findings
-    malformed: str | None  # the first duplicate id or wrong input count
+    malformed: str | None  # the first port declared twice, duplicate gate id or wrong input count
     unorderable: str | None  # the first wrong input count or net with two drivers
     ids: dict[str, int]  # every net's id
     base: int  # the first gate output's id: a net's driver position is its id - base
@@ -131,10 +132,11 @@ def _post_order(src: list[int], off: list[int], base: int) -> Sequence[int] | No
     if the graph has a cycle; `src` holds net ids, gate k's output being
     base + k. A list in which every gate reads only earlier ids, as every
     generated netlist does, is recognised in one C-level pass that builds
-    no list per gate. Any other list takes the walk, iterative so that a
-    chain of any length orders without recursion: gates in list order and
-    each gate's drivers in input order, a gate whose drivers are all placed
-    placed at once. The list order itself comes back as `range(count)`."""
+    no list per gate and comes back as `range(count)`. Any other list takes
+    an iterative walk, so that a chain of any length orders without
+    recursion: gates in list order, each gate's drivers first in input
+    order, with one frame per gate being visited: its id and an iterator
+    over its drivers not yet placed."""
     count = len(off) - 1
     end = base + count
     if all(map(lt, src, chain.from_iterable(
@@ -146,34 +148,25 @@ def _post_order(src: list[int], off: list[int], base: int) -> Sequence[int] | No
     done = placed.__getitem__
     first = [0] * base + off  # gate k's inputs are src[first[k]:first[k + 1]]
     order: list[int] = []
-    for k in range(base, end):
-        if placed[k]:
-            continue
-        # every gate before k is placed by now, so most gates pass on max()
-        drivers = src[first[k]:first[k + 1]]
-        if max(drivers, default=0) < k or all(map(done, drivers)):
-            placed[k] = 1
-            order.append(k - base)
-            continue
-        visiting[k] = 1
-        stack, at = [k], [first[k]]  # gates being visited and each one's next input
-        while stack:
-            g, i, stop = stack[-1], at[-1], first[stack[-1] + 1]
-            while i < stop and placed[src[i]]:
-                i += 1
-            if i == stop:
-                stack.pop()
-                at.pop()
+    for g in filterfalse(done, range(base, end)):
+        # the frame being visited: gate g and its unplaced drivers to come
+        visiting[g] = 1
+        todo = filterfalse(done, src[first[g]:first[g + 1]])
+        stack: list[tuple[int, Iterator[int]]] = []  # the frames below it
+        while True:
+            j = next(todo, None)
+            if j is None:
                 placed[g] = 1
                 order.append(g - base)
-                continue
-            at[-1] = i + 1
-            j = src[i]
-            if visiting[j]:  # unplaced and visiting: j is on the stack
+                if not stack:
+                    break
+                g, todo = stack.pop()
+            elif visiting[j]:  # unplaced and visiting: j is on the stack
                 return None
-            visiting[j] = 1
-            stack.append(j)
-            at.append(first[j])
+            else:
+                stack.append((g, todo))
+                visiting[j] = 1
+                g, todo = j, filterfalse(done, src[first[j]:first[j + 1]])
     return range(count) if order == list(range(count)) else order
 
 
@@ -262,17 +255,26 @@ class Netlist:
         """Everything known about the gate graph's shape, derived once in one
         pass over gate positions: every net's id, each gate input's net id,
         the validate() report, the load-time and order-time errors, and the
-        gates in topological order (`_post_order`), with the gate fields read
-        by C-level maps."""
+        topological order as gate positions (`_post_order`), with the gate
+        fields read by C-level maps."""
         gates = self.gates
         count = len(gates)
         ins = list(map(itemgetter(2), gates))
         outs = list(map(itemgetter(3), gates))
-        ids = {net: k for k, net in enumerate(dict.fromkeys(self.input_nets))}
+        inputs, outputs = self.input_nets, self.output_nets
+        ids = {net: k for k, net in enumerate(dict.fromkeys(inputs))}
         base = len(ids)
         end = base + count
         ids.update(zip(outs, range(base, end)))
         report: list[str] = []
+        # a port declared twice would be driven, or read, through one copy only
+        if len(self._in_groups) < len(self.inputs) or base < len(inputs):
+            report += [f"input group {name!r} is declared twice"
+                       for name, n in Counter(grp.name for grp in self.inputs).items() if n > 1]
+            report += [f"net {net!r} is named twice among the input rails and ackin"
+                       for net, n in Counter(inputs).items() if n > 1]
+        if self.ackout is not None and self.ackout in outputs[:-1]:  # the rails before it
+            report.append(f"ackout {self.ackout!r} is also an output rail")
         unorderable = None
         arity = list(map(len, ins))
         if (len(set(map(itemgetter(0), gates))) < count
@@ -311,11 +313,11 @@ class Netlist:
                        for g in gates for net in g.inputs if net not in ids]
         report += [f"port group {grp.name!r} references undriven net {net!r}"
                    for grp in self.outputs for net in grp.rails() if net not in ids]
-        nets = chain(chain.from_iterable(ins) if None in src else (), self.output_nets)
+        nets = chain(chain.from_iterable(ins) if None in src else (), outputs)
         if undriven := dict.fromkeys(net for net in nets if net not in ids):
             ids.update(zip(undriven, range(end, end + len(undriven))))
             src = list(map(ids.__getitem__, chain.from_iterable(ins)))
-        out_nets = set(self.output_nets)
+        out_nets = set(outputs)
         report += [f"net {net!r} dangles: no fanout and not a primary output"
                    for k in filterfalse(set(src).__contains__, range(base, end))
                    if ids[net := outs[k - base]] == k and net not in out_nets]
@@ -324,12 +326,7 @@ class Netlist:
         positions = _post_order(src, off, base)
         if positions is None:
             report.append("gate graph contains a cycle")
-            order = None
-        elif type(positions) is range:  # the gate list is already in order
-            order = gates
-        else:
-            order = tuple(map(gates.__getitem__, positions))
-        return Structure(order, positions, tuple(report), malformed, unorderable,
+        return Structure(positions, tuple(report), malformed, unorderable,
                          ids, base, src, off)
 
     def topo_gates(self) -> tuple[Gate, ...]:
@@ -337,24 +334,25 @@ class Netlist:
         steady-state evaluator walk a netlist. When every gate follows its
         drivers, as in every generated netlist, this is the gate list itself,
         recognised in one pass; any other list gets `_post_order`'s
-        depth-first post-order. Raises ValueError on a duplicate gate id or
-        a wrong input count, whichever comes first (the messages int_form
-        and the simulator raise), then on a net with two drivers, then on a
-        cycle."""
+        depth-first post-order, built as a new tuple on each call. Raises
+        ValueError on an input group, input net or ackout declared twice, a
+        duplicate gate id or a wrong input count, whichever comes first (the
+        messages from_dict, int_form and the simulator raise), then on a net
+        with two drivers, then on a cycle."""
         s = self._structure
         if err := s.malformed or s.unorderable:
             raise ValueError(err)
-        if s.order is None:
+        if s.positions is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
-        return s.order
+        gates = self.gates
+        return gates if type(s.positions) is range else tuple(map(gates.__getitem__, s.positions))
 
     @cached_property
     def int_form(self) -> IntForm:
         """The netlist over `_structure`'s net ids, derived once for simulation and verification.
 
-        Raises ValueError on a duplicate gate id, a wrong input count or a net
-        with two drivers, the last with topo_gates()'s message; a cyclic
-        netlist still gets a form."""
+        Raises ValueError where topo_gates() does, with its message, short
+        of a cycle: a cyclic netlist still gets a form."""
         s = self._structure
         if err := s.malformed or s.unorderable:
             raise ValueError(err)

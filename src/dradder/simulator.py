@@ -434,9 +434,10 @@ def classify_indication(
 
 
 def dump_waveform(log: TransactionLog, fh: TextIO, *, header: str | None = None) -> None:
-    """Write per-net transitions as 'time net level' lines, time-sorted."""
+    """Write each event of the log's trace as a 'time net level' line, sorted."""
     if header:
         fh.write(f"# {header}\n")
-    rows = [(t, net, v) for net, trans in log.transitions.items() for t, v in trans]
+    names = log.names
+    rows = ((t, names[ev >> 1], ev & 1) for ev, t in zip(log.trace, log.trace_times))
     for t, net, v in sorted(rows):
         fh.write(f"{t} {net} {v}\n")

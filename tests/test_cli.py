@@ -28,10 +28,10 @@ from dradder.generators import (
     gen_safa,
     gen_stage,
 )
-from dradder.netlist import Netlist
+from dradder.netlist import Gate, GateKind, Netlist, PortGroup
 from dradder.simulator import DelayTable, classify_indication
 from dradder.timing import compare_report, critical_path
-from dradder.verification import VerifyResult, exhaustive_verify, oracle_add
+from dradder.verification import VerifyResult, exhaustive_verify, oracle_add, steady_set_levels
 
 
 def _build(tmp_path, *args):
@@ -330,6 +330,51 @@ def test_two_driver_net_is_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot read netlist {str(path)!r}: {message}\n"
     with pytest.raises(ValueError, match=re.escape(message)):
         critical_path(Netlist.load(path), DelayTable.unit())
+
+
+_Y = PortGroup("Y", "y1", "y0")
+_COPIES = [Gate("g1", GateKind.BUF, ("a1",), "y1"), Gate("g0", GateKind.BUF, ("a0",), "y0")]
+# a transaction would never drive the second A
+_TWO_AS = Netlist("two_as", [Gate("g1", GateKind.AND2, ("a", "c"), "y1"),
+                             Gate("g0", GateKind.OR2, ("b", "d"), "y0")],
+                  [PortGroup("A", "a", "b"), PortGroup("A", "c", "d")], [_Y])
+
+
+@pytest.mark.parametrize("netlist, message", [
+    (_TWO_AS, "input group 'A' is declared twice"),
+    (gen_stage(_TWO_AS), "input group 'A' is declared twice"),
+    (Netlist("shared", [Gate("g1", GateKind.AND2, ("a", "b"), "y1"),
+                        Gate("g0", GateKind.OR2, ("b", "c"), "y0")],
+             [PortGroup("A", "a", "b"), PortGroup("B", "a", "c")], [_Y]),
+     "net 'a' is named twice among the input rails and ackin"),
+    (Netlist("same_rails", [Gate("g1", GateKind.BUF, ("a",), "y1"),
+                            Gate("g0", GateKind.BUF, ("a",), "y0")],
+             [PortGroup("A", "a", "a")], [_Y]),
+     "net 'a' is named twice among the input rails and ackin"),
+    (Netlist("ackin_rail", [*_COPIES, Gate("cd", GateKind.OR2, ("y1", "y0"), "done")],
+             [PortGroup("A", "a1", "a0")], [_Y], ackin="a0", ackout="done"),
+     "net 'a0' is named twice among the input rails and ackin"),
+    (Netlist("ackout_rail", _COPIES, [PortGroup("A", "a1", "a0")], [_Y],
+             ackin="ack", ackout="y1"),
+     "ackout 'y1' is also an output rail"),
+], ids=["two-as", "two-as-stage", "rail-in-two-groups", "rail1-is-rail0", "ackin-is-a-rail",
+        "ackout-is-an-output-rail"])
+def test_port_declared_twice_is_parse_error(tmp_path, capsys, netlist, message):
+    # the tools would drive or read one copy of such a port only, and give a
+    # wrong verdict (a missing latency, an illegal output, a deadlock) in
+    # place of a load error
+    assert netlist.validate() == [message]
+    for route in (lambda: Netlist.from_dict(netlist.to_dict()), netlist.topo_gates,
+                  lambda: netlist.int_form, lambda: critical_path(netlist, DelayTable.unit()),
+                  lambda: steady_set_levels(netlist, {})):
+        with pytest.raises(ValueError) as exc:
+            route()
+        assert exc.value.args == (message,)
+    path = tmp_path / "twice.json"
+    netlist.save(path)
+    for command in ("sim", "sta", "classify"):
+        assert main([command, "--netlist", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: cannot read netlist {str(path)!r}: {message}\n"
 
 
 def _run_detached(tmp_path, argv, stdout, stderr=subprocess.PIPE):

@@ -126,3 +126,17 @@ def test_stage_rejects_scalar_data_ports():
     cd = gen_completion_detector(2)
     with pytest.raises(ValueError):
         gen_stage(cd)
+
+
+@pytest.mark.parametrize("block", [
+    gen_safa(), gen_dafa(True), gen_dafa(False),
+    *(gen_hybrid_rca(AdderSpec(*spec))
+      for spec in [(1, 1, True), (2, 0, False), (8, 2, True), (8, 0, False), (16, 16, True)]),
+    *map(gen_completion_detector, (1, 3, 8)),
+], ids=lambda n: n.name)
+def test_generated_netlists_and_their_stages_declare_each_port_once(block):
+    # no finding at all, port findings included; a completion detector's
+    # scalar output cannot be wrapped in a stage
+    assert block.validate() == []
+    if not any(grp.scalar for grp in block.outputs):
+        assert gen_stage(block).validate() == []

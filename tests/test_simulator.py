@@ -200,7 +200,7 @@ def test_monitor_flags_an_input_falling_in_the_set_phase():
 
 # A's rail 0 is the ackin net, which the environment raises at t=0 before
 # it applies any input: an earlier apply time would queue that net's events
-# out of time order
+# out of time order, so the netlist is rejected before any input applies
 _ACKIN_AS_RAIL = Netlist("ackin_as_rail", [Gate("g1", GateKind.BUF, ("a1",), "y1"),
                                            Gate("g0", GateKind.BUF, ("ack",), "y0")],
                          [PortGroup("A", "a1", "ack")], [PortGroup("Y", "y1", "y0")],
@@ -210,7 +210,7 @@ _ACKIN_AS_RAIL = Netlist("ackin_as_rail", [Gate("g1", GateKind.BUF, ("a1",), "y1
 @pytest.mark.parametrize("netlist, inputs, message", [
     (gen_safa(), [("A", 1, 0), ("A", 1, -1)],
      "input group 'A' applies at t=-1; apply times start at 0"),
-    (_ACKIN_AS_RAIL, [("A", 1, -1)], "input group 'A' applies at t=-1; apply times start at 0"),
+    (_ACKIN_AS_RAIL, [("A", 1, -1)], "net 'ack' is named twice among the input rails and ackin"),
     # an event is net << 1 | bit, so bit 2 (and 1 - 2 on rail 0) would drive other nets
     (gen_safa(), [("B", 1, 0), ("A", 2, 0)], "input group 'A' drives bit 2; bits are 0 or 1"),
 ], ids=["safa-before-zero", "ackin-as-rail-before-zero", "safa-bit-2"])
@@ -218,8 +218,9 @@ def test_inputs_outside_the_protocol_are_rejected(netlist, inputs, message):
     with pytest.raises(ValueError) as exc:
         simulate_transaction(netlist, DelayTable.unit(), inputs)
     assert exc.value.args == (message,)
-    log = simulate_transaction(netlist, DelayTable.unit(), [("A", 1, 0)])
-    assert log.input_apply == {"A": 0} and log.rtz_complete
+    if netlist.validate() == []:
+        log = simulate_transaction(netlist, DelayTable.unit(), [("A", 1, 0)])
+        assert log.input_apply == {"A": 0} and log.rtz_complete
 
 
 _A = PortGroup("A", "a1", "a0")

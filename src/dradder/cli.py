@@ -64,14 +64,8 @@ def _read(what: str, load, path: str):
         raise CliError(f"cannot read {what} {path!r}: {exc}", EXIT_PARSE)
 
 
-def _checked_netlist(path: str) -> Netlist:
-    n = Netlist.load(path)
-    n.topo_gates()  # a cycle or a two-driver net is a parse error; the structure pass is cached
-    return n
-
-
 def _load_netlist(path: str) -> Netlist:
-    return _read("netlist", _checked_netlist, path)
+    return _read("netlist", Netlist.load, path)
 
 
 def _load_delays(path: str | None) -> DelayTable:
@@ -124,11 +118,6 @@ def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
 
 def cmd_build(args) -> int:
     n = _build_circuit(args)
-    problems = n.validate()
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_FAIL
     out = args.out or f"{n.name}.netlist.json"
     n.save(out)
     print(f"wrote {out}")

@@ -90,9 +90,6 @@ class IntForm:
     ports: dict[PortGroup, tuple[int, ...]]  # every input and output group's rail ids, rail1 first
     partner: tuple[int | None, ...]  # the other rail of a dual-rail port net
     ackin: int | None  # the ackin net's id, on a handshake stage
-    # the gates' entries in topo_gates() order, which is the gate list when
-    # every gate follows its drivers; None if cyclic
-    order: tuple[FanoutEntry, ...] | None
 
 
 class PortGroup(NamedTuple):
@@ -111,16 +108,18 @@ class PortGroup(NamedTuple):
 
 
 class Structure(NamedTuple):
-    """A netlist's gate graph as Netlist._structure derives it once, its gate
-    order kept once, as positions. Net ids: the distinct input nets are
-    0..base-1, gate k's output is base + k (its first driver wins, also over
-    an input), and undriven gate inputs, then undriven output nets, come
-    last; only a malformed netlist has those."""
+    """A netlist's gate graph as Netlist._structure derives it once: the
+    checked, ordered form that loading, STA and the steady-state evaluator
+    read, its gate order kept once, as positions. Net ids: the distinct
+    input nets are 0..base-1, gate k's output is base + k (its first driver
+    wins, also over an input), and undriven gate inputs, then undriven
+    output nets, come last; only a malformed netlist has those."""
 
     positions: Sequence[int] | None  # topo_gates() order as gate positions; None if cyclic
     report: tuple[str, ...]  # validate()'s findings
-    malformed: str | None  # the first port declared twice, duplicate gate id or wrong input count
-    unorderable: str | None  # the first wrong input count or net with two drivers
+    # the first port declared twice, duplicate gate id or wrong input count,
+    # else the first net with two drivers or driven input; None if neither
+    error: str | None
     ids: dict[str, int]  # every net's id
     base: int  # the first gate output's id: a net's driver position is its id - base
     src: list[int]  # per gate input, its net's id
@@ -254,9 +253,9 @@ class Netlist:
     def _structure(self) -> Structure:
         """Everything known about the gate graph's shape, derived once in one
         pass over gate positions: every net's id, each gate input's net id,
-        the validate() report, the load-time and order-time errors, and the
-        topological order as gate positions (`_post_order`), with the gate
-        fields read by C-level maps."""
+        the validate() report, the one error that stops loading and ordering,
+        and the topological order as gate positions (`_post_order`), with
+        the gate fields read by C-level maps."""
         gates = self.gates
         count = len(gates)
         ins = list(map(itemgetter(2), gates))
@@ -273,9 +272,11 @@ class Netlist:
                        for name, n in Counter(grp.name for grp in self.inputs).items() if n > 1]
             report += [f"net {net!r} is named twice among the input rails and ackin"
                        for net, n in Counter(inputs).items() if n > 1]
-        if self.ackout is not None and self.ackout in outputs[:-1]:  # the rails before it
-            report.append(f"ackout {self.ackout!r} is also an output rail")
-        unorderable = None
+        if self.ackout is not None:
+            if self.ackout in outputs[:-1]:  # the rails before it
+                report.append(f"ackout {self.ackout!r} is also an output rail")
+            if self.ackout in inputs:
+                report.append(f"ackout {self.ackout!r} is also an input net")
         arity = list(map(len, ins))
         if (len(set(map(itemgetter(0), gates))) < count
                 or arity != list(map(ARITY.__getitem__, map(itemgetter(1), gates)))):
@@ -287,8 +288,6 @@ class Netlist:
                 if len(g.inputs) != ARITY[g.kind]:
                     report.append(f"gate {g.id!r}: {g.kind.value} takes {ARITY[g.kind]} "
                                   f"inputs, got {len(g.inputs)}")
-                    unorderable = unorderable or report[-1]
-        malformed = report[0] if report else None
 
         if len(ids) < end:  # a net with two drivers, or a driven input
             # the first driver wins, also over an input
@@ -298,14 +297,13 @@ class Netlist:
             for k, net in enumerate(outs):
                 if (first := ids[net] - base) != k:
                     extra.setdefault(net, [first]).append(k)
-            first_conflict = len(report)
             for net in sorted(extra.keys() | driven_primary, key=ids.__getitem__):
                 who = [gates[k].id for k in extra.get(net, (ids[net] - base,))]
                 if net in extra:
                     report.append(f"net {net!r} has multiple drivers: {who}")
                 if net in driven_primary:
                     report.append(f"net {net!r} is both a primary input and driven by {who}")
-            unorderable = unorderable or report[first_conflict]
+        error = report[0] if report else None
 
         src = list(map(ids.get, chain.from_iterable(ins)))
         if None in src:  # a net that is neither driven nor an input
@@ -326,22 +324,22 @@ class Netlist:
         positions = _post_order(src, off, base)
         if positions is None:
             report.append("gate graph contains a cycle")
-        return Structure(positions, tuple(report), malformed, unorderable,
-                         ids, base, src, off)
+        return Structure(positions, tuple(report), error, ids, base, src, off)
 
     def topo_gates(self) -> tuple[Gate, ...]:
-        """Gates in topological order, the one route by which STA and the
-        steady-state evaluator walk a netlist. When every gate follows its
-        drivers, as in every generated netlist, this is the gate list itself,
-        recognised in one pass; any other list gets `_post_order`'s
-        depth-first post-order, built as a new tuple on each call. Raises
-        ValueError on an input group, input net or ackout declared twice, a
-        duplicate gate id or a wrong input count, whichever comes first (the
-        messages from_dict, int_form and the simulator raise), then on a net
-        with two drivers, then on a cycle."""
+        """Gates in topological order: the check that loading, STA and the
+        steady-state evaluator make before they walk `_structure`'s
+        positions. When every gate follows its drivers, as in every generated
+        netlist, this is the gate list itself, recognised in one pass; any
+        other list gets `_post_order`'s depth-first post-order, built as a new
+        tuple on each call. Raises ValueError with `Structure.error` (an input
+        group, input net or ackout declared twice, an ackout that is an input
+        net, a duplicate gate id or a wrong input count, whichever comes
+        first, then a net with two drivers or a driven input), then on a
+        cycle."""
         s = self._structure
-        if err := s.malformed or s.unorderable:
-            raise ValueError(err)
+        if s.error:
+            raise ValueError(s.error)
         if s.positions is None:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
         gates = self.gates
@@ -349,19 +347,18 @@ class Netlist:
 
     @cached_property
     def int_form(self) -> IntForm:
-        """The netlist over `_structure`'s net ids, derived once for simulation and verification.
+        """The netlist over `_structure`'s net ids, derived once for the event simulator.
 
-        Raises ValueError where topo_gates() does, with its message, short
-        of a cycle: a cyclic netlist still gets a form."""
+        Raises ValueError on `Structure.error`, topo_gates()'s message; a
+        cyclic netlist built in-process still gets a form."""
         s = self._structure
-        if err := s.malformed or s.unorderable:
-            raise ValueError(err)
+        if s.error:
+            raise ValueError(s.error)
         ids, base, src, off = s.ids, s.base, s.src, s.off
         fanout: list[list[FanoutEntry]] = [[] for _ in ids]
-        entries: list[FanoutEntry] = []  # by gate position
         for k, kind in enumerate(map(itemgetter(1), self.gates)):
             pos = tuple(src[off[k]:off[k + 1]])
-            entries.append(entry := (GATE_AT[kind], pos, base + k, kind))
+            entry = (GATE_AT[kind], pos, base + k, kind)
             for j in pos:
                 fanout[j].append(entry)
         ports = {grp: tuple(ids[r] for r in grp.rails()) for grp in self.inputs + self.outputs}
@@ -370,9 +367,7 @@ class Netlist:
             if len(rails) == 2:
                 partner[rails[0]], partner[rails[1]] = rails[1], rails[0]
         return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), ports, tuple(partner),
-                       None if self.ackin is None else ids[self.ackin],
-                       None if s.positions is None
-                       else tuple(map(entries.__getitem__, s.positions)))
+                       None if self.ackin is None else ids[self.ackin])
 
     # -- serialization -------------------------------------------------------
 
@@ -395,6 +390,10 @@ class Netlist:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Netlist":
+        """The netlist `doc` describes. Raises ValueError on a name that is
+        not a string or gate inputs that are not a list, and otherwise where
+        topo_gates() does, with its message: a netlist loads only if it can
+        be ordered."""
         def text(value, field: str, *, optional: bool = False) -> str | None:
             if isinstance(value, str) or (optional and value is None):
                 return value
@@ -419,8 +418,7 @@ class Netlist:
             ackin=text(acks.get("ackin"), "ackin", optional=True),
             ackout=text(acks.get("ackout"), "ackout", optional=True),
         )
-        if err := n._structure.malformed:
-            raise ValueError(err)
+        n.topo_gates()
         return n
 
     def save(self, path) -> None:

@@ -22,13 +22,15 @@ every count. Two evaluation routes check every sweep:
   the steady-state level of that lane, and the transaction must return to
   zero.
 
-Both routes run on one netlist form, `Netlist.int_form`, whose gate
-entries take their semantics from the one table `netlist.GATE_AT`. Each
-kind outputs 0 from all-zero inputs, whatever a C-element holds, so the
-steady state after the spacer is all-zero for any acyclic netlist: return
-to zero is observed only on the event-simulated sample. The cross-check
-also guards event scheduling and delays, the C-element holding its value
-across phases, and the simulator's illegal-state and monotonicity monitors.
+The evaluator walks the structure pass's gate positions and net ids, as
+STA does; the simulator runs on `Netlist.int_form`, whose fanout entries
+it builds from the same pass. Both take gate semantics from the one table
+`netlist.GATE_AT`. Each kind outputs 0 from all-zero inputs, whatever a
+C-element holds, so the steady state after the spacer is all-zero for any
+acyclic netlist: return to zero is observed only on the event-simulated
+sample. The cross-check also guards how the fanout entries are built,
+event scheduling and delays, the C-element holding its value across
+phases, and the simulator's illegal-state and monotonicity monitors.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import Netlist, PortGroup
+from .netlist import GATE_AT, Netlist, PortGroup
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
 
 
@@ -90,23 +92,27 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
     """Steady levels after a set phase from all-zero, one array per net
     keyed by name in net-id order, vectorized across input vectors: boolean
     lanes, or uint64 words packing 64 lanes each when the inputs are uint64.
-    C2 settles to AND under monotone rising inputs; ackin, if any, is held high."""
+    C2 settles to AND under monotone rising inputs; ackin, if any, is held high.
+    Walks `Netlist._structure`'s positions on a list indexed by net id, as
+    critical_path does."""
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
-    form = n.int_form
+    s = n._structure
+    ids, base, src, off = s.ids, s.base, s.src, s.off
     lanes = {k: _lanes(v) for k, v in inputs.items()}
     if len({v.dtype for v in lanes.values()}) > 1:
         raise ValueError("inputs mix boolean lanes and packed uint64 words")
-    if unknown := [k for k in lanes if k not in form.ids]:
+    if unknown := [k for k in lanes if k not in ids]:
         raise ValueError(f"input net {unknown[0]!r} is not in {n.name!r}")
     zero = np.zeros_like(next(iter(lanes.values()))) if lanes else np.zeros((), dtype=bool)
-    levels = [zero] * len(form.names)
+    levels = [zero] * len(ids)
     for net, v in lanes.items():
-        levels[form.ids[net]] = v
+        levels[ids[net]] = v
     if n.ackin is not None:
-        levels[form.ids[n.ackin]] = ~zero
-    for fn, pos, out, _ in form.order:
-        levels[out] = fn(levels, pos, False)  # False: no bool-to-int promotion
-    return dict(zip(form.names, levels))
+        levels[ids[n.ackin]] = ~zero
+    gates = n.gates
+    for k in s.positions:  # False: no bool-to-int promotion
+        levels[base + k] = GATE_AT[gates[k].kind](levels, src[off[k]:off[k + 1]], False)
+    return dict(zip(ids, levels))
 
 
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -115,7 +121,7 @@ def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[s
     are back at zero. The result is all-zero for any acyclic netlist,
     because every gate kind outputs 0 from all-zero inputs: nothing is evaluated."""
     shape = next(iter(set_levels.values())).shape
-    return {net: np.zeros(shape, dtype=bool) for net in n.int_form.names}
+    return {net: np.zeros(shape, dtype=bool) for net in n._structure.ids}
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +260,15 @@ def exhaustive_verify(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
-    form = n.int_form
+    s = n._structure
     rails = [n.group(name).rails() for name in ports]
     # the cross-check names the first disagreeing net of: the input nets,
     # swept rails first, then the gate outputs in topo_gates() order, which
     # is the gate list when every gate follows its drivers
     inputs_first = dict.fromkeys([*itertools.chain(*rails), *n.input_nets])
-    scan = np.array([form.ids[x] for x in inputs_first] + [out for _, _, out, _ in form.order])
+    scan = np.array([s.ids[x] for x in inputs_first] + [s.base + k for k in s.positions])
     words = -(-total // _LANES)
-    step = max(1, _CHUNK_BYTES // (8 * len(form.names)))
+    step = max(1, _CHUNK_BYTES // (8 * len(s.ids)))
     sample = sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total)))
 
     delays = DelayTable.unit()
@@ -293,7 +299,7 @@ def exhaustive_verify(
                                                    for name, bit in zip(ports, bits)])
             levels = np.array(log.set_net_levels, dtype=bool)
             differ = np.flatnonzero(steady[scan] != levels[scan])
-            net = form.names[scan[differ[0]]] if differ.size else None
+            net = log.names[scan[differ[0]]] if differ.size else None
             rtz_failures += not log.rtz_complete
             if net is not None or not log.rtz_complete or log.illegal_seen \
                     or not log.monotonic:

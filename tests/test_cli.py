@@ -268,6 +268,17 @@ TWO_DRIVERS = {
 }
 
 
+# a gate drives the primary input a, which the second gate reads
+DRIVEN_INPUT = {
+    "name": "driven",
+    "inputs": [{"group": "A", "rail1": "a", "rail0": None},
+               {"group": "B", "rail1": "b", "rail0": None}],
+    "outputs": [{"group": "Y", "rail1": "y", "rail0": None}],
+    "gates": [{"id": "g1", "kind": "BUF", "in": ["b"], "out": "a"},
+              {"id": "g2", "kind": "AND2", "in": ["a", "b"], "out": "y"}],
+}
+
+
 def _delays(**override):
     return {**DelayTable.unit().to_mapping(), **override}
 
@@ -285,13 +296,14 @@ def _delays(**override):
     (["sta", "--netlist"], STRING_INPUTS, "gate inputs must be a list"),
     (["sim", "--count", "1", "--netlist"], TWO_DRIVERS, "multiple drivers"),
     (["classify", "--netlist"], TWO_DRIVERS, "multiple drivers"),
+    (["sta", "--netlist"], DRIVEN_INPUT, "is both a primary input"),
     (["sweep", "--width", "4", "--delays"], _delays(AO21=1.7), "must be an integer"),
     (["sweep", "--width", "4", "--delays"], _delays(C2=True), "must be an integer"),
     (["sweep", "--width", "4", "--delays"], _delays(time_unit=5), "time_unit must be a string"),
 ], ids=["gates-not-a-list", "netlist-not-an-object", "delays-not-an-object",
         "sta-cycle", "sim-cycle", "sim-wrong-arity", "sta-duplicate-id",
         "sta-rail1-list", "sta-int-gate-id", "sta-string-inputs",
-        "sim-two-drivers", "classify-two-drivers",
+        "sim-two-drivers", "classify-two-drivers", "sta-driven-input",
         "delays-float", "delays-bool", "delays-int-time-unit"])
 def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "input.json"
@@ -332,6 +344,27 @@ def test_two_driver_net_is_parse_error(tmp_path, capsys):
         critical_path(Netlist.load(path), DelayTable.unit())
 
 
+@pytest.mark.parametrize("doc, finding", [
+    (TWO_DRIVERS, "net 'y' has multiple drivers: ['g1', 'g2']"),
+    (CYCLIC, "gate graph contains a cycle"),
+    (DRIVEN_INPUT, "net 'a' is both a primary input and driven by ['g1']"),
+], ids=["two-drivers", "cyclic", "driven-input"])
+def test_a_netlist_loads_only_if_it_can_be_ordered(doc, finding):
+    # the same gates built in-process still report their finding
+    def port(d):
+        return PortGroup(d["group"], d["rail1"], d["rail0"])
+
+    made = Netlist(doc["name"], [Gate(g["id"], GateKind(g["kind"]), tuple(g["in"]), g["out"])
+                                 for g in doc["gates"]],
+                   list(map(port, doc["inputs"])), list(map(port, doc["outputs"])))
+    assert made.validate() == [finding]
+    with pytest.raises(ValueError) as ordered:
+        made.topo_gates()
+    with pytest.raises(ValueError) as loaded:
+        Netlist.from_dict(doc)
+    assert loaded.value.args == ordered.value.args
+
+
 _Y = PortGroup("Y", "y1", "y0")
 _COPIES = [Gate("g1", GateKind.BUF, ("a1",), "y1"), Gate("g0", GateKind.BUF, ("a0",), "y0")]
 # a transaction would never drive the second A
@@ -357,8 +390,15 @@ _TWO_AS = Netlist("two_as", [Gate("g1", GateKind.AND2, ("a", "c"), "y1"),
     (Netlist("ackout_rail", _COPIES, [PortGroup("A", "a1", "a0")], [_Y],
              ackin="ack", ackout="y1"),
      "ackout 'y1' is also an output rail"),
+    # ackout would follow ackin, or never rise: a run completes or deadlocks whatever the data
+    (Netlist("ackout_ackin", _COPIES, [PortGroup("A", "a1", "a0")], [_Y],
+             ackin="ack", ackout="ack"),
+     "ackout 'ack' is also an input net"),
+    (Netlist("ackout_input_rail", _COPIES, [PortGroup("A", "a1", "a0")], [_Y],
+             ackin="ack", ackout="a0"),
+     "ackout 'a0' is also an input net"),
 ], ids=["two-as", "two-as-stage", "rail-in-two-groups", "rail1-is-rail0", "ackin-is-a-rail",
-        "ackout-is-an-output-rail"])
+        "ackout-is-an-output-rail", "ackout-is-ackin", "ackout-is-an-input-rail"])
 def test_port_declared_twice_is_parse_error(tmp_path, capsys, netlist, message):
     # the tools would drive or read one copy of such a port only, and give a
     # wrong verdict (a missing latency, an illegal output, a deadlock) in

@@ -130,8 +130,11 @@ def test_stage_rejects_scalar_data_ports():
 
 @pytest.mark.parametrize("block", [
     gen_safa(), gen_dafa(True), gen_dafa(False),
-    *(gen_hybrid_rca(AdderSpec(*spec))
-      for spec in [(1, 1, True), (2, 0, False), (8, 2, True), (8, 0, False), (16, 16, True)]),
+    # every legal split at widths 1-8: `dradder build` writes what the
+    # generators return without checking it
+    *(gen_hybrid_rca(AdderSpec(width, safa, redundant)) for width in range(1, 9)
+      for safa in range(width % 2, width + 1, 2) for redundant in (True, False)),
+    gen_hybrid_rca(AdderSpec(16, 16, True)),
     *map(gen_completion_detector, (1, 3, 8)),
 ], ids=lambda n: n.name)
 def test_generated_netlists_and_their_stages_declare_each_port_once(block):
@@ -140,3 +143,4 @@ def test_generated_netlists_and_their_stages_declare_each_port_once(block):
     assert block.validate() == []
     if not any(grp.scalar for grp in block.outputs):
         assert gen_stage(block).validate() == []
+

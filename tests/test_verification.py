@@ -81,6 +81,37 @@ def test_steady_set_levels_keys_and_unknown_inputs(n):
         steady_set_levels(n, {**inputs, "ghost": np.ones(3, dtype=bool)})
 
 
+def test_static_passes_do_not_build_the_simulator_form():
+    # STA and the steady-state evaluator walk the structure pass, so only
+    # the event simulator builds int_form
+    from dradder.timing import critical_path
+
+    for check in (lambda n: steady_set_levels(n, {}),
+                  lambda n: equation_equivalence(n, SAFA_EQUATIONS),
+                  lambda n: critical_path(n, DelayTable.unit())):
+        n = gen_safa()
+        check(n)
+        assert "int_form" not in n.__dict__
+
+
+def test_cross_check_sees_a_wrongly_built_fanout_entry():
+    # the evaluator walks the structure pass, not int_form, so a simulator
+    # entry that reads the wrong net disagrees with it; the data outputs,
+    # which the oracle checks, do not depend on the completion detector
+    import dataclasses
+
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    form = stage.int_form
+    bad = form.ids["cd/or2"]
+    fanout = tuple(tuple((fn, (pos[0], pos[0]) if out == bad else pos, out, kind)
+                         for fn, pos, out, kind in entries) for entries in form.fanout)
+    stage.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+    res = exhaustive_verify(stage, 4)
+    assert not res.passed
+    assert res.first_counterexample["via"] == "event simulator"
+    assert res.first_counterexample["net"] == "cd/or2"
+
+
 def test_exhaustive_verify_small_widths():
     for s, red in [(0, True), (0, False), (2, True), (2, False)]:
         stage = gen_stage(gen_hybrid_rca(AdderSpec(4, s, red)))

@@ -18,6 +18,7 @@ import sys
 
 from .generators import (
     AdderSpec,
+    _adder_inputs,
     gen_completion_detector,
     gen_dafa,
     gen_hybrid_rca,
@@ -90,9 +91,9 @@ def _build_circuit(args) -> Netlist:
 
 def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
     """One transaction per line: '<a_hex> <b_hex> <cin_bit>'."""
-    width = sum(1 for g in netlist.inputs if g.name.startswith("A") and g.name[1:].isdigit())
-    ports = {f"{ab}{i}" for ab in "AB" for i in range(width)} | {"CIN"}
-    if width == 0 or {g.name for g in netlist.inputs} != ports:
+    width = (len(netlist.inputs) - 1) // 2
+    ports = _adder_inputs(width)
+    if width < 1 or {g.name for g in netlist.inputs} != set(ports):
         raise CliError(f"vector files drive adder inputs A0.., B0.., CIN; "
                        f"netlist {netlist.name!r} has other inputs", EXIT_PARSE)
     vectors = []
@@ -107,10 +108,8 @@ def _parse_vector_file(path: str, netlist: Netlist) -> list[dict[str, int]]:
             a, b, cin = int(parts[0], 16), int(parts[1], 16), int(parts[2])
             if cin not in (0, 1) or not (0 <= a < 2**width and 0 <= b < 2**width):
                 raise ValueError(f"line {lineno}: value out of range for width {width}")
-            vec = {f"A{i}": (a >> i) & 1 for i in range(width)}
-            vec.update({f"B{i}": (b >> i) & 1 for i in range(width)})
-            vec["CIN"] = cin
-            vectors.append(vec)
+            bits = a | b << width | cin << 2 * width  # bit k drives ports[k]
+            vectors.append({name: bits >> k & 1 for k, name in enumerate(ports)})
     if not vectors:
         raise ValueError("no vector lines")
     return vectors

@@ -50,25 +50,33 @@ class _Builder:
         return gid
 
 
+def _adder_inputs(width: int) -> list[str]:
+    """The hybrid adder's input group names in declaration order: A0..A{w-1},
+    B0..B{w-1}, CIN. Group G has rails g_1 and g_0, g the lower-cased name."""
+    return [f"{ab}{i}" for ab in "AB" for i in range(width)] + ["CIN"]
+
+
+def _emit_sum(b: _Builder, c: str, s: str, eqv, dif, cin1, cin0):
+    """Sum of one bit pair from its equivalence and difference signals and
+    the carry-in: C2s {c}1..{c}4 into OR2s {s}1 and {s}0; returns (s1, s0)."""
+    sum1 = b.add(f"{s}1", K.OR2,
+                 (b.add(f"{c}1", K.C2, (dif, cin0)), b.add(f"{c}2", K.C2, (eqv, cin1))))
+    sum0 = b.add(f"{s}0", K.OR2,
+                 (b.add(f"{c}3", K.C2, (dif, cin1)), b.add(f"{c}4", K.C2, (eqv, cin0))))
+    return sum1, sum0
+
+
 def _emit_safa(b: _Builder, p: str, a1, a0, b1, b0, cin1, cin0):
     """Single-bit early-output full adder; returns (sum1, sum0, cout1, cout0).
 
     cg1 is the operand-equivalence signal (A == B), cg2 the difference
-    signal (A != B); the carry gates reuse those terms.
+    signal (A != B); the carry gates and the sum network reuse those terms.
     """
     cg1 = b.add(f"{p}cg1", K.AO22, (a1, b1, a0, b0))
     cg2 = b.add(f"{p}cg2", K.AO22, (a1, b0, a0, b1))
     cout1 = b.add(f"{p}cg3", K.AO22, (a1, b1, cg2, cin1))
     cout0 = b.add(f"{p}cg4", K.AO22, (a0, b0, cg2, cin0))
-    sum1 = b.add(
-        f"{p}sum1", K.OR2,
-        (b.add(f"{p}sc1", K.C2, (cg2, cin0)), b.add(f"{p}sc2", K.C2, (cg1, cin1))),
-    )
-    sum0 = b.add(
-        f"{p}sum0", K.OR2,
-        (b.add(f"{p}sc3", K.C2, (cg2, cin1)), b.add(f"{p}sc4", K.C2, (cg1, cin0))),
-    )
-    return sum1, sum0, cout1, cout0
+    return *_emit_sum(b, f"{p}sc", f"{p}sum", cg1, cg2, cin1, cin0), cout1, cout0
 
 
 def _emit_dafa(b: _Builder, p: str, a11, a10, a01, a00, b11, b10, b01, b00,
@@ -80,7 +88,8 @@ def _emit_dafa(b: _Builder, p: str, a11, a10, a01, a00, b11, b10, b01, b00,
     single carry-propagate signal feeding both carry rails and both
     high-sum rails. The non-redundant carry variant reuses the propagate
     C-elements already present on the sum side, so swapping variants only
-    exchanges two AO21 gates for two OR2 gates.
+    exchanges two AO21 gates for two OR2 gates. The low bit pair sums
+    through `_emit_sum`, the SAFA's sum network.
     """
     def and4(gid, w, x, y, z):
         return b.add(f"{p}{gid}", K.AND4, (w, x, y, z))
@@ -139,17 +148,9 @@ def _emit_dafa(b: _Builder, p: str, a11, a10, a01, a00, b11, b10, b01, b00,
     sum10 = b.add(f"{p}sum10", K.OR3,
                   (cp1, b.add(f"{p}yc0", K.C2, (y0, cin0)), z0))
 
-    # low-pair sum: same shape as the SAFA sum over (A0, B0, CIN)
     dif = b.add(f"{p}dif", K.AO22, (a01, b00, a00, b01))
     eqv = b.add(f"{p}eqv", K.AO22, (a01, b01, a00, b00))
-    sum01 = b.add(
-        f"{p}sum01", K.OR2,
-        (b.add(f"{p}lc1", K.C2, (dif, cin0)), b.add(f"{p}lc2", K.C2, (eqv, cin1))),
-    )
-    sum00 = b.add(
-        f"{p}sum00", K.OR2,
-        (b.add(f"{p}lc3", K.C2, (dif, cin1)), b.add(f"{p}lc4", K.C2, (eqv, cin0))),
-    )
+    sum01, sum00 = _emit_sum(b, f"{p}lc", f"{p}sum0", eqv, dif, cin1, cin0)
 
     if redundant:
         cout1 = b.add(f"{p}cout1", K.AO21, (prop, cin1, gen1))
@@ -198,31 +199,24 @@ def gen_dafa(redundant: bool = True) -> Netlist:
 def gen_hybrid_rca(spec: AdderSpec) -> Netlist:
     """Ripple-carry adder: SAFAs at bits 0..s-1, DAFAs above, carry chained.
 
-    Input groups A0..A{n-1}, B0..B{n-1}, CIN; outputs SUM0..SUM{n-1}, COUT.
+    Input groups as `_adder_inputs` lists them; outputs SUM0..SUM{n-1}, COUT.
     The whole-adder carry-in is a live dual-rail port.
     """
     n, s = spec.width, spec.safa_stages
     b = _Builder()
-    inputs = []
-    for i in range(n):
-        inputs.append(PortGroup(f"A{i}", f"a{i}_1", f"a{i}_0"))
-    for i in range(n):
-        inputs.append(PortGroup(f"B{i}", f"b{i}_1", f"b{i}_0"))
-    inputs.append(PortGroup("CIN", "cin_1", "cin_0"))
+    inputs = [PortGroup(g, f"{g.lower()}_1", f"{g.lower()}_0") for g in _adder_inputs(n)]
+    a, bb = inputs[:n], inputs[n:2 * n]
 
     sums: list[PortGroup] = []
-    carry = ("cin_1", "cin_0")
+    carry = inputs[-1].rails()
     for i in range(s):
-        s1, s0, c1, c0 = _emit_safa(
-            b, f"safa{i}/", f"a{i}_1", f"a{i}_0", f"b{i}_1", f"b{i}_0", *carry)
+        s1, s0, c1, c0 = _emit_safa(b, f"safa{i}/", *a[i].rails(), *bb[i].rails(), *carry)
         sums.append(PortGroup(f"SUM{i}", s1, s0))
         carry = (c1, c0)
     for j in range(spec.dafa_stages):
         lo, hi = s + 2 * j, s + 2 * j + 1
         s11, s10, s01, s00, c1, c0 = _emit_dafa(
-            b, f"dafa{j}/",
-            f"a{hi}_1", f"a{hi}_0", f"a{lo}_1", f"a{lo}_0",
-            f"b{hi}_1", f"b{hi}_0", f"b{lo}_1", f"b{lo}_0",
+            b, f"dafa{j}/", *a[hi].rails(), *a[lo].rails(), *bb[hi].rails(), *bb[lo].rails(),
             *carry, spec.redundant_carry)
         sums.append(PortGroup(f"SUM{lo}", s01, s00))
         sums.append(PortGroup(f"SUM{hi}", s11, s10))
@@ -274,12 +268,15 @@ def gen_stage(fb: Netlist) -> Netlist:
     Adds one C2 register per input rail, gated by the `ackin` net (the
     environment supplies the already-inverted successor acknowledge; the
     inverter itself is zero-delay environment logic), and a completion
-    detector over the dual-rail outputs driving `ackout`.
+    detector over the dual-rail outputs driving `ackout`. A block that
+    already has an `ackin` or `ackout` (a stage) is a `ValueError`.
     """
     if not fb.inputs or not fb.outputs:
         raise ValueError(f"{fb.name!r} has no dual-rail ports to wrap")
     if any(grp.scalar for grp in list(fb.inputs) + list(fb.outputs)):
         raise ValueError(f"{fb.name!r} has scalar port groups; a stage needs rail pairs")
+    if fb.ackin is not None or fb.ackout is not None:
+        raise ValueError(f"{fb.name!r} already has handshake ports; a stage wraps a bare block")
 
     b = _Builder()
     ext_inputs = []

@@ -14,6 +14,7 @@ import io
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from .generators import AdderSpec
 from .netlist import Gate, GateKind, Netlist, _collector_paused
 from .simulator import DelayTable
 
@@ -282,12 +283,13 @@ def hybrid_latency(width: int, safa_stages: int, d: DelayTable) -> int:
     s=0), each further DAFA one AO21, and the last stage C2+OR3; the
     all-SAFA degenerate case ends in C2+OR2. The closed form counts one
     input buffer; the stage `gen_stage` builds has none, so its STA
-    critical path is this value minus `d[BUF]`."""
+    critical path is this value minus `d[BUF]`. A split that `AdderSpec`
+    rejects raises its `ValueError`."""
     s, n = safa_stages, width
+    dafas = AdderSpec(n, s).dafa_stages
     base = d[K.BUF] + d[K.C2]  # buffer + register
     if s == n:
         return base + n * d[K.AO22] + d[K.C2] + d[K.OR2]
-    dafas = (n - s) // 2
     head = d[K.AND4] + d[K.OR4] if s == 0 else (s + 1) * d[K.AO22]
     return base + head + (dafas - 1) * d[K.AO21] + d[K.C2] + d[K.OR3]
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generators import _adder_inputs
 from .netlist import GATE_AT, Netlist, PortGroup
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
 
@@ -161,16 +162,16 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def _sweep_chunk(n: Netlist, width: int, rails: list[tuple[str, ...]],
+def _sweep_chunk(n: Netlist, rails: list[tuple[str, ...]], outs: list[PortGroup],
                  planes: list[np.ndarray], valid: np.ndarray, sampled: list[int]):
-    """Evaluate and decode one chunk of packed lanes; `rails` holds each
-    plane's input (rail1, rail0) and `valid` masks out the padding lanes.
+    """Evaluate one chunk of packed lanes and decode its output groups `outs`;
+    `rails` holds each plane's input (rail1, rail0), `valid` masks padding.
     Returns what the chunk leaves behind once its net levels are dropped:
     the counts of illegal pairs, spacer pairs and failing lanes, the lowest
     failing lane's counterexample (or None) and, for each of the
     chunk-local `sampled` lanes, its (a, b, cin), the bit of every port and
     the level of every net by net id, for the event-simulator cross-check."""
-    cin, a, b = planes[0], planes[1:width + 1], planes[width + 1:]
+    cin, a, b = planes[0], planes[1:len(outs)], planes[len(outs):]
     inputs: dict[str, np.ndarray] = {}
     for (rail1, rail0), bit in zip(rails, planes):
         inputs[rail1] = bit
@@ -179,8 +180,7 @@ def _sweep_chunk(n: Netlist, width: int, rails: list[tuple[str, ...]],
 
     illegal = spacerish = 0
     got = []
-    for name in [f"SUM{i}" for i in range(width)] + ["COUT"]:
-        grp = n.group(name, output=True)
+    for grp in outs:
         r1, r0 = levels[grp.rail1], levels[grp.rail0]
         illegal += _popcount(r1 & r0 & valid)
         spacerish += _popcount(~(r1 | r0) & valid)
@@ -196,9 +196,9 @@ def _sweep_chunk(n: Netlist, width: int, rails: list[tuple[str, ...]],
         word = int(bad[nonzero[0]])
         i = int(nonzero[0]) * _LANES + (word & -word).bit_length() - 1
         first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": _lane_bit(cin, i),
-                 "got_sum": _lane_int(got[:width], i), "got_cout": _lane_bit(got[width], i),
-                 "expected_sum": _lane_int(expected[:width], i),
-                 "expected_cout": _lane_bit(expected[width], i)}
+                 "got_sum": _lane_int(got[:-1], i), "got_cout": _lane_bit(got[-1], i),
+                 "expected_sum": _lane_int(expected[:-1], i),
+                 "expected_cout": _lane_bit(expected[-1], i)}
 
     # every net's word at the sampled lanes, then one bit of it per lane
     picked = []
@@ -234,6 +234,8 @@ def exhaustive_verify(
 ) -> VerifyResult:
     """Check an adder netlist against the integer oracle.
 
+    A netlist without the ports `gen_hybrid_rca` gives a `width`-bit adder
+    (bare or staged; extra output groups allowed) is a `ValueError`.
     Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
     width 8); random mode draws `count` seeded vectors at any width. The
     full sweep runs through the vectorized steady-state evaluator (set phase
@@ -245,8 +247,8 @@ def exhaustive_verify(
     sampled transactions that did not return to zero: the steady-state
     reset cannot fail (module doc).
     """
-    # input ports in plane order: CIN is bit 0 of the exhaustive index
-    ports = ["CIN"] + [f"A{i}" for i in range(width)] + [f"B{i}" for i in range(width)]
+    *ab, cin = _adder_inputs(width)
+    ports = [cin, *ab]  # input ports in plane order: CIN is bit 0 of the exhaustive index
     if mode == "exhaustive":
         if width > 8:
             raise ValueError("exhaustive mode is limited to width <= 8")
@@ -260,6 +262,12 @@ def exhaustive_verify(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
+    outs = [n._out_groups.get(f"SUM{i}") for i in range(width)] + [n._out_groups.get("COUT")]
+    if {g.name for g in n.inputs} != set(ports) \
+            or any(g is None or g.scalar for g in [*n.inputs, *outs]):
+        raise ValueError(f"{n.name!r} is not an adder of width {width}: it needs the rail pairs "
+                         f"A0..A{width - 1}, B0..B{width - 1}, CIN as its only inputs and "
+                         f"SUM0..SUM{width - 1}, COUT among its outputs")
     s = n._structure
     rails = [n.group(name).rails() for name in ports]
     # the cross-check names the first disagreeing net of: the input nets,
@@ -287,7 +295,7 @@ def exhaustive_verify(
         sampled = [i - lo for i in sample if lo <= i < lo + nw * _LANES] \
             if sim_first is None else []
         (chunk_illegal, chunk_spacerish, chunk_failures, chunk_first,
-         picked) = _sweep_chunk(n, width, rails, planes, valid, sampled)
+         picked) = _sweep_chunk(n, rails, outs, planes, valid, sampled)
         illegal += chunk_illegal
         spacerish += chunk_spacerish
         failures += chunk_failures

@@ -89,6 +89,14 @@ def test_sim_stage_with_vector_file(tmp_path, capsys):
     assert dump.read_text().startswith("# transaction 0")
 
 
+def test_vector_file_drives_the_ports_in_declaration_order(tmp_path):
+    vecs = tmp_path / "vectors.txt"
+    vecs.write_text("9 6 1\n")
+    [vec] = cli._parse_vector_file(str(vecs), gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True))))
+    assert list(vec.items()) == [("A0", 1), ("A1", 0), ("A2", 0), ("A3", 1),
+                                 ("B0", 0), ("B1", 1), ("B2", 1), ("B3", 0), ("CIN", 1)]
+
+
 def test_sim_random_vectors_deterministic(tmp_path, capsys):
     net = _build(tmp_path, "rca", "--width", "4", "--safa", "2", "--stage")
     capsys.readouterr()

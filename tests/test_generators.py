@@ -11,7 +11,7 @@ from dradder.generators import (
     gen_safa,
     gen_stage,
 )
-from dradder.netlist import GateKind
+from dradder.netlist import GateKind, Netlist
 
 
 def _census(n):
@@ -129,6 +129,19 @@ def test_stage_rejects_scalar_data_ports():
     cd = gen_completion_detector(2)
     with pytest.raises(ValueError):
         gen_stage(cd)
+
+
+def test_stage_rejects_a_block_that_is_already_a_stage():
+    # wrapped twice, the inner completion detector's gate ids would repeat
+    for block in (gen_safa(), gen_hybrid_rca(AdderSpec(4, 2, True))):
+        stage = gen_stage(block)
+        with pytest.raises(ValueError, match=f"{stage.name!r} already has handshake ports"):
+            gen_stage(stage)
+    for acks in ({"ackin": "ackin"}, {"ackout": "cg1"}):
+        block = gen_safa()
+        half = Netlist(block.name, block.gates, block.inputs, block.outputs, **acks)
+        with pytest.raises(ValueError, match="already has handshake ports"):
+            gen_stage(half)
 
 
 @pytest.mark.parametrize("block", [

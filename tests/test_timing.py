@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,14 @@ def test_hybrid_latency_agrees_with_netlist_sta():
                 stage = gen_stage(gen_hybrid_rca(AdderSpec(w, s, True)))
                 assert hybrid_latency(w, s, d) - d[K.BUF] == \
                     critical_path(stage, d).value, (w, s, d.delays)
+
+
+@pytest.mark.parametrize("width, safa", [(8, 1), (8, 9), (0, 0)])
+def test_hybrid_latency_rejects_a_split_adder_spec_rejects(width, safa):
+    with pytest.raises(ValueError) as rejected:
+        AdderSpec(width, safa)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        hybrid_latency(width, safa, DelayTable.unit())
 
 
 def test_sweep_covers_every_legal_partition():

@@ -1,9 +1,17 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
-from dradder.generators import AdderSpec, gen_dafa, gen_hybrid_rca, gen_safa, gen_stage
+from dradder.generators import (
+    AdderSpec,
+    gen_completion_detector,
+    gen_dafa,
+    gen_hybrid_rca,
+    gen_safa,
+    gen_stage,
+)
 from dradder.netlist import Netlist, PortGroup
 from dradder.simulator import DelayTable
 from dradder.verification import (
@@ -146,6 +154,35 @@ def test_verify_catches_a_wired_in_bug():
     assert not res.passed
     assert res.failures > 0
     assert res.first_counterexample is not None
+
+
+def _rebuilt(n, suffix, drop=(), scalar=()):
+    """`n` without the port groups named in `drop`, and with those named in
+    `scalar` cut down to their rail1 wire."""
+    def ports(groups):
+        return [PortGroup(grp.name, grp.rail1) if grp.name in scalar else grp
+                for grp in groups if grp.name not in drop]
+    return Netlist(f"{n.name}_{suffix}", n.gates, ports(n.inputs), ports(n.outputs))
+
+
+@pytest.mark.parametrize("n, width", [
+    (gen_hybrid_rca(AdderSpec(8, 2, True)), 4),
+    (gen_hybrid_rca(AdderSpec(8, 2, True)), 9),
+    (gen_safa(), 1),
+    (gen_completion_detector(3), 1),
+    (_rebuilt(gen_hybrid_rca(AdderSpec(8, 2, True)), "no_cout", drop={"COUT"}), 8),
+    (_rebuilt(gen_hybrid_rca(AdderSpec(2, 0, True)), "scalar_a0", scalar={"A0"}), 2),
+    (_rebuilt(gen_hybrid_rca(AdderSpec(2, 0, True)), "scalar_sum0", scalar={"SUM0"}), 2),
+], ids=["narrower", "wider", "safa", "cd3", "no-cout", "scalar-a0", "scalar-sum0"])
+def test_verify_rejects_a_netlist_that_is_not_an_adder_of_that_width(n, width):
+    # unchecked, a narrower width decodes only the low sum bits and reports
+    # false failures, and the other cases fail on a missing or scalar port
+    message = f"{n.name!r} is not an adder of width {width}"
+    for mode in ("random", "exhaustive"):
+        if mode == "exhaustive" and width > 8:
+            continue
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exhaustive_verify(n, width, mode=mode, count=100)
 
 
 @pytest.mark.parametrize("width, safa", [(63, 1), (64, 2), (128, 0)])

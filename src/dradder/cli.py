@@ -290,7 +290,8 @@ def _parser() -> argparse.ArgumentParser:
     k = sub.add_parser("classify", help="indication class of a function block")
     k.add_argument("--netlist", required=True)
     k.add_argument("--delays")
-    k.add_argument("--trials", type=int, default=64)
+    k.add_argument("--trials", type=int, default=64, help="vector budget: every input vector "
+                   "when 2**pairs <= TRIALS, else TRIALS seeded random ones (default 64)")
     add_seed(k)
     k.set_defaults(func=cmd_classify)
 

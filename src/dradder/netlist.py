@@ -47,10 +47,10 @@ ARITY: dict[GateKind, int] = {
 
 # What each gate kind computes from the levels `L` at its input positions
 # `pos` and, for C2, its previous output `held`: the one definition of gate
-# semantics. Written with & and | only, so one entry evaluates 0/1 ints,
-# numpy bool arrays and uint64 words packing 64 lanes each alike. Every kind
-# is positive unate in its inputs and `held` and outputs 0 from all-zero
-# inputs; the simulator's skip of idle evaluations relies on both.
+# semantics. Written with & and | only, so one entry evaluates ints (a 0/1
+# level or one lane per bit), numpy bool arrays and uint64 words of 64 lanes
+# alike. Every kind is positive unate in its inputs and `held` and outputs 0
+# from all-zero inputs; the simulator's skip of idle evaluations relies on both.
 GATE_AT: dict[GateKind, Callable[[Sequence, tuple[int, ...], Any], Any]] = {
     GateKind.BUF: lambda L, p, held: L[p[0]],
     GateKind.AND2: lambda L, p, held: L[p[0]] & L[p[1]],
@@ -344,6 +344,17 @@ class Netlist:
             raise ValueError(f"netlist {self.name!r} contains a cycle")
         gates = self.gates
         return gates if type(s.positions) is range else tuple(map(gates.__getitem__, s.positions))
+
+    def _settle(self, levels: list, held: Sequence | None = None) -> list:
+        """Set each gate output in `levels` (by net id, inputs set) to its
+        steady level in a phase whose inputs move one way, each C2 holding its
+        level in `held`, the previous phase's levels, or 0; after topo_gates()."""
+        s = self._structure
+        base, src, off, gates = s.base, s.src, s.off, self.gates
+        for k in s.positions:  # False: no bool-to-int promotion
+            levels[base + k] = GATE_AT[gates[k].kind](
+                levels, src[off[k]:off[k + 1]], False if held is None else held[base + k])
+        return levels
 
     @cached_property
     def int_form(self) -> IntForm:

@@ -223,13 +223,6 @@ class _Sim:
         if len(rails) == 2:
             self.drive(rails[1], 0 if bit is None else 1 - bit, time)
 
-    def spacer(self, groups, time: int) -> None:
-        """Return `groups` to spacer at `time` and, on a stage, drop ackin."""
-        for grp in groups:
-            self.put(grp, None, time)
-        if self.ackin is not None:
-            self.drive(self.ackin, 0, time)
-
     def valid_since(self, grp) -> int | None:
         """Time the group last entered a valid codeword, or `None` if it holds none now."""
         high = since = 0  # a rail that never switched reads time 0
@@ -272,8 +265,11 @@ def simulate_transaction(
     if input_apply and output_valid and all(t is not None for t in output_valid.values()):
         latency = max(output_valid.values()) - min(input_apply.values())
 
-    sim.direction = -1
-    sim.spacer(netlist.inputs, set_end + 1)
+    sim.direction = -1  # every input back to spacer and, on a stage, ackin low
+    for grp in netlist.inputs:
+        sim.put(grp, None, set_end + 1)
+    if sim.ackin is not None:
+        sim.drive(sim.ackin, 0, set_end + 1)
     sim.run()
 
     return TransactionLog(
@@ -317,11 +313,12 @@ def run_protocol(
 ) -> tuple[list[TransactionLog], ProtocolSummary]:
     """Drive a handshake stage through one 4-phase cycle per vector.
 
-    Each cycle: valid data in, wait for ackout high, spacer in, wait for
-    ackout low. A quiescent set phase without ackout rising (or a reset
-    phase without it falling) is a deadlock. It reports the blocking output
-    pairs: those that never turned valid in the set phase, or those not back
-    at spacer after the reset phase.
+    Each cycle is one `simulate_transaction` from all-zero: data in at t=0,
+    the set phase run until no event is pending, then spacer in and the
+    reset phase run to quiescence too; the environment never waits on
+    ackout. A deadlock is a set phase in which ackout never rose, reporting
+    the output pairs not valid at its end, or ackout still high after the
+    reset phase, reporting the output pairs with a rail still high.
     """
     if stage.ackout is None or stage.ackin is None:
         raise ValueError(f"{stage.name!r} has no handshake ports; wrap it with gen_stage")
@@ -360,77 +357,73 @@ def run_protocol(
 @dataclass
 class IndicationReport:
     classification: str  # "strong" | "weak" | "early"
-    trials: int
+    trials: int  # input vectors checked, each with every pair delayed in turn
     early_set_witnesses: list[dict]
     full_early_set_witnesses: list[dict]
     early_reset_witnesses: list[dict]
     note: str
 
 
-def classify_indication(
-    fb: Netlist,
-    delays: DelayTable,
-    trials: int,
-    seed: int = DEFAULT_SEED,
-) -> IndicationReport:
-    """Probe the input-output timing class of a function block.
-
-    Each trial delays one randomly chosen input pair far beyond settling,
-    during both the set and the reset phase, and watches the outputs.
-    Classified "early" when either every output turns valid before the
-    delayed input ever arrives, or at least one output turns valid early
-    and the block also resets all outputs before the delayed spacer (early
-    reset). "strong" when no output moves early in any trial and no early
-    reset is seen; "weak" otherwise.
-    """
+def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
+                        seed: int = DEFAULT_SEED) -> IndicationReport:
+    """The input-output timing class of a function block, decided exactly on
+    lanes: one input vector with one pair delayed, over every vector when
+    2**pairs <= `trials`, else `trials` seeded random ones, each with every
+    pair delayed in turn. Three `Netlist._settle` walks on ints packing a
+    bit per lane settle the set phase with the delayed pair at spacer (an
+    early-set witness if an output is valid), the full set phase, and the
+    reset phase with only the delayed pair's data left and each C2 holding
+    its full-set level (an early-reset witness if every output rail is low).
+    Each phase moves its inputs one way, so any delays settle there:
+    `delays` never changes the verdict. "early" if a lane has every output
+    valid early, or both witness kinds occur; "strong" if neither; else "weak"."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    groups = list(fb.inputs)
-    if len(groups) < 2:
+    groups, pairs = fb.inputs, len(fb.inputs)
+    if pairs < 2:
         raise ValueError("classification needs at least two input pairs")
+    fb.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
+    exhaustive = 2 ** pairs <= trials
+    vectors = ([{g.name: i >> q & 1 for q, g in enumerate(groups)} for i in range(2 ** pairs)]
+               if exhaustive else random_vectors(fb, trials, seed))
+    lanes = len(vectors) * pairs  # lane v * pairs + p: vector v with pair p delayed
+    every, ids = (1 << lanes) - 1, fb._structure.ids
+    first = int(("0" * (pairs - 1) + "1") * len(vectors), 2)  # the lanes delaying pair 0
+    # per pair, the lanes its bit is 1 on: one binary digit per lane, parsed once
+    ones = [int("".join(str(vec[g.name]) * pairs for vec in reversed(vectors)), 2) for g in groups]
 
-    early_set: list[dict] = []
-    full_early_set: list[dict] = []
-    early_reset: list[dict] = []
+    def settle(phase: int, held=None) -> list:
+        levels = [0] * len(ids)
+        for q, grp in enumerate(groups):  # data: all lanes but, all, or only those delaying it
+            data = (every ^ first << q, every, first << q)[phase]
+            for rail, level in zip(grp.rails(), (rail1 := ones[q] & data, data ^ rail1)):
+                levels[ids[rail]] = level
+        if fb.ackin is not None:
+            levels[ids[fb.ackin]] = every
+        return fb._settle(levels, held)
 
-    for trial in range(trials):
-        vec = {grp.name: rng.randint(0, 1) for grp in groups}
-        delayed = rng.choice(groups)
-        others = [g for g in groups if g.name != delayed.name]
-
-        sim = _Sim(fb, delays)
-        for grp in others:
-            sim.put(grp, vec[grp.name], 0)
-        sim.run()
-        valid_early = [g.name for g in fb.outputs if sim.valid_since(g) is not None]
-        if valid_early:
-            witness = {"trial": trial, "delayed": delayed.name, "vector": dict(vec),
-                       "outputs_valid_early": valid_early}
-            early_set.append(witness)
-            if len(valid_early) == len(fb.outputs):
-                full_early_set.append(witness)
-
-        sim.put(delayed, vec[delayed.name], sim.now + 1)
-        sim.run()
-
-        # reset phase: spacer everywhere except the delayed pair
-        for grp in others:
-            sim.put(grp, None, sim.now + 1)
-        sim.run()
-        if not any(sim.levels[k] for g in fb.outputs for k in sim.form.ports[g]):
-            early_reset.append({"trial": trial, "delayed": delayed.name,
-                                "vector": dict(vec)})
-
-    if full_early_set or (early_set and early_reset):
-        cls = "early"
-    elif not early_set and not early_reset:
-        cls = "strong"
-    else:
-        cls = "weak"
-    note = (f"{trials} randomized skew trials (seed-driven); a 'strong' verdict is "
-            f"statistical evidence over the sampled vectors, not a proof")
-    return IndicationReport(cls, trials, early_set, full_early_set, early_reset, note)
+    set_early, reset = settle(0), settle(2, held=settle(1))
+    valid, high = [], 0  # per output, the lanes it is valid on early; any rail high on reset
+    for grp in fb.outputs:
+        r = [ids[rail] for rail in grp.rails()]
+        valid.append(set_early[r[0]] ^ set_early[r[1]] if r[1:] else set_early[r[0]])
+        high |= reset[r[0]] | reset[r[-1]]
+    names = [g.name for g in fb.outputs]
+    early_set, early_reset = [], []
+    lane_bits = [f"{m:0{lanes}b}"[::-1] for m in (every ^ high, *valid)]
+    for lane, (spacer, *col) in enumerate(zip(*lane_bits)):
+        v, p = divmod(lane, pairs)
+        witness = {"trial": v, "delayed": groups[p].name, "vector": vectors[v]}
+        if valid_early := [name for name, bit in zip(names, col) if bit == "1"]:
+            early_set.append({**witness, "outputs_valid_early": valid_early})
+        if spacer == "1":
+            early_reset.append(witness)
+    full_early_set = [w for w in early_set if len(w["outputs_valid_early"]) == len(names)]
+    cls = ("early" if full_early_set or (early_set and early_reset)
+           else "weak" if early_set or early_reset else "strong")
+    note = (f"exact on {len(vectors)} {'' if exhaustive else 'seeded random '}input vectors x "
+            f"{pairs} delayed pairs = {lanes} lanes; delays do not change the verdict")
+    return IndicationReport(cls, len(vectors), early_set, full_early_set, early_reset, note)
 
 
 def dump_waveform(log: TransactionLog, fh: TextIO, *, header: str | None = None) -> None:

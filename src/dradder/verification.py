@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import _adder_inputs
-from .netlist import GATE_AT, Netlist, PortGroup
+from .netlist import Netlist, PortGroup
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
 
 
@@ -94,11 +94,9 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
     keyed by name in net-id order, vectorized across input vectors: boolean
     lanes, or uint64 words packing 64 lanes each when the inputs are uint64.
     C2 settles to AND under monotone rising inputs; ackin, if any, is held high.
-    Walks `Netlist._structure`'s positions on a list indexed by net id, as
-    critical_path does."""
+    One `Netlist._settle` walk on a list indexed by net id."""
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
-    s = n._structure
-    ids, base, src, off = s.ids, s.base, s.src, s.off
+    ids = n._structure.ids
     lanes = {k: _lanes(v) for k, v in inputs.items()}
     if len({v.dtype for v in lanes.values()}) > 1:
         raise ValueError("inputs mix boolean lanes and packed uint64 words")
@@ -110,10 +108,7 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
         levels[ids[net]] = v
     if n.ackin is not None:
         levels[ids[n.ackin]] = ~zero
-    gates = n.gates
-    for k in s.positions:  # False: no bool-to-int promotion
-        levels[base + k] = GATE_AT[gates[k].kind](levels, src[off[k]:off[k + 1]], False)
-    return dict(zip(ids, levels))
+    return dict(zip(ids, n._settle(levels)))
 
 
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -6,6 +6,8 @@ import platform
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dradder.generators import (
     AdderSpec,
@@ -314,19 +316,104 @@ _SKEWED = DelayTable({GateKind.BUF: 1, GateKind.AND2: 2, GateKind.AND4: 3,
 
 
 def test_classify_indication_reports_are_pinned():
-    # recorded before the probe and transactions shared one stage environment
+    # re-recorded when the exact lane check replaced 64 sampled event-simulator
+    # trials: the verdicts are the sampled ones, the witnesses are every lane's
     blocks = [gen_safa(), gen_dafa(True), gen_dafa(False), gen_completion_detector(4),
               gen_hybrid_rca(AdderSpec(8, 2, True)), gen_stage(gen_safa())]
-    reports = []
+    reports, counts = [], {}
     for block in blocks:
         for delays in (DelayTable.unit(), _SKEWED):
             rep = classify_indication(block, delays, trials=64, seed=1011)
             reports.append([block.name, rep.classification, rep.early_set_witnesses,
                             rep.full_early_set_witnesses, rep.early_reset_witnesses])
-    assert [r[1] for r in reports[-2:]] == ["weak", "weak"]
+            counts[block.name] = (rep.trials * len(block.inputs), len(rep.early_set_witnesses),
+                                  len(rep.full_early_set_witnesses),
+                                  len(rep.early_reset_witnesses))
+    assert reports[0::2] == reports[1::2]  # the delay table never matters
+    assert [r[1] for r in reports] == ["early"] * 6 + ["strong"] * 2 + ["early"] * 2 \
+        + ["weak", "weak"]
+    assert counts["safa"] == (24, 4, 0, 16)
+    assert counts["dafa_redundant"] == counts["dafa_nonredundant"] == (160, 120, 0, 128)
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == \
-        "7ef6f1a2e76fc3fa71658c34c8e8293f7f7a09429b576b5089efe3e64f801f7f"
+        "1ab4ac83c9a22e3c9394927d12be3bf10ee6be37f0f0f32cb9b1f49de8ea890d"
+
+
+def _replayed_lanes(block: Netlist, delays: DelayTable, trials: int, seed: int = DEFAULT_SEED):
+    """Every lane of `classify_indication(block, delays, trials, seed)` replayed
+    on the event simulator: the other pairs driven at t=0 and run, the delayed
+    pair driven later and run, the others sent to spacer and run. Returns the
+    early-set, all-outputs-early and early-reset lanes as the report's
+    witness lists name them."""
+    groups = block.inputs
+    vectors = ([{g.name: i >> q & 1 for q, g in enumerate(groups)}
+                for i in range(2 ** len(groups))]
+               if 2 ** len(groups) <= trials else random_vectors(block, trials, seed))
+    early, full, reset = [], [], []
+    for v, vec in enumerate(vectors):
+        for delayed in groups:
+            others = [g for g in groups if g is not delayed]
+            sim = simulator._Sim(block, delays)
+            for grp in others:
+                sim.put(grp, vec[grp.name], 0)
+            sim.run()
+            valid = [g.name for g in block.outputs if sim.valid_since(g) is not None]
+            sim.put(delayed, vec[delayed.name], sim.now + 1)
+            sim.run()
+            for grp in others:
+                sim.put(grp, None, sim.now + 1)
+            sim.run()
+            lane = {"trial": v, "delayed": delayed.name, "vector": vec}
+            if valid:
+                early.append({**lane, "outputs_valid_early": valid})
+                if len(valid) == len(block.outputs):
+                    full.append(early[-1])
+            if not any(sim.levels[k] for g in block.outputs for k in sim.form.ports[g]):
+                reset.append(lane)
+    return len(vectors), early, full, reset
+
+
+@pytest.mark.parametrize("delays", [DelayTable.unit(), _SKEWED], ids=["unit", "skewed"])
+@pytest.mark.parametrize("block", [gen_safa(), gen_dafa(True), gen_dafa(False),
+                                   gen_completion_detector(4), gen_stage(gen_safa())],
+                         ids=lambda n: n.name)
+def test_classify_indication_equals_the_event_simulator_on_every_lane(block, delays):
+    rep = classify_indication(block, delays, trials=64)
+    assert (rep.trials, rep.early_set_witnesses, rep.full_early_set_witnesses,
+            rep.early_reset_witnesses) == _replayed_lanes(block, delays, 64)
+
+
+@st.composite
+def _random_blocks(draw):
+    """A small DAG block over 2-4 dual-rail input pairs, of every gate kind
+    reading any earlier net, with one or two dual-rail outputs and maybe a wire."""
+    inputs = [PortGroup(f"I{q}", f"i{q}_1", f"i{q}_0") for q in range(draw(st.integers(2, 4)))]
+    nets = [r for grp in inputs for r in grp.rails()]
+    gates = []
+    for k in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        ins = tuple(draw(st.sampled_from(nets)) for _ in range(ARITY[kind]))
+        gates.append(Gate(f"g{k}", kind, ins, f"n{k}"))
+        nets.append(f"n{k}")
+    pick = st.sampled_from(nets)
+    outputs = [PortGroup(f"Y{j}", draw(pick), draw(pick))
+               for j in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        outputs.append(PortGroup("W", draw(pick)))
+    return Netlist("random_block", gates, inputs, outputs)
+
+
+_DELAY_TABLES = st.builds(DelayTable, st.fixed_dictionaries(
+    {k: st.integers(0 if k is GateKind.BUF else 1, 6) for k in GateKind}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_blocks(), _DELAY_TABLES, st.integers(1, 20), st.integers(0, 9))
+def test_classify_indication_equals_the_event_simulator_on_random_blocks(
+        block, delays, trials, seed):
+    rep = classify_indication(block, delays, trials, seed)
+    assert (rep.trials, rep.early_set_witnesses, rep.full_early_set_witnesses,
+            rep.early_reset_witnesses) == _replayed_lanes(block, delays, trials, seed)
 
 
 def test_zero_delay_events_apply_in_drive_order():

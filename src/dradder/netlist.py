@@ -345,16 +345,45 @@ class Netlist:
         gates = self.gates
         return gates if type(s.positions) is range else tuple(map(gates.__getitem__, s.positions))
 
-    def _settle(self, levels: list, held: Sequence | None = None) -> list:
+    def _settle(self, levels: list, held: Sequence | None = None, pick: Any = None) -> list:
         """Set each gate output in `levels` (by net id, inputs set) to its
         steady level in a phase whose inputs move one way, each C2 holding its
-        level in `held`, the previous phase's levels, or 0; after topo_gates()."""
+        level in `held`, the previous phase's levels, or 0; after topo_gates().
+        Given `pick`, an index into the lane arrays, each net that is not a
+        port is replaced by its value at `pick` right after its last reader
+        (`_dies_after`): a full-width level lives only while a later gate
+        reads it, and the sampled words of every net are kept."""
         s = self._structure
         base, src, off, gates = s.base, s.src, s.off, self.gates
-        for k in s.positions:  # False: no bool-to-int promotion
+        dead = repeat(()) if pick is None else self._dies_after
+        for k, nets in zip(s.positions, dead):  # False: no bool-to-int promotion
             levels[base + k] = GATE_AT[gates[k].kind](
                 levels, src[off[k]:off[k + 1]], False if held is None else held[base + k])
+            for j in nets:
+                levels[j] = levels[j][pick]
         return levels
+
+    @cached_property
+    def _dies_after(self) -> tuple[tuple[int, ...], ...]:
+        """The last-reader table of `_settle`'s walk: per walk step, the ids
+        of the nets no later step reads (a gate output nothing reads dies at
+        its own step), then one more entry, the nets the walk keeps whole:
+        the ports (input rails, ackin, output rails, ackout). Built on first
+        use from `_structure`'s src, off and positions in walk order, so
+        validate() and STA never pay for it; after topo_gates()."""
+        s = self._structure
+        src, off, base, steps = s.src, s.off, s.base, len(s.positions)
+        last = [steps] * len(s.ids)  # by net id: the step after which it dies
+        for t, k in enumerate(s.positions):
+            last[base + k] = t
+            for j in src[off[k]:off[k + 1]]:
+                last[j] = t
+        for net in chain(self.input_nets, self.output_nets):
+            last[s.ids[net]] = steps
+        dies: list[list[int]] = [[] for _ in range(steps + 1)]
+        for j, t in enumerate(last):
+            dies[t].append(j)
+        return tuple(map(tuple, dies))
 
     @cached_property
     def int_form(self) -> IntForm:

@@ -9,8 +9,11 @@ the vector index; random mode draws raw words from a seeded generator. A
 sweep runs in chunks of words sized so that one chunk's net levels fit a
 fixed 32 MiB budget; it keeps only the decoded counts, the first failure
 and the levels at the sampled lanes, so its memory does not grow with the
-number of vectors. A mask keeps the padding lanes of the last word out of
-every count. Two evaluation routes check every sweep:
+number of vectors. Within a chunk, a net that is not a port keeps its
+full-width level only until its last reader in the walk and then only its
+words at the sampled lanes, so the chunk's peak holds the ports and the
+live nets, not the whole netlist. A mask keeps the padding lanes of the
+last word out of every count. Two evaluation routes check every sweep:
 
 * a vectorized steady-state evaluator (numpy, 64 lanes per word) used
   for exhaustive and large random sweeps, valid because every generated
@@ -103,12 +106,21 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
     if unknown := [k for k in lanes if k not in ids]:
         raise ValueError(f"input net {unknown[0]!r} is not in {n.name!r}")
     zero = np.zeros_like(next(iter(lanes.values()))) if lanes else np.zeros((), dtype=bool)
+    return dict(zip(ids, _set_phase(n, lanes, zero)))
+
+
+def _set_phase(n: Netlist, lanes: dict[str, np.ndarray], zero: np.ndarray,
+               pick: np.ndarray | None = None) -> list:
+    """The `Netlist._settle` walk of a set phase from all-zero, by net id:
+    the input nets in `lanes` driven, every other input net at `zero`, ackin
+    high; `pick` as `_settle` takes it."""
+    ids = n._structure.ids
     levels = [zero] * len(ids)
     for net, v in lanes.items():
         levels[ids[net]] = v
     if n.ackin is not None:
         levels[ids[n.ackin]] = ~zero
-    return dict(zip(ids, n._settle(levels)))
+    return n._settle(levels, pick=pick)
 
 
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -165,18 +177,22 @@ def _sweep_chunk(n: Netlist, rails: list[tuple[str, ...]], outs: list[PortGroup]
     the counts of illegal pairs, spacer pairs and failing lanes, the lowest
     failing lane's counterexample (or None) and, for each of the
     chunk-local `sampled` lanes, its (a, b, cin), the bit of every port and
-    the level of every net by net id, for the event-simulator cross-check."""
+    the level of every net by net id, for the event-simulator cross-check.
+    The walk keeps only the ports whole; every other net is cut down to the
+    sampled lanes' words after its last reader."""
     cin, a, b = planes[0], planes[1:len(outs)], planes[len(outs):]
     inputs: dict[str, np.ndarray] = {}
     for (rail1, rail0), bit in zip(rails, planes):
         inputs[rail1] = bit
         inputs[rail0] = ~bit
-    levels = steady_set_levels(n, inputs)  # keyed in net-id order
+    at = np.array([i // _LANES for i in sampled], dtype=np.intp)  # the sampled lanes' words
+    levels = _set_phase(n, inputs, np.zeros_like(valid), at)
+    ids = n._structure.ids
 
     illegal = spacerish = 0
     got = []
     for grp in outs:
-        r1, r0 = levels[grp.rail1], levels[grp.rail0]
+        r1, r0 = levels[ids[grp.rail1]], levels[ids[grp.rail0]]
         illegal += _popcount(r1 & r0 & valid)
         spacerish += _popcount(~(r1 | r0) & valid)
         got.append(r1)
@@ -198,8 +214,9 @@ def _sweep_chunk(n: Netlist, rails: list[tuple[str, ...]], outs: list[PortGroup]
     # every net's word at the sampled lanes, then one bit of it per lane
     picked = []
     if sampled:
-        at = np.array([i // _LANES for i in sampled])
-        cols = np.array([arr[at] for arr in levels.values()])
+        for j in n._dies_after[-1]:  # the ports, still whole
+            levels[j] = levels[j][at]
+        cols = np.array(levels)
         for j, i in enumerate(sampled):
             picked.append(((_lane_int(a, i), _lane_int(b, i), _lane_bit(cin, i)),
                            [_lane_bit(p, i) for p in planes],

@@ -586,6 +586,49 @@ def test_structure_and_timing_keep_no_per_gate_containers():
     assert walk_peak > 8 * count
 
 
+@pytest.mark.parametrize("stage", [False, True], ids=["adder", "stage"])
+def test_sweep_memory_is_bounded_by_the_live_nets(stage):
+    # 200 000 vectors at width 32 make one chunk of 3125 words, 25 KB per
+    # net: about 23 MiB (adder) or 28 MiB (stage) traced at the peak when every
+    # net's level is held whole to the end of the walk. Cut down to its
+    # sampled words after its last reader, a net that is not a port is
+    # whole only while it is live
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.verification import exhaustive_verify
+
+    n = gen_hybrid_rca(AdderSpec(32, 2, True))
+    if stage:
+        n = gen_stage(n)
+    res, _, peak = _traced(lambda: exhaustive_verify(n, 32, mode="random", count=200_000))
+    assert res.passed and res.checked == 200_000 and res.sim_checked == 32
+    assert peak < 12 << 20
+
+
+def test_last_reader_table_follows_the_walk():
+    # every net dies once: after the last walk step that reads it, a gate
+    # output nothing reads at its own step, and a port never during the
+    # walk; on the gate list as built, reversed and shuffled. validate()
+    # and STA do not build the table
+    from dradder.generators import AdderSpec, gen_hybrid_rca, gen_stage
+    from dradder.simulator import DelayTable
+    from dradder.timing import critical_path
+
+    built = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    shuffled = list(built.gates)
+    random.Random(3).shuffle(shuffled)
+    for n in (built, _reordered(built, built.gates[::-1]), _reordered(built, shuffled)):
+        assert n.validate() == [] and critical_path(n, DelayTable.unit()).path
+        assert "_dies_after" not in n.__dict__
+        walk, dies, names = n.topo_gates(), n._dies_after, list(n._structure.ids)
+        assert len(dies) == len(walk) + 1
+        assert sorted(itertools.chain(*dies)) == list(range(len(names)))
+        assert {names[j] for j in dies[-1]} == set(n.input_nets) | set(n.output_nets)
+        for t, g in enumerate(walk):
+            for net in map(names.__getitem__, dies[t]):
+                assert net == g.output or net in g.inputs
+                assert not any(net in later.inputs for later in walk[t + 1:])
+
+
 _CPYTHON_GC = pytest.mark.skipif(platform.python_implementation() != "CPython",
                                  reason="watches the CPython cyclic collector")
 

@@ -102,22 +102,37 @@ def test_static_passes_do_not_build_the_simulator_form():
         assert "int_form" not in n.__dict__
 
 
-def test_cross_check_sees_a_wrongly_built_fanout_entry():
+def _shuffled(n: Netlist) -> Netlist:
+    gates = list(n.gates)
+    random.Random(1).shuffle(gates)
+    return Netlist(n.name, gates, n.inputs, n.outputs, n.ackin, n.ackout)
+
+
+@pytest.mark.parametrize("n, net", [
+    (gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True))), "cd/or2"),
+    # an AND4 that the first DAFA's OR4 reads a few steps later, the last
+    # step to read it: the sweep keeps only its sampled words; then the
+    # same on a shuffled list, whose walk is not the list order
+    (gen_hybrid_rca(AdderSpec(4, 0, True)), "dafa0/pp0"),
+    (_shuffled(gen_hybrid_rca(AdderSpec(4, 0, True))), "dafa0/pp0"),
+], ids=["completion-detector", "dead-early", "dead-early-shuffled"])
+def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net):
     # the evaluator walks the structure pass, not int_form, so a simulator
-    # entry that reads the wrong net disagrees with it; the data outputs,
-    # which the oracle checks, do not depend on the completion detector
+    # entry that reads its first input in place of its second disagrees
+    # with it; the data outputs, which the oracle checks, do not depend on
+    # the completion detector or on the simulator
     import dataclasses
 
-    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
-    form = stage.int_form
-    bad = form.ids["cd/or2"]
-    fanout = tuple(tuple((fn, (pos[0], pos[0]) if out == bad else pos, out, kind)
+    form = n.int_form
+    bad = form.ids[net]
+    fanout = tuple(tuple((fn, (pos[0], pos[0], *pos[2:]) if out == bad else pos, out, kind)
                          for fn, pos, out, kind in entries) for entries in form.fanout)
-    stage.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
-    res = exhaustive_verify(stage, 4)
+    n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+    res = exhaustive_verify(n, 4)
     assert not res.passed
     assert res.first_counterexample["via"] == "event simulator"
-    assert res.first_counterexample["net"] == "cd/or2"
+    assert res.first_counterexample["net"] == net
+    assert bad not in n._dies_after[-1]  # the sweep cut it down to its sampled words
 
 
 def test_exhaustive_verify_small_widths():

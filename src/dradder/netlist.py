@@ -345,16 +345,23 @@ class Netlist:
         gates = self.gates
         return gates if type(s.positions) is range else tuple(map(gates.__getitem__, s.positions))
 
-    def _settle(self, levels: list, held: Sequence | None = None, pick: Any = None) -> list:
-        """Set each gate output in `levels` (by net id, inputs set) to its
-        steady level in a phase whose inputs move one way, each C2 holding its
-        level in `held`, the previous phase's levels, or 0; after topo_gates().
-        Given `pick`, an index into the lane arrays, each net that is not a
-        port is replaced by its value at `pick` right after its last reader
-        (`_dies_after`): a full-width level lives only while a later gate
-        reads it, and the sampled words of every net are kept."""
+    def _settle(self, rails: dict, ones: Any, held: Sequence | None = None,
+                pick: Any = None) -> list:
+        """Every net's steady level by net id in a phase whose inputs move one
+        way: the input nets in `rails` (name: level) driven, the others at
+        spacer, ackin at `ones`, all lanes high (bool array, uint64 words or
+        int mask), each C2 holding its level in `held`, the previous phase's
+        levels, or 0; after topo_gates(). Given `pick`, an index into the lane
+        arrays, each net that is not a port becomes its value at `pick` right
+        after its last reader (`_dies_after`): a full-width level lives only
+        while a later gate reads it, and the sampled words of every net are kept."""
         s = self._structure
-        base, src, off, gates = s.base, s.src, s.off, self.gates
+        ids, base, src, off, gates = s.ids, s.base, s.src, s.off, self.gates
+        levels = [ones ^ ones] * len(ids)
+        for net, level in rails.items():
+            levels[ids[net]] = level
+        if self.ackin is not None:
+            levels[ids[self.ackin]] = ones
         dead = repeat(()) if pick is None else self._dies_after
         for k, nets in zip(s.positions, dead):  # False: no bool-to-int promotion
             levels[base + k] = GATE_AT[gates[k].kind](

@@ -369,11 +369,11 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     """The input-output timing class of a function block, decided exactly on
     lanes: one input vector with one pair delayed, over every vector when
     2**pairs <= `trials`, else `trials` seeded random ones, each with every
-    pair delayed in turn. Three `Netlist._settle` walks on ints packing a
-    bit per lane settle the set phase with the delayed pair at spacer (an
-    early-set witness if an output is valid), the full set phase, and the
-    reset phase with only the delayed pair's data left and each C2 holding
-    its full-set level (an early-reset witness if every output rail is low).
+    pair delayed in turn. Three `Netlist._settle` walks on ints, a bit per
+    lane, settle the set phase with the delayed pair at spacer (an early-set
+    witness if an output is valid), the full set phase, and the reset phase
+    with only the delayed pair's data left, ackin high and each C2 holding its
+    full-set level (an early-reset witness if every output rail is low).
     Each phase moves its inputs one way, so any delays settle there:
     `delays` never changes the verdict. "early" if a lane has every output
     valid early, or both witness kinds occur; "strong" if neither; else "weak"."""
@@ -393,14 +393,11 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     ones = [int("".join(str(vec[g.name]) * pairs for vec in reversed(vectors)), 2) for g in groups]
 
     def settle(phase: int, held=None) -> list:
-        levels = [0] * len(ids)
+        rails = {}
         for q, grp in enumerate(groups):  # data: all lanes but, all, or only those delaying it
             data = (every ^ first << q, every, first << q)[phase]
-            for rail, level in zip(grp.rails(), (rail1 := ones[q] & data, data ^ rail1)):
-                levels[ids[rail]] = level
-        if fb.ackin is not None:
-            levels[ids[fb.ackin]] = every
-        return fb._settle(levels, held)
+            rails.update(zip(grp.rails(), (rail1 := ones[q] & data, data ^ rail1)))
+        return fb._settle(rails, every, held)
 
     set_early, reset = settle(0), settle(2, held=settle(1))
     valid, high = [], 0  # per output, the lanes it is valid on early; any rail high on reset

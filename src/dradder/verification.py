@@ -25,15 +25,16 @@ last word out of every count. Two evaluation routes check every sweep:
   the steady-state level of that lane, and the transaction must return to
   zero.
 
-The evaluator walks the structure pass's gate positions and net ids, as
-STA does; the simulator runs on `Netlist.int_form`, whose fanout entries
+The evaluator, `Netlist._settle`, walks the structure pass's gate positions
+and net ids, as STA does, with every input net it is not given at spacer and
+ackin high; the simulator runs on `Netlist.int_form`, whose fanout entries
 it builds from the same pass. Both take gate semantics from the one table
 `netlist.GATE_AT`. Each kind outputs 0 from all-zero inputs, whatever a
 C-element holds, so the steady state after the spacer is all-zero for any
 acyclic netlist: return to zero is observed only on the event-simulated
-sample. The cross-check also guards how the fanout entries are built,
-event scheduling and delays, the C-element holding its value across
-phases, and the simulator's illegal-state and monotonicity monitors.
+sample. The cross-check also guards how the fanout entries are built, event
+scheduling and delays, the C-element holding its value across phases, and
+the simulator's illegal-state and monotonicity monitors.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally
@@ -96,8 +97,8 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
     """Steady levels after a set phase from all-zero, one array per net
     keyed by name in net-id order, vectorized across input vectors: boolean
     lanes, or uint64 words packing 64 lanes each when the inputs are uint64.
-    C2 settles to AND under monotone rising inputs; ackin, if any, is held high.
-    One `Netlist._settle` walk on a list indexed by net id."""
+    C2 settles to AND under monotone rising inputs. One `Netlist._settle`
+    walk: every other input net at spacer, ackin, if any, high."""
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     ids = n._structure.ids
     lanes = {k: _lanes(v) for k, v in inputs.items()}
@@ -105,22 +106,8 @@ def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np
         raise ValueError("inputs mix boolean lanes and packed uint64 words")
     if unknown := [k for k in lanes if k not in ids]:
         raise ValueError(f"input net {unknown[0]!r} is not in {n.name!r}")
-    zero = np.zeros_like(next(iter(lanes.values()))) if lanes else np.zeros((), dtype=bool)
-    return dict(zip(ids, _set_phase(n, lanes, zero)))
-
-
-def _set_phase(n: Netlist, lanes: dict[str, np.ndarray], zero: np.ndarray,
-               pick: np.ndarray | None = None) -> list:
-    """The `Netlist._settle` walk of a set phase from all-zero, by net id:
-    the input nets in `lanes` driven, every other input net at `zero`, ackin
-    high; `pick` as `_settle` takes it."""
-    ids = n._structure.ids
-    levels = [zero] * len(ids)
-    for net, v in lanes.items():
-        levels[ids[net]] = v
-    if n.ackin is not None:
-        levels[ids[n.ackin]] = ~zero
-    return n._settle(levels, pick=pick)
+    first = next(iter(lanes.values()), np.zeros((), dtype=bool))
+    return dict(zip(ids, n._settle(lanes, ~np.zeros_like(first))))
 
 
 def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -186,7 +173,7 @@ def _sweep_chunk(n: Netlist, rails: list[tuple[str, ...]], outs: list[PortGroup]
         inputs[rail1] = bit
         inputs[rail0] = ~bit
     at = np.array([i // _LANES for i in sampled], dtype=np.intp)  # the sampled lanes' words
-    levels = _set_phase(n, inputs, np.zeros_like(valid), at)
+    levels = n._settle(inputs, ~np.zeros_like(valid), pick=at)
     ids = n._structure.ids
 
     illegal = spacerish = 0
@@ -282,11 +269,10 @@ def exhaustive_verify(
                          f"SUM0..SUM{width - 1}, COUT among its outputs")
     s = n._structure
     rails = [n.group(name).rails() for name in ports]
-    # the cross-check names the first disagreeing net of: the input nets,
-    # swept rails first, then the gate outputs in topo_gates() order, which
-    # is the gate list when every gate follows its drivers
-    inputs_first = dict.fromkeys([*itertools.chain(*rails), *n.input_nets])
-    scan = np.array([s.ids[x] for x in inputs_first] + [s.base + k for k in s.positions])
+    # the cross-check names the first disagreeing net in walk order: the
+    # input nets as declared, then the gate outputs in topo_gates() order,
+    # which is the gate list when every gate follows its drivers
+    scan = np.array([*range(s.base), *(s.base + k for k in s.positions)])
     words = -(-total // _LANES)
     step = max(1, _CHUNK_BYTES // (8 * len(s.ids)))
     sample = sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total)))

@@ -356,6 +356,16 @@ def test_packed_steady_levels_match_bool_lanes(lanes, spec, stage):
     for net, words in got.items():
         assert words.dtype == np.uint64 and len(words) == -(-lanes // 64)
         assert unpack(words, lanes).tolist() == want[net].tolist(), net
+    # the int masks classify_indication walks, lane j at bit j: the set phase,
+    # then a held reset with every input at spacer and ackin still high
+    def mask(v):
+        return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
+
+    ones = (1 << lanes) - 1
+    set_ints = n._settle({net: mask(v) for net, v in inputs.items()}, ones)
+    assert set_ints == [mask(v) for v in want.values()]
+    reset = n._settle({}, np.ones(lanes, dtype=bool), held=list(want.values()))
+    assert n._settle({}, ones, held=set_ints) == list(map(mask, reset))
     # a bool lane among words would act as bit 0 of a word only
     mixed = {net: pack(v) for net, v in inputs.items()}
     mixed[next(iter(inputs))] = next(iter(inputs.values()))

@@ -346,15 +346,14 @@ class Netlist:
         return gates if type(s.positions) is range else tuple(map(gates.__getitem__, s.positions))
 
     def _settle(self, rails: dict, ones: Any, held: Sequence | None = None,
-                pick: Any = None) -> list:
+                drop: bool = False) -> list:
         """Every net's steady level by net id in a phase whose inputs move one
         way: the input nets in `rails` (name: level) driven, the others at
         spacer, ackin at `ones`, all lanes high (bool array, uint64 words or
         int mask), each C2 holding its level in `held`, the previous phase's
-        levels, or 0; after topo_gates(). Given `pick`, an index into the lane
-        arrays, each net that is not a port becomes its value at `pick` right
-        after its last reader (`_dies_after`): a full-width level lives only
-        while a later gate reads it, and the sampled words of every net are kept."""
+        levels, or 0; after topo_gates(). With `drop`, each net that is not a
+        port becomes None right after its last reader (`_dies_after`), so a
+        level lives only while a later gate reads it."""
         s = self._structure
         ids, base, src, off, gates = s.ids, s.base, s.src, s.off, self.gates
         levels = [ones ^ ones] * len(ids)
@@ -362,20 +361,20 @@ class Netlist:
             levels[ids[net]] = level
         if self.ackin is not None:
             levels[ids[self.ackin]] = ones
-        dead = repeat(()) if pick is None else self._dies_after
+        dead = self._dies_after if drop else repeat(())
         for k, nets in zip(s.positions, dead):  # False: no bool-to-int promotion
             levels[base + k] = GATE_AT[gates[k].kind](
                 levels, src[off[k]:off[k + 1]], False if held is None else held[base + k])
             for j in nets:
-                levels[j] = levels[j][pick]
+                levels[j] = None
         return levels
 
     @cached_property
     def _dies_after(self) -> tuple[tuple[int, ...], ...]:
         """The last-reader table of `_settle`'s walk: per walk step, the ids
         of the nets no later step reads (a gate output nothing reads dies at
-        its own step), then one more entry, the nets the walk keeps whole:
-        the ports (input rails, ackin, output rails, ackout). Built on first
+        its own step), then one more entry, the nets the walk keeps: the
+        ports (input rails, ackin, output rails, ackout). Built on first
         use from `_structure`'s src, off and positions in walk order, so
         validate() and STA never pay for it; after topo_gates()."""
         s = self._structure

@@ -32,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence, TextIO
 
 from .netlist import GateKind, Netlist
@@ -424,10 +425,11 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
 
 
 def dump_waveform(log: TransactionLog, fh: TextIO, *, header: str | None = None) -> None:
-    """Write each event of the log's trace as a 'time net level' line, sorted."""
+    """Write each event of the log's trace as a 'time net level' line, sorted
+    by time and net; one net's events at one time keep their applied order."""
     if header:
         fh.write(f"# {header}\n")
     names = log.names
     rows = ((t, names[ev >> 1], ev & 1) for ev, t in zip(log.trace, log.trace_times))
-    for t, net, v in sorted(rows):
+    for t, net, v in sorted(rows, key=itemgetter(0, 1)):
         fh.write(f"{t} {net} {v}\n")

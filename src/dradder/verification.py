@@ -1,29 +1,29 @@
 """Oracles and property checkers for the generated adders.
 
-Adder sweeps work on bit-planes: one array per operand bit (the carry-in,
-then A and B least significant first), one lane per vector, so they are
-exact at any width. A plane packs 64 lanes into each uint64 word, lane j
-at bit j % 64 of word j // 64, and `GATE_AT`, written with & and | only,
-evaluates the words unchanged. Exhaustive mode takes plane k from bit k of
-the vector index; random mode draws raw words from a seeded generator. A
-sweep runs in chunks of words sized so that one chunk's net levels fit a
-fixed 32 MiB budget; it keeps only the decoded counts, the first failure
-and the levels at the sampled lanes, so its memory does not grow with the
-number of vectors. Within a chunk, a net that is not a port keeps its
-full-width level only until its last reader in the walk and then only its
-words at the sampled lanes, so the chunk's peak holds the ports and the
-live nets, not the whole netlist. A mask keeps the padding lanes of the
-last word out of every count. Two evaluation routes check every sweep:
+Adder sweeps work on bit-planes: one Python int per operand bit (the
+carry-in, then A and B least significant first), lane j at bit j, one lane
+per vector, so they are exact at any width. `GATE_AT`, written with & and |
+only, evaluates the ints unchanged, and `int.bit_count()` counts lanes. The
+vectors are laid out as uint64 words, lane j at bit j % 64 of word j // 64:
+exhaustive mode takes plane k from bit k of the vector index, random mode
+draws raw words from a seeded generator. Each plane becomes one int, cut
+to the chunk's lanes, before the walk, so no padding lane exists. A sweep
+runs in chunks of words sized so that one chunk's net levels fit a fixed
+32 MiB budget; it keeps only the decoded counts, the first failure and the
+port bits of the sampled lanes, so its memory does not grow with the
+number of vectors. Within a chunk, a net that is not a port is dropped
+after its last reader in the walk, so the chunk's peak holds the ports and
+the live nets, not the whole netlist. Two evaluation routes check every
+sweep:
 
-* a vectorized steady-state evaluator (numpy, 64 lanes per word) used
-  for exhaustive and large random sweeps, valid because every generated
-  circuit is monotone per handshake phase (a C-element driven from the
-  all-zero state settles to the AND of its inputs); its output planes are
-  compared with a plane-wise ripple of the integer oracle;
+* the steady-state evaluator, used for every lane, valid because every
+  generated circuit is monotone per handshake phase (a C-element driven
+  from the all-zero state settles to the AND of its inputs); its output
+  planes are compared with a plane-wise ripple of the integer oracle;
 * the event-driven simulator, replayed on a seeded subsample of every
   sweep; the level of every net at the end of its set phase must equal
-  the steady-state level of that lane, and the transaction must return to
-  zero.
+  its steady-state level, which one more walk settles for the whole
+  subsample, a vector per lane, and the transaction must return to zero.
 
 The evaluator, `Netlist._settle`, walks the structure pass's gate positions
 and net ids, as STA does, with every input net it is not given at spacer and
@@ -70,10 +70,10 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     return total % 2**width, total >> width
 
 
-def oracle_planes(a: list[np.ndarray], b: list[np.ndarray],
-                  cin: np.ndarray) -> list[np.ndarray]:
-    """Bulk form of `oracle_add` over bit-planes, least significant first:
-    the sum planes followed by the carry-out plane, at any width."""
+def oracle_planes(a: list, b: list, cin) -> list:
+    """Bulk form of `oracle_add` over bit-planes (int lanes, bool arrays or
+    uint64 words), least significant first: the sum planes followed by the
+    carry-out plane, at any width."""
     out, c = [], cin
     for x, y in zip(a, b):
         half = x ^ y
@@ -120,95 +120,76 @@ def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[s
 
 
 # ---------------------------------------------------------------------------
-# adder sweeps on packed bit-planes
+# adder sweeps on int lanes
 
 _LANES = 64  # lanes per uint64 word; lane j sits at bit j % 64 of word j // 64
 _ONES = np.uint64(2**64 - 1)
-# Byte budget for one chunk's net levels: a sweep evaluates as many words at
-# once as fit it at 8 bytes per word and net, so its memory does not grow
-# with the lane count.
+# Byte budget for one chunk's net levels: a sweep evaluates as many words of
+# lanes at once as fit it at 8 bytes per word and net, so its memory does not
+# grow with the lane count.
 _CHUNK_BYTES = 32 << 20
-# vectors of each sweep replayed on the event-driven simulator
+# vectors of each sweep replayed on the event-driven simulator; at most 64,
+# so a net's levels at the sampled vectors fit one uint64
 _SIM_SAMPLE = 32
 # plane k < 6 of an exhaustive sweep is bit k of the lane's position in its word
 _LOW_PLANES = [sum(1 << j for j in range(_LANES) if j >> k & 1) for k in range(6)]
 
 
-def _index_planes(count: int, first_word: int, words: int) -> list[np.ndarray]:
+def _index_planes(count: int, first_word: int, words: int) -> np.ndarray:
     """Planes 0..count-1 of the lane index over `words` words from
-    `first_word`: plane k >= 6 is all-ones or zero per word, from bit k - 6
-    of the word index."""
+    `first_word`, one row each: plane k >= 6 is all-ones or zero per word,
+    from bit k - 6 of the word index."""
     word = np.arange(first_word, first_word + words, dtype=np.uint64)
-    return [np.full(words, _LOW_PLANES[k], dtype=np.uint64) if k < 6
-            else ((word >> (k - 6)) & 1) * _ONES for k in range(count)]
-
-
-def _lane_bit(plane: np.ndarray, lane: int) -> int:
-    return int(plane[lane // _LANES]) >> lane % _LANES & 1
+    return np.array([np.full(words, _LOW_PLANES[k], dtype=np.uint64) if k < 6
+                     else ((word >> (k - 6)) & 1) * _ONES for k in range(count)])
 
 
 def _lane_int(planes, lane: int) -> int:
     """The unsigned integer whose bit k is plane k at `lane`."""
-    return sum(_lane_bit(p, lane) << k for k, p in enumerate(planes))
+    return sum((p >> lane & 1) << k for k, p in enumerate(planes))
 
 
-def _popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
+def _drive(rails: list[tuple[str, ...]], planes: list[int], every: int) -> dict[str, int]:
+    """Input rail levels on int lanes: plane k on rail1 of `rails[k]`, its
+    complement within `every` on rail0."""
+    levels = {}
+    for (rail1, rail0), bit in zip(rails, planes):
+        levels[rail1], levels[rail0] = bit, every ^ bit
+    return levels
 
 
 def _sweep_chunk(n: Netlist, rails: list[tuple[str, ...]], outs: list[PortGroup],
-                 planes: list[np.ndarray], valid: np.ndarray, sampled: list[int]):
-    """Evaluate one chunk of packed lanes and decode its output groups `outs`;
-    `rails` holds each plane's input (rail1, rail0), `valid` masks padding.
-    Returns what the chunk leaves behind once its net levels are dropped:
-    the counts of illegal pairs, spacer pairs and failing lanes, the lowest
-    failing lane's counterexample (or None) and, for each of the
-    chunk-local `sampled` lanes, its (a, b, cin), the bit of every port and
-    the level of every net by net id, for the event-simulator cross-check.
-    The walk keeps only the ports whole; every other net is cut down to the
-    sampled lanes' words after its last reader."""
+                 planes: list[int], every: int):
+    """Evaluate one chunk of int lanes, lane j at bit j of each plane and of
+    `every`, and decode its output groups `outs`; `rails` holds each plane's
+    input (rail1, rail0). Returns the counts of illegal pairs, spacer pairs
+    and failing lanes and the lowest failing lane's counterexample (or
+    None). The walk keeps only the ports; every other net is dropped after
+    its last reader."""
     cin, a, b = planes[0], planes[1:len(outs)], planes[len(outs):]
-    inputs: dict[str, np.ndarray] = {}
-    for (rail1, rail0), bit in zip(rails, planes):
-        inputs[rail1] = bit
-        inputs[rail0] = ~bit
-    at = np.array([i // _LANES for i in sampled], dtype=np.intp)  # the sampled lanes' words
-    levels = n._settle(inputs, ~np.zeros_like(valid), pick=at)
+    levels = n._settle(_drive(rails, planes, every), every, drop=True)
     ids = n._structure.ids
 
     illegal = spacerish = 0
     got = []
     for grp in outs:
         r1, r0 = levels[ids[grp.rail1]], levels[ids[grp.rail0]]
-        illegal += _popcount(r1 & r0 & valid)
-        spacerish += _popcount(~(r1 | r0) & valid)
+        illegal += (r1 & r0).bit_count()
+        spacerish += (every ^ (r1 | r0)).bit_count()
         got.append(r1)
     expected = oracle_planes(a, b, cin)
-    bad = np.zeros_like(valid)
+    bad = 0
     for g, e in zip(got, expected):
         bad |= g ^ e
-    bad &= valid
 
     first = None
-    if (nonzero := np.flatnonzero(bad)).size:
-        word = int(bad[nonzero[0]])
-        i = int(nonzero[0]) * _LANES + (word & -word).bit_length() - 1
-        first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": _lane_bit(cin, i),
-                 "got_sum": _lane_int(got[:-1], i), "got_cout": _lane_bit(got[-1], i),
+    if bad:
+        i = (bad & -bad).bit_length() - 1
+        first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": cin >> i & 1,
+                 "got_sum": _lane_int(got[:-1], i), "got_cout": got[-1] >> i & 1,
                  "expected_sum": _lane_int(expected[:-1], i),
-                 "expected_cout": _lane_bit(expected[-1], i)}
-
-    # every net's word at the sampled lanes, then one bit of it per lane
-    picked = []
-    if sampled:
-        for j in n._dies_after[-1]:  # the ports, still whole
-            levels[j] = levels[j][at]
-        cols = np.array(levels)
-        for j, i in enumerate(sampled):
-            picked.append(((_lane_int(a, i), _lane_int(b, i), _lane_bit(cin, i)),
-                           [_lane_bit(p, i) for p in planes],
-                           (cols[:, j] >> (i % _LANES) & 1).astype(bool)))
-    return illegal, spacerish, _popcount(bad), first, picked
+                 "expected_cout": expected[-1] >> i & 1}
+    return illegal, spacerish, bad.bit_count(), first
 
 
 @dataclass
@@ -237,9 +218,9 @@ def exhaustive_verify(
     (bare or staged; extra output groups allowed) is a `ValueError`.
     Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
     width 8); random mode draws `count` seeded vectors at any width. The
-    full sweep runs through the vectorized steady-state evaluator (set phase
-    decoded and compared with the oracle), 64 lanes per word and in chunks
-    of bounded memory; a seeded subsample of `_SIM_SAMPLE` vectors is
+    full sweep runs through the steady-state evaluator (set phase
+    decoded and compared with the oracle), on int lanes and in chunks of
+    bounded memory; a seeded subsample of `_SIM_SAMPLE` vectors is
     additionally replayed on the event-driven simulator under unit delays,
     whose set-phase level of every net must equal the steady-state one. The
     first counterexample is the lowest failing lane. `rtz_failures` counts
@@ -269,50 +250,60 @@ def exhaustive_verify(
                          f"SUM0..SUM{width - 1}, COUT among its outputs")
     s = n._structure
     rails = [n.group(name).rails() for name in ports]
-    # the cross-check names the first disagreeing net in walk order: the
-    # input nets as declared, then the gate outputs in topo_gates() order,
-    # which is the gate list when every gate follows its drivers
-    scan = np.array([*range(s.base), *(s.base + k for k in s.positions)])
     words = -(-total // _LANES)
     step = max(1, _CHUNK_BYTES // (8 * len(s.ids)))
-    sample = sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total)))
+    sample = np.array(sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total))),
+                      dtype=np.uint64)
 
-    delays = DelayTable.unit()
-    illegal = spacerish = failures = sim_checked = rtz_failures = 0
-    first = sim_first = None
+    illegal = spacerish = failures = 0
+    first = None
+    picked = []  # per chunk, the port bits of its sampled lanes: one row per plane
     for w0 in range(0, words, step):
         nw = min(step, words - w0)
         if mode == "exhaustive":
-            planes = _index_planes(len(ports), w0, nw)
+            raw = _index_planes(len(ports), w0, nw)
         else:
-            planes = list(draw(0, 2**64, size=(nw, len(ports)), dtype=np.uint64).T.copy())
-        valid = np.full(nw, _ONES)
-        if w0 + nw == words and total % _LANES:
-            valid[-1] = (1 << total % _LANES) - 1
+            raw = draw(0, 2**64, size=(nw, len(ports)), dtype=np.uint64).T
         lo = w0 * _LANES
-        sampled = [i - lo for i in sample if lo <= i < lo + nw * _LANES] \
-            if sim_first is None else []
-        (chunk_illegal, chunk_spacerish, chunk_failures, chunk_first,
-         picked) = _sweep_chunk(n, rails, outs, planes, valid, sampled)
+        every = (1 << min(nw * _LANES, total - lo)) - 1
+        at = sample[(sample >= lo) & (sample < lo + nw * _LANES)] - lo
+        picked.append(raw[:, at // _LANES] >> at % _LANES & 1)
+        planes = [int.from_bytes(p.astype("<u8", copy=False).tobytes(), "little") & every
+                  for p in raw]
+        del raw  # the walk holds the int lanes only
+        (chunk_illegal, chunk_spacerish, chunk_failures,
+         chunk_first) = _sweep_chunk(n, rails, outs, planes, every)
         illegal += chunk_illegal
         spacerish += chunk_spacerish
         failures += chunk_failures
         first = first or chunk_first
 
-        # event-driven cross-check of the sampled lanes, net by net
-        for vector, bits, steady in picked:
-            log = simulate_transaction(n, delays, [(name, bit, 0)
-                                                   for name, bit in zip(ports, bits)])
-            levels = np.array(log.set_net_levels, dtype=bool)
-            differ = np.flatnonzero(steady[scan] != levels[scan])
-            net = log.names[scan[differ[0]]] if differ.size else None
-            rtz_failures += not log.rtz_complete
-            if net is not None or not log.rtz_complete or log.illegal_seen \
-                    or not log.monotonic:
-                sim_first = {"a": vector[0], "b": vector[1], "cin": vector[2],
-                             "via": "event simulator", "net": net}
-                break
-            sim_checked += 1
+    # event-driven cross-check of the sampled vectors, net by net in walk
+    # order: the input nets as declared, then the gate outputs in
+    # topo_gates() order, which is the gate list when every gate follows its
+    # drivers. One steady walk settles them all, sampled vector j on lane j.
+    scan = np.array([*range(s.base), *(s.base + k for k in s.positions)])
+    planes = [int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(np.concatenate(picked, axis=1), axis=1, bitorder="little")]
+    every = (1 << len(sample)) - 1
+    steady = np.array(n._settle(_drive(rails, planes, every), every), dtype=np.uint64)[scan]
+    delays = DelayTable.unit()
+    sim_checked = rtz_failures = 0
+    sim_first = None
+    for j in range(len(sample)):
+        log = simulate_transaction(n, delays, [(name, p >> j & 1, 0)
+                                               for name, p in zip(ports, planes)])
+        levels = np.array(log.set_net_levels, dtype=bool)[scan]
+        differ = np.flatnonzero((steady >> j & 1).astype(bool) != levels)
+        net = log.names[scan[differ[0]]] if differ.size else None
+        rtz_failures += not log.rtz_complete
+        if net is not None or not log.rtz_complete or log.illegal_seen \
+                or not log.monotonic:
+            sim_first = {"a": _lane_int(planes[1:width + 1], j),
+                         "b": _lane_int(planes[width + 1:], j), "cin": planes[0] >> j & 1,
+                         "via": "event simulator", "net": net}
+            break
+        sim_checked += 1
 
     notes: list[str] = []
     if spacerish:

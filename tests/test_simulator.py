@@ -281,6 +281,21 @@ def test_waveform_dump_format():
     assert times == sorted(times)
 
 
+def test_waveform_dump_keeps_a_zero_width_pulse_in_order():
+    # B rises and falls at time 0, so g = a1 & b1 rises and falls at time 1:
+    # each net's lines at one time come in the order the events applied
+    n = Netlist("pulse", [Gate("g", GateKind.AND2, ("a1", "b1"), "g")],
+                [_A, PortGroup("B", "b1", "b0")], [PortGroup("Y", "g")])
+    log = simulate_transaction(n, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0), ("B", 0, 0)])
+    assert log.transitions["g"] == [(1, 1), (1, 0)]
+    buf = io.StringIO()
+    dump_waveform(log, buf)
+    lines = buf.getvalue().splitlines()
+    assert [line for line in lines if line.split()[1] == "g"] == ["1 g 1", "1 g 0"]
+    assert [line for line in lines if line.split()[1] == "b1"] == ["0 b1 1", "0 b1 0"]
+    assert lines == sorted(lines, key=lambda line: (int(line.split()[0]), line.split()[1]))
+
+
 def test_simulator_event_trace_is_pinned():
     # recorded before the simulator moved onto the integer netlist form
     stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, redundant_carry=True)))

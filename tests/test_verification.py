@@ -108,20 +108,31 @@ def _shuffled(n: Netlist) -> Netlist:
     return Netlist(n.name, gates, n.inputs, n.outputs, n.ackin, n.ackout)
 
 
-@pytest.mark.parametrize("n, net", [
-    (gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True))), "cd/or2"),
-    # an AND4 that the first DAFA's OR4 reads a few steps later, the last
-    # step to read it: the sweep keeps only its sampled words; then the
-    # same on a shuffled list, whose walk is not the list order
-    (gen_hybrid_rca(AdderSpec(4, 0, True)), "dafa0/pp0"),
-    (_shuffled(gen_hybrid_rca(AdderSpec(4, 0, True))), "dafa0/pp0"),
-], ids=["completion-detector", "dead-early", "dead-early-shuffled"])
-def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net):
+def _fanout_cases():
+    """(netlist, net, id) of each fanout mutant: a fresh netlist per call."""
+    return [
+        (gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True))), "cd/or2", "completion-detector"),
+        # an AND4 that the first DAFA's OR4 reads a few steps later, the last
+        # step to read it: the sweep drops it there; then the same on a
+        # shuffled list, whose walk is not the list order
+        (gen_hybrid_rca(AdderSpec(4, 0, True)), "dafa0/pp0", "dead-early"),
+        (_shuffled(gen_hybrid_rca(AdderSpec(4, 0, True))), "dafa0/pp0", "dead-early-shuffled"),
+    ]
+
+
+# each case also at one word per chunk: the 512 lanes of a width-4 sweep
+# make 8 chunks, so the sampled vectors' port bits come from many of them
+@pytest.mark.parametrize("n, net, one_word", [
+    pytest.param(n, net, one_word, id=name + ("-one-word" if one_word else ""))
+    for one_word in (False, True) for n, net, name in _fanout_cases()])
+def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net, one_word, monkeypatch):
     # the evaluator walks the structure pass, not int_form, so a simulator
     # entry that reads its first input in place of its second disagrees
     # with it; the data outputs, which the oracle checks, do not depend on
     # the completion detector or on the simulator
     import dataclasses
+
+    import dradder.verification as ver
 
     form = n.int_form
     bad = form.ids[net]
@@ -129,10 +140,13 @@ def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net):
                          for fn, pos, out, kind in entries) for entries in form.fanout)
     n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
     res = exhaustive_verify(n, 4)
+    if one_word:
+        monkeypatch.setattr(ver, "_CHUNK_BYTES", 8 * len(n._structure.ids))
+        assert exhaustive_verify(n, 4) == res
     assert not res.passed
     assert res.first_counterexample["via"] == "event simulator"
     assert res.first_counterexample["net"] == net
-    assert bad not in n._dies_after[-1]  # the sweep cut it down to its sampled words
+    assert bad not in n._dies_after[-1]  # the sweep dropped it after its last reader
 
 
 def test_exhaustive_verify_small_widths():

@@ -90,61 +90,45 @@ def _emit_dafa(b: _Builder, p: str, a11, a10, a01, a00, b11, b10, b01, b00,
     C-elements already present on the sum side, so swapping variants only
     exchanges two AO21 gates for two OR2 gates. The low bit pair sums
     through `_emit_sum`, the SAFA's sum network.
+
+    Each AND4 decodes one operand value pair: `term(gid, x, y)` ANDs A's
+    rails for the 2-bit value x, `av[x]` (the high bit's rail first), with
+    B's for y, `bv[y]`. Each OR group lists the (A, B) pairs of the sums its
+    comment states; `y0` repeats `y1`'s pairs, and `z0` and `z1` repeat two
+    pairs each of `gen1` and `gen0`.
     """
-    def and4(gid, w, x, y, z):
-        return b.add(f"{p}{gid}", K.AND4, (w, x, y, z))
+    av = ((a10, a00), (a10, a01), (a11, a00), (a11, a01))
+    bv = ((b10, b00), (b10, b01), (b11, b00), (b11, b01))
+
+    def term(gid, x, y):
+        return b.add(f"{p}{gid}", K.AND4, av[x] + bv[y])
 
     # carry-propagate: A + B == 3
-    prop = b.add(f"{p}prop", K.OR4, (
-        and4("pp0", a10, a00, b11, b01),
-        and4("pp1", a11, a00, b10, b01),
-        and4("pp2", a10, a01, b11, b00),
-        and4("pp3", a11, a01, b10, b00),
-    ))
+    prop = b.add(f"{p}prop", K.OR4, (term("pp0", 0, 3), term("pp1", 2, 1),
+                                      term("pp2", 1, 2), term("pp3", 3, 0)))
     # carry-generate: A + B >= 4
-    gen1 = b.add(f"{p}gen1", K.OR3, (
-        and4("g1p0", a10, a01, b11, b01),
-        and4("g1p1", a11, a01, b10, b01),
-        b.add(f"{p}g1p2", K.AND2, (a11, b11)),
-    ))
+    gen1 = b.add(f"{p}gen1", K.OR3, (term("g1p0", 1, 3), term("g1p1", 3, 1),
+                                      b.add(f"{p}g1p2", K.AND2, (a11, b11))))
     # carry-kill: A + B <= 2
-    gen0 = b.add(f"{p}gen0", K.OR3, (
-        and4("g0p0", a11, a00, b10, b00),
-        and4("g0p1", a10, a00, b11, b00),
-        b.add(f"{p}g0p2", K.AND2, (a10, b10)),
-    ))
+    gen0 = b.add(f"{p}gen0", K.OR3, (term("g0p0", 2, 0), term("g0p1", 0, 2),
+                                      b.add(f"{p}g0p2", K.AND2, (a10, b10))))
 
     cp1 = b.add(f"{p}cp1", K.C2, (prop, cin1))
     cp0 = b.add(f"{p}cp0", K.C2, (prop, cin0))
 
     # high sum rail 1: A + B in {2, 6} always, {1, 5} with carry, {3} without
-    y1 = b.add(f"{p}y1", K.OR4, (
-        and4("y1p0", a11, a00, b11, b01),
-        and4("y1p1", a11, a01, b11, b00),
-        and4("y1p2", a10, a00, b10, b01),
-        and4("y1p3", a10, a01, b10, b00),
-    ))
-    z1 = b.add(f"{p}z1", K.OR4, (
-        and4("z1p0", a10, a01, b10, b01),
-        and4("z1p1", a11, a00, b10, b00),
-        and4("z1p2", a10, a00, b11, b00),
-        and4("z1p3", a11, a01, b11, b01),
-    ))
+    y1 = b.add(f"{p}y1", K.OR4, (term("y1p0", 2, 3), term("y1p1", 3, 2),
+                                  term("y1p2", 0, 1), term("y1p3", 1, 0)))
+    z1 = b.add(f"{p}z1", K.OR4, (term("z1p0", 1, 1), term("z1p1", 2, 0),
+                                  term("z1p2", 0, 2), term("z1p3", 3, 3)))
     sum11 = b.add(f"{p}sum11", K.OR3,
                   (cp0, b.add(f"{p}yc1", K.C2, (y1, cin1)), z1))
 
-    y0 = b.add(f"{p}y0", K.OR4, (
-        and4("y0p0", a10, a01, b10, b00),
-        and4("y0p1", a10, a00, b10, b01),
-        and4("y0p2", a11, a01, b11, b00),
-        and4("y0p3", a11, a00, b11, b01),
-    ))
-    z0 = b.add(f"{p}z0", K.OR4, (
-        and4("z0p0", a11, a00, b11, b00),
-        and4("z0p1", a11, a01, b10, b01),
-        and4("z0p2", a10, a01, b11, b01),
-        and4("z0p3", a10, a00, b10, b00),
-    ))
+    # high sum rail 0: A + B in {0, 4} always, {1, 5} without carry, {3} with
+    y0 = b.add(f"{p}y0", K.OR4, (term("y0p0", 1, 0), term("y0p1", 0, 1),
+                                  term("y0p2", 3, 2), term("y0p3", 2, 3)))
+    z0 = b.add(f"{p}z0", K.OR4, (term("z0p0", 2, 2), term("z0p1", 3, 1),
+                                  term("z0p2", 1, 3), term("z0p3", 0, 0)))
     sum10 = b.add(f"{p}sum10", K.OR3,
                   (cp1, b.add(f"{p}yc0", K.C2, (y0, cin0)), z0))
 

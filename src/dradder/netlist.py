@@ -349,11 +349,11 @@ class Netlist:
                 drop: bool = False) -> list:
         """Every net's steady level by net id in a phase whose inputs move one
         way: the input nets in `rails` (name: level) driven, the others at
-        spacer, ackin at `ones`, all lanes high (bool array, uint64 words or
-        int mask), each C2 holding its level in `held`, the previous phase's
-        levels, or 0; after topo_gates(). With `drop`, each net that is not a
-        port becomes None right after its last reader (`_dies_after`), so a
-        level lives only while a later gate reads it."""
+        spacer, ackin at `ones`, all lanes high (bool array or int mask),
+        each C2 holding its level in `held`, the previous phase's levels, or
+        0; after topo_gates(). With `drop`, each net that is not a port
+        becomes None right after its last reader (`_dies_after`), so a level
+        lives only while a later gate reads it."""
         s = self._structure
         ids, base, src, off, gates = s.ids, s.base, s.src, s.off, self.gates
         levels = [ones ^ ones] * len(ids)

@@ -377,13 +377,18 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     full-set level (an early-reset witness if every output rail is low).
     Each phase moves its inputs one way, so any delays settle there:
     `delays` never changes the verdict. "early" if a lane has every output
-    valid early, or both witness kinds occur; "strong" if neither; else "weak"."""
+    valid early, or both witness kinds occur; "strong" if neither; else "weak".
+    Every input group must be a rail pair; outputs may be single wires."""
     if trials < 1:
         raise ValueError("need at least one trial")
     groups, pairs = fb.inputs, len(fb.inputs)
     if pairs < 2:
         raise ValueError("classification needs at least two input pairs")
     fb.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
+    if wire := next((g.name for g in groups if g.scalar), None):
+        # on one wire, bit 0 and spacer are the same level
+        raise ValueError(f"input group {wire!r} is a single wire; "
+                         "classification needs rail pairs")
     exhaustive = 2 ** pairs <= trials
     vectors = ([{g.name: i >> q & 1 for q, g in enumerate(groups)} for i in range(2 ** pairs)]
                if exhaustive else random_vectors(fb, trials, seed))

@@ -86,26 +86,22 @@ def oracle_planes(a: list, b: list, cin) -> list:
 # vectorized steady-state evaluation
 
 
-def _lanes(v) -> np.ndarray:
-    """uint64 arrays are packed words, kept as they are; anything else is
-    one boolean lane per element."""
-    v = np.asarray(v)
-    return v if v.dtype == np.uint64 else v.astype(bool, copy=False)
-
-
 def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Steady levels after a set phase from all-zero, one array per net
-    keyed by name in net-id order, vectorized across input vectors: boolean
-    lanes, or uint64 words packing 64 lanes each when the inputs are uint64.
-    C2 settles to AND under monotone rising inputs. One `Netlist._settle`
-    walk: every other input net at spacer, ackin, if any, high."""
+    keyed by name in net-id order, vectorized across input vectors: each
+    input array is cast to one boolean lane per element, and a uint64 array,
+    which would read as packed words, is a `ValueError`. C2 settles to AND
+    under monotone rising inputs. One `Netlist._settle` walk: every other
+    input net at spacer, ackin, if any, high."""
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     ids = n._structure.ids
-    lanes = {k: _lanes(v) for k, v in inputs.items()}
-    if len({v.dtype for v in lanes.values()}) > 1:
-        raise ValueError("inputs mix boolean lanes and packed uint64 words")
+    lanes = {k: np.asarray(v) for k, v in inputs.items()}
+    if words := [k for k, v in lanes.items() if v.dtype == np.uint64]:
+        raise ValueError(f"input net {words[0]!r} holds uint64 words; "
+                         "steady_set_levels takes one boolean lane per element")
     if unknown := [k for k in lanes if k not in ids]:
         raise ValueError(f"input net {unknown[0]!r} is not in {n.name!r}")
+    lanes = {k: v.astype(bool, copy=False) for k, v in lanes.items()}
     first = next(iter(lanes.values()), np.zeros((), dtype=bool))
     return dict(zip(ids, n._settle(lanes, ~np.zeros_like(first))))
 

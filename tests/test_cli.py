@@ -322,6 +322,16 @@ def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, doc, mes
     assert message in err
 
 
+def test_classify_refuses_single_wire_inputs(tmp_path, capsys):
+    # the file loads, but classification needs rail pairs: a usage error
+    path = tmp_path / "and2.json"
+    path.write_text(json.dumps({**TWO_DRIVERS, "name": "and2", "gates": [
+        {"id": "g1", "kind": "AND2", "in": ["a", "b"], "out": "y"}]}))
+    assert main(["classify", "--netlist", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: input group 'A' is a single wire; classification needs rail pairs\n")
+
+
 DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
 DEEP_OBJECT = '{"a": ' * 5_000 + "1" + "}" * 5_000
 
@@ -518,13 +528,19 @@ def test_verify_rejects_bad_arguments(capsys, argv):
      "need at least one trial"),
     (lambda: classify_indication(gen_completion_detector(1), DelayTable.unit(), 8), ValueError,
      "classification needs at least two input pairs"),
+    # one wire cannot tell bit 0 from spacer; a single-wire output is allowed
+    (lambda: classify_indication(
+        Netlist("wire", [Gate("g", GateKind.AND2, ("a1", "b"), "y")],
+                [PortGroup("A", "a1", "a0"), PortGroup("B", "b")], [PortGroup("Y", "y")]),
+        DelayTable.unit(), 8), ValueError,
+     "input group 'B' is a single wire; classification needs rail pairs"),
     (lambda: compare_report().row("Adder18"), ValueError, "unknown adder legend 'Adder18'"),
     (lambda: oracle_add(0, 0, 0, 0), ValueError, "width must be >= 1, got 0"),
     (lambda: exhaustive_verify(gen_hybrid_rca(AdderSpec(2, 0, True)), 2, mode="walk"),
      ValueError, "unknown mode 'walk'"),
 ], ids=["cd-no-pairs", "stage-no-ports", "unknown-input-group", "unknown-output-group",
-        "classify-no-trials", "classify-one-pair", "unknown-legend", "oracle-width-0",
-        "verify-unknown-mode"])
+        "classify-no-trials", "classify-one-pair", "classify-wire-input", "unknown-legend",
+        "oracle-width-0", "verify-unknown-mode"])
 def test_library_errors_name_their_cause(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -47,10 +47,10 @@ ARITY: dict[GateKind, int] = {
 
 # What each gate kind computes from the levels `L` at its input positions
 # `pos` and, for C2, its previous output `held`: the one definition of gate
-# semantics. Written with & and | only, so one entry evaluates ints (a 0/1
-# level or one lane per bit), numpy bool arrays and uint64 words of 64 lanes
-# alike. Every kind is positive unate in its inputs and `held` and outputs 0
-# from all-zero inputs; the simulator's skip of idle evaluations relies on both.
+# semantics. Written with & and | only, so one entry evaluates a 0/1 level
+# and an int of lanes, one per bit, alike. Every kind is positive unate in
+# its inputs and `held` and outputs 0 from all-zero inputs; the simulator's
+# skip of idle evaluations relies on both.
 GATE_AT: dict[GateKind, Callable[[Sequence, tuple[int, ...], Any], Any]] = {
     GateKind.BUF: lambda L, p, held: L[p[0]],
     GateKind.AND2: lambda L, p, held: L[p[0]] & L[p[1]],
@@ -345,15 +345,15 @@ class Netlist:
         gates = self.gates
         return gates if type(s.positions) is range else tuple(map(gates.__getitem__, s.positions))
 
-    def _settle(self, rails: dict, ones: Any, held: Sequence | None = None,
+    def _settle(self, rails: dict, ones: int, held: Sequence | None = None,
                 drop: bool = False) -> list:
         """Every net's steady level by net id in a phase whose inputs move one
         way: the input nets in `rails` (name: level) driven, the others at
-        spacer, ackin at `ones`, all lanes high (bool array or int mask),
-        each C2 holding its level in `held`, the previous phase's levels, or
-        0; after topo_gates(). With `drop`, each net that is not a port
-        becomes None right after its last reader (`_dies_after`), so a level
-        lives only while a later gate reads it."""
+        spacer, ackin at `ones`, the int mask of all lanes, each C2 holding
+        its level in `held`, the previous phase's levels, or 0; after
+        topo_gates(). With `drop`, each net that is not a port becomes None
+        right after its last reader (`_dies_after`), so a level lives only
+        while a later gate reads it."""
         s = self._structure
         ids, base, src, off, gates = s.ids, s.base, s.src, s.off, self.gates
         levels = [ones ^ ones] * len(ids)

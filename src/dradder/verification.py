@@ -3,27 +3,26 @@
 Adder sweeps work on bit-planes: one Python int per operand bit (the
 carry-in, then A and B least significant first), lane j at bit j, one lane
 per vector, so they are exact at any width. `GATE_AT`, written with & and |
-only, evaluates the ints unchanged, and `int.bit_count()` counts lanes. The
-vectors are laid out as uint64 words, lane j at bit j % 64 of word j // 64:
-exhaustive mode takes plane k from bit k of the vector index, random mode
-draws raw words from a seeded generator. Each plane becomes one int, cut
-to the chunk's lanes, before the walk, so no padding lane exists. A sweep
-runs in chunks of words sized so that one chunk's net levels fit a fixed
-32 MiB budget; it keeps only the decoded counts, the first failure and the
-port bits of the sampled lanes, so its memory does not grow with the
-number of vectors. Within a chunk, a net that is not a port is dropped
-after its last reader in the walk, so the chunk's peak holds the ports and
-the live nets, not the whole netlist. Two evaluation routes check every
-sweep:
+only, evaluates the ints unchanged, and `int.bit_count()` counts lanes.
+Exhaustive mode takes plane k from bit k of the vector index; random mode
+draws plane k from its own seeded stream, `random.Random(f"{seed}/{k}")`,
+so the vectors do not depend on how the sweep is cut into chunks. A sweep
+runs in chunks of lanes sized so that one chunk's net levels fit a fixed
+32 MiB budget; it keeps only the decoded counts and the first failure, so
+its memory does not grow with the number of vectors. Within a chunk, a net
+that is not a port is dropped after its last reader in the walk, so the
+chunk's peak holds the ports and the live nets, not the whole netlist. Two
+evaluation routes check every sweep:
 
 * the steady-state evaluator, used for every lane, valid because every
   generated circuit is monotone per handshake phase (a C-element driven
   from the all-zero state settles to the AND of its inputs); its output
   planes are compared with a plane-wise ripple of the integer oracle;
-* the event-driven simulator, replayed on a seeded subsample of every
-  sweep; the level of every net at the end of its set phase must equal
-  its steady-state level, which one more walk settles for the whole
-  subsample, a vector per lane, and the transaction must return to zero.
+* the event-driven simulator, replayed on a sample of every sweep (seeded
+  vector indices in exhaustive mode, the first vectors drawn in random
+  mode); the level of every net at the end of its set phase must equal its
+  steady-state level, which one more walk settles for the whole sample, a
+  vector per lane, and the transaction must return to zero.
 
 The evaluator, `Netlist._settle`, walks the structure pass's gate positions
 and net ids, as STA does, with every input net it is not given at spacer and
@@ -47,8 +46,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .generators import _adder_inputs
 from .netlist import Netlist, PortGroup
 from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
@@ -71,9 +68,9 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
 
 
 def oracle_planes(a: list, b: list, cin) -> list:
-    """Bulk form of `oracle_add` over bit-planes (int lanes, bool arrays or
-    uint64 words), least significant first: the sum planes followed by the
-    carry-out plane, at any width."""
+    """Bulk form of `oracle_add` over bit-planes (int lanes, lane j at bit
+    j), least significant first: the sum planes followed by the carry-out
+    plane, at any width."""
     out, c = [], cin
     for x, y in zip(a, b):
         half = x ^ y
@@ -86,58 +83,56 @@ def oracle_planes(a: list, b: list, cin) -> list:
 # vectorized steady-state evaluation
 
 
-def steady_set_levels(n: Netlist, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Steady levels after a set phase from all-zero, one array per net
-    keyed by name in net-id order, vectorized across input vectors: each
-    input array is cast to one boolean lane per element, and a uint64 array,
-    which would read as packed words, is a `ValueError`. C2 settles to AND
+def steady_set_levels(n: Netlist, inputs: dict[str, int], lanes: int) -> dict[str, int]:
+    """Steady levels after a set phase from all-zero on `lanes` int lanes,
+    lane j at bit j: each input net's level is an int in [0, 2**lanes), and
+    so is each net's result, keyed by name in net-id order. An unknown net or
+    a level out of range is a `ValueError` naming the net. C2 settles to AND
     under monotone rising inputs. One `Netlist._settle` walk: every other
     input net at spacer, ackin, if any, high."""
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
-    ids = n._structure.ids
-    lanes = {k: np.asarray(v) for k, v in inputs.items()}
-    if words := [k for k, v in lanes.items() if v.dtype == np.uint64]:
-        raise ValueError(f"input net {words[0]!r} holds uint64 words; "
-                         "steady_set_levels takes one boolean lane per element")
-    if unknown := [k for k in lanes if k not in ids]:
-        raise ValueError(f"input net {unknown[0]!r} is not in {n.name!r}")
-    lanes = {k: v.astype(bool, copy=False) for k, v in lanes.items()}
-    first = next(iter(lanes.values()), np.zeros((), dtype=bool))
-    return dict(zip(ids, n._settle(lanes, ~np.zeros_like(first))))
+    ids, top = n._structure.ids, 1 << lanes
+    for net, level in inputs.items():
+        if net not in ids:
+            raise ValueError(f"input net {net!r} is not in {n.name!r}")
+        if not (isinstance(level, int) and 0 <= level < top):
+            raise ValueError(f"input net {net!r} holds no int in [0, 2**{lanes})")
+    return dict(zip(ids, n._settle(inputs, top - 1)))
 
 
-def steady_reset_levels(n: Netlist, set_levels: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def steady_reset_levels(n: Netlist, set_levels: dict[str, int]) -> dict[str, int]:
     """Steady levels after the return-to-zero phase following `set_levels`:
     all inputs at spacer, C2 holding its set-phase value until both inputs
     are back at zero. The result is all-zero for any acyclic netlist,
     because every gate kind outputs 0 from all-zero inputs: nothing is evaluated."""
-    shape = next(iter(set_levels.values())).shape
-    return {net: np.zeros(shape, dtype=bool) for net in n._structure.ids}
+    return dict.fromkeys(n._structure.ids, 0)
 
 
 # ---------------------------------------------------------------------------
 # adder sweeps on int lanes
 
-_LANES = 64  # lanes per uint64 word; lane j sits at bit j % 64 of word j // 64
-_ONES = np.uint64(2**64 - 1)
-# Byte budget for one chunk's net levels: a sweep evaluates as many words of
-# lanes at once as fit it at 8 bytes per word and net, so its memory does not
-# grow with the lane count.
+# Byte budget for one chunk's net levels: a sweep evaluates as many lanes at
+# once as fit it at one bit per lane and net, in whole multiples of 64 lanes,
+# so its memory does not grow with the lane count.
 _CHUNK_BYTES = 32 << 20
-# vectors of each sweep replayed on the event-driven simulator; at most 64,
-# so a net's levels at the sampled vectors fit one uint64
+# vectors of each sweep replayed on the event-driven simulator
 _SIM_SAMPLE = 32
-# plane k < 6 of an exhaustive sweep is bit k of the lane's position in its word
-_LOW_PLANES = [sum(1 << j for j in range(_LANES) if j >> k & 1) for k in range(6)]
+# a level row of the event simulator, one byte per net, as the digits of a steady row
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _index_planes(count: int, first_word: int, words: int) -> np.ndarray:
-    """Planes 0..count-1 of the lane index over `words` words from
-    `first_word`, one row each: plane k >= 6 is all-ones or zero per word,
-    from bit k - 6 of the word index."""
-    word = np.arange(first_word, first_word + words, dtype=np.uint64)
-    return np.array([np.full(words, _LOW_PLANES[k], dtype=np.uint64) if k < 6
-                     else ((word >> (k - 6)) & 1) * _ONES for k in range(count)])
+def _index_plane(k: int, first: int, lanes: int) -> int:
+    """Bit k of the lane index over `lanes` lanes from `first`, both
+    multiples of 8, lane `first` at bit 0: a repeated byte, 0xAA, 0xCC or
+    0xF0, for k < 3, else runs of 2**(k - 3) zero and all-ones bytes cut
+    at the first lane's byte."""
+    size = lanes >> 3
+    if k < 3:
+        return int.from_bytes((b"\xaa", b"\xcc", b"\xf0")[k] * size, "little")
+    run = 1 << (k - 3)
+    at = (first >> 3) % (2 * run)
+    runs = (b"\0" * run + b"\xff" * run) * -(-(at + size) // (2 * run))
+    return int.from_bytes(runs[at:at + size], "little")
 
 
 def _lane_int(planes, lane: int) -> int:
@@ -213,15 +208,16 @@ def exhaustive_verify(
     A netlist without the ports `gen_hybrid_rca` gives a `width`-bit adder
     (bare or staged; extra output groups allowed) is a `ValueError`.
     Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
-    width 8); random mode draws `count` seeded vectors at any width. The
-    full sweep runs through the steady-state evaluator (set phase
-    decoded and compared with the oracle), on int lanes and in chunks of
-    bounded memory; a seeded subsample of `_SIM_SAMPLE` vectors is
-    additionally replayed on the event-driven simulator under unit delays,
-    whose set-phase level of every net must equal the steady-state one. The
-    first counterexample is the lowest failing lane. `rtz_failures` counts
-    sampled transactions that did not return to zero: the steady-state
-    reset cannot fail (module doc).
+    width 8); random mode draws `count` seeded vectors at any width, plane k
+    from `random.Random(f"{seed}/{k}")`. The full sweep runs through the
+    steady-state evaluator (set phase decoded and compared with the oracle),
+    on int lanes and in chunks of bounded memory. A sample of `_SIM_SAMPLE`
+    vectors is additionally replayed on the event-driven simulator under
+    unit delays, whose set-phase level of every net must equal the
+    steady-state one: in exhaustive mode a seeded draw of vector indices, in
+    random mode the first vectors drawn. The first counterexample is the
+    lowest failing lane. `rtz_failures` counts sampled transactions that
+    did not return to zero: the steady-state reset cannot fail (module doc).
     """
     *ab, cin = _adder_inputs(width)
     ports = [cin, *ab]  # input ports in plane order: CIN is bit 0 of the exhaustive index
@@ -233,8 +229,8 @@ def exhaustive_verify(
         if count < 1:
             raise ValueError(f"random mode needs count >= 1, got {count}")
         total = count
-        # word-major draws, so the vectors do not depend on the chunk size
-        draw = np.random.default_rng(seed).integers
+        # one stream per plane, so the vectors do not depend on the chunk size
+        draws = [random.Random(f"{seed}/{k}").getrandbits for k in range(len(ports))]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
@@ -246,57 +242,56 @@ def exhaustive_verify(
                          f"SUM0..SUM{width - 1}, COUT among its outputs")
     s = n._structure
     rails = [n.group(name).rails() for name in ports]
-    words = -(-total // _LANES)
-    step = max(1, _CHUNK_BYTES // (8 * len(s.ids)))
-    sample = np.array(sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total))),
-                      dtype=np.uint64)
+    step = 64 * max(1, _CHUNK_BYTES // (8 * len(s.ids)))
+    m = min(_SIM_SAMPLE, total)
+    if mode == "exhaustive":  # sampled vector j on lane j: the bits of its index
+        sample = sorted(random.Random(seed).sample(range(total), m))
+        picked = [sum((i >> k & 1) << j for j, i in enumerate(sample))
+                  for k in range(len(ports))]
 
     illegal = spacerish = failures = 0
     first = None
-    picked = []  # per chunk, the port bits of its sampled lanes: one row per plane
-    for w0 in range(0, words, step):
-        nw = min(step, words - w0)
+    for lo in range(0, total, step):
+        lanes = min(step, total - lo)
         if mode == "exhaustive":
-            raw = _index_planes(len(ports), w0, nw)
+            planes = [_index_plane(k, lo, lanes) for k in range(len(ports))]
         else:
-            raw = draw(0, 2**64, size=(nw, len(ports)), dtype=np.uint64).T
-        lo = w0 * _LANES
-        every = (1 << min(nw * _LANES, total - lo)) - 1
-        at = sample[(sample >= lo) & (sample < lo + nw * _LANES)] - lo
-        picked.append(raw[:, at // _LANES] >> at % _LANES & 1)
-        planes = [int.from_bytes(p.astype("<u8", copy=False).tobytes(), "little") & every
-                  for p in raw]
-        del raw  # the walk holds the int lanes only
+            planes = [draw(lanes) for draw in draws]
+            if not lo:  # the first vectors drawn are already a uniform sample
+                picked = [p & ((1 << m) - 1) for p in planes]
         (chunk_illegal, chunk_spacerish, chunk_failures,
-         chunk_first) = _sweep_chunk(n, rails, outs, planes, every)
+         chunk_first) = _sweep_chunk(n, rails, outs, planes, (1 << lanes) - 1)
         illegal += chunk_illegal
         spacerish += chunk_spacerish
         failures += chunk_failures
         first = first or chunk_first
 
-    # event-driven cross-check of the sampled vectors, net by net in walk
-    # order: the input nets as declared, then the gate outputs in
-    # topo_gates() order, which is the gate list when every gate follows its
-    # drivers. One steady walk settles them all, sampled vector j on lane j.
-    scan = np.array([*range(s.base), *(s.base + k for k in s.positions)])
-    planes = [int.from_bytes(row.tobytes(), "little")
-              for row in np.packbits(np.concatenate(picked, axis=1), axis=1, bitorder="little")]
-    every = (1 << len(sample)) - 1
-    steady = np.array(n._settle(_drive(rails, planes, every), every), dtype=np.uint64)[scan]
+    # event-driven cross-check of the sampled vectors, net by net: one
+    # steady walk settles them all, sampled vector j on lane j, and its
+    # levels are written out once as m binary digits per net id, so vector
+    # j's row, one digit per net id, is every m-th digit. On a mismatch the
+    # first differing net in walk order is named: the input nets as
+    # declared, then the gate outputs in topo_gates() order.
+    every = (1 << m) - 1
+    steady = n._settle(_drive(rails, picked, every), every)
+    digits = "".join(map(format, steady, itertools.repeat(f"0{m}b"))).encode()
     delays = DelayTable.unit()
     sim_checked = rtz_failures = 0
     sim_first = None
-    for j in range(len(sample)):
+    for j in range(m):
+        row = digits[m - 1 - j::m]
         log = simulate_transaction(n, delays, [(name, p >> j & 1, 0)
-                                               for name, p in zip(ports, planes)])
-        levels = np.array(log.set_net_levels, dtype=bool)[scan]
-        differ = np.flatnonzero((steady >> j & 1).astype(bool) != levels)
-        net = log.names[scan[differ[0]]] if differ.size else None
+                                               for name, p in zip(ports, picked)])
+        levels = bytes(log.set_net_levels).translate(_DIGITS)
+        net = None
+        if levels != row:
+            walk = itertools.chain(range(s.base), (s.base + k for k in s.positions))
+            net = log.names[next(i for i in walk if levels[i] != row[i])]
         rtz_failures += not log.rtz_complete
         if net is not None or not log.rtz_complete or log.illegal_seen \
                 or not log.monotonic:
-            sim_first = {"a": _lane_int(planes[1:width + 1], j),
-                         "b": _lane_int(planes[width + 1:], j), "cin": planes[0] >> j & 1,
+            sim_first = {"a": _lane_int(picked[1:width + 1], j),
+                         "b": _lane_int(picked[width + 1:], j), "cin": picked[0] >> j & 1,
                          "via": "event simulator", "net": net}
             break
         sim_checked += 1
@@ -492,24 +487,23 @@ def monotonic_cover_check(eqs: EquationSet) -> MonotonicCoverResult:
 
 def equation_equivalence(n: Netlist, eqs: EquationSet) -> bool:
     """Steady-state netlist outputs equal the equation evaluation over every
-    valid input assignment. Netlist input/output group names must match the
-    equation variable and output names."""
+    valid input assignment, one int lane each. Netlist input/output group
+    names must match the equation variable and output names."""
     assignments = eqs.valid_assignments()
-    inputs: dict[str, np.ndarray] = {}
+    lanes = len(assignments)
+    every = (1 << lanes) - 1
+    inputs: dict[str, int] = {}
     for v in eqs.variables:
         grp = n.group(v.name)
-        bits = np.array([asg[v.name] for asg in assignments], dtype=bool)
-        inputs[grp.rail1] = bits
-        inputs[grp.rail0] = ~bits
-    levels = steady_set_levels(n, inputs)
+        bits = sum(asg[v.name] << j for j, asg in enumerate(assignments))
+        inputs[grp.rail1], inputs[grp.rail0] = bits, every ^ bits
+    levels = steady_set_levels(n, inputs, lanes)
 
     for out in eqs.outputs:
         grp = n.group(out.name, output=True)
         for rail_net, products in ((grp.rail1, out.products1), (grp.rail0, out.products0)):
-            expect = np.array(
-                [any(p <= eqs.true_rails(asg) for p in products) for asg in assignments],
-                dtype=bool,
-            )
-            if not np.array_equal(levels[rail_net], expect):
+            expect = sum(any(p <= eqs.true_rails(asg) for p in products) << j
+                         for j, asg in enumerate(assignments))
+            if levels[rail_net] != expect:
                 return False
     return True

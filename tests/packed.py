@@ -1,4 +1,5 @@
-"""Boolean lanes to and from uint64 words: lane j at bit j % 64 of word j // 64."""
+"""Boolean lanes to and from uint64 words (lane j at bit j % 64 of word
+j // 64) and to one int (lane j at bit j)."""
 
 import numpy as np
 
@@ -12,3 +13,8 @@ def pack(lanes) -> np.ndarray:
 def unpack(words, lanes: int) -> np.ndarray:
     raw = np.asarray(words).astype("<u8").view(np.uint8)
     return np.unpackbits(raw, bitorder="little")[:lanes].astype(bool)
+
+
+def to_int(lanes) -> int:
+    return int.from_bytes(np.packbits(np.asarray(lanes, dtype=bool), bitorder="little").tobytes(),
+                          "little")

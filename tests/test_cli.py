@@ -424,7 +424,7 @@ def test_port_declared_twice_is_parse_error(tmp_path, capsys, netlist, message):
     assert netlist.validate() == [message]
     for route in (lambda: Netlist.from_dict(netlist.to_dict()), netlist.topo_gates,
                   lambda: netlist.int_form, lambda: critical_path(netlist, DelayTable.unit()),
-                  lambda: steady_set_levels(netlist, {})):
+                  lambda: steady_set_levels(netlist, {}, 1)):
         with pytest.raises(ValueError) as exc:
             route()
         assert exc.value.args == (message,)
@@ -667,3 +667,49 @@ def test_cli_fuzz_exit_codes(argv):
                      "--out", str(paths["@netlist"])]) == EXIT_OK
         code = main([str(paths[a]) if a in paths else a for a in argv])
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_FAIL, EXIT_DEADLOCK}
+
+
+# Runs `main` on each argv of a JSON list inside a working directory and prints
+# [exit code, stdout] per run, the directory's files and whether numpy was
+# imported; with "blocked", importing numpy fails first.
+_NUMPY_FREE_RUN = r"""
+import contextlib, io, json, os, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from dradder.cli import main
+os.chdir(sys.argv[2])
+runs = []
+for argv in json.loads(sys.argv[3]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+files = {f: open(f).read() for f in sorted(os.listdir("."))}
+print(json.dumps([runs, files, sys.modules.get("numpy") is not None]))
+"""
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # the runtime is the standard library: every subcommand gives the same
+    # output whether numpy cannot be imported or is never looked at
+    flow = [["build", "rca", "--width", "32", "--safa", "2", "--stage", "--out", "adder.json"],
+            ["build", "dafa", "--out", "dafa.json"],
+            ["verify", "--width", "8", "--safa", "2", "--mode", "exhaustive"],
+            ["verify", "--width", "32", "--safa", "2", "--mode", "random"],
+            ["sim", "--netlist", "adder.json", "--count", "5"],
+            ["sta", "--netlist", "adder.json"],
+            ["classify", "--netlist", "dafa.json"]]
+    path = [str(Path(dradder.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    results = {}
+    for mode in ("blocked", "importable"):
+        (tmp_path / mode).mkdir()
+        run = subprocess.run([sys.executable, "-c", _NUMPY_FREE_RUN, mode, str(tmp_path / mode),
+                              json.dumps(flow)], capture_output=True, text=True, env=env,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        results[mode] = json.loads(run.stdout)
+    runs, files, imported = results["blocked"]
+    assert [code for code, _ in runs] == [EXIT_OK] * len(flow)
+    assert "checked 131072 vectors" in runs[2][1] and "checked 10000 vectors" in runs[3][1]
+    assert set(files) == {"adder.json", "dafa.json"}
+    assert results["importable"] == [runs, files, False]

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dradder.generators import (
     AdderSpec,
@@ -32,7 +34,7 @@ from dradder.verification import (
     steady_set_levels,
     structurally_disjoint,
 )
-from packed import unpack
+from packed import to_int
 
 
 def test_oracle_add():
@@ -53,17 +55,17 @@ def test_steady_levels_match_event_simulation():
     vals = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     inputs = {}
     for grp, pick in (("A", 0), ("B", 1), ("CIN", 2)):
-        bits = np.array([v[pick] for v in vals], dtype=bool)
+        bits = sum(v[pick] << lane for lane, v in enumerate(vals))
         g = n.group(grp)
         inputs[g.rail1] = bits
-        inputs[g.rail0] = ~bits
-    levels = steady_set_levels(n, inputs)
+        inputs[g.rail0] = bits ^ 0xFF
+    levels = steady_set_levels(n, inputs, len(vals))
     for lane, (a, b, c) in enumerate(vals):
         log = simulate_transaction(n, DelayTable.unit(),
                                    [("A", a, 0), ("B", b, 0), ("CIN", c, 0)])
-        for net, arr in levels.items():
+        for net, level in levels.items():
             sim_level = log.set_levels.get(net, 0)
-            assert bool(arr[lane]) == bool(sim_level), (net, (a, b, c))
+            assert bool(level >> lane & 1) == bool(sim_level), (net, (a, b, c))
 
 
 def test_steady_reset_clears_combinational_state():
@@ -71,22 +73,23 @@ def test_steady_reset_clears_combinational_state():
     inputs = {}
     for grp, val in (("A", 1), ("B", 0), ("CIN", 1)):
         g = n.group(grp)
-        inputs[g.rail1] = np.array([bool(val)])
-        inputs[g.rail0] = np.array([not val])
-    levels = steady_set_levels(n, inputs)
+        inputs[g.rail1] = val
+        inputs[g.rail0] = 1 - val
+    levels = steady_set_levels(n, inputs, 1)
     reset = steady_reset_levels(n, levels)
-    assert all(not arr.any() for arr in reset.values())
+    assert all(level == 0 for level in reset.values())
 
 
 @pytest.mark.parametrize("n", [gen_hybrid_rca(AdderSpec(8, 2, True)),
                                gen_stage(gen_hybrid_rca(AdderSpec(4, 0, False)))],
                          ids=["adder", "stage"])
 def test_steady_set_levels_keys_and_unknown_inputs(n):
-    inputs = {n.group("A0").rail1: np.ones(3, dtype=bool)}
+    inputs = {n.group("A0").rail1: 0b111}
     # every input net and every gate output, as the name-keyed evaluator returned
-    assert set(steady_set_levels(n, inputs)) == set(n.input_nets) | {g.output for g in n.gates}
+    assert set(steady_set_levels(n, inputs, 3)) == \
+        set(n.input_nets) | {g.output for g in n.gates}
     with pytest.raises(ValueError, match="input net 'ghost' is not in"):
-        steady_set_levels(n, {**inputs, "ghost": np.ones(3, dtype=bool)})
+        steady_set_levels(n, {**inputs, "ghost": 0b111}, 3)
 
 
 def test_static_passes_do_not_build_the_simulator_form():
@@ -94,7 +97,7 @@ def test_static_passes_do_not_build_the_simulator_form():
     # the event simulator builds int_form
     from dradder.timing import critical_path
 
-    for check in (lambda n: steady_set_levels(n, {}),
+    for check in (lambda n: steady_set_levels(n, {}, 1),
                   lambda n: equation_equivalence(n, SAFA_EQUATIONS),
                   lambda n: critical_path(n, DelayTable.unit())):
         n = gen_safa()
@@ -120,6 +123,19 @@ def _fanout_cases():
     ]
 
 
+def _misread_fanout(n: Netlist, net: str) -> int:
+    """Give `n` an int_form in which the simulator's gate driving `net`
+    reads its first input in place of its second; returns the net's id."""
+    import dataclasses
+
+    form = n.int_form
+    bad = form.ids[net]
+    fanout = tuple(tuple((fn, (pos[0], pos[0], *pos[2:]) if out == bad else pos, out, kind)
+                         for fn, pos, out, kind in entries) for entries in form.fanout)
+    n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+    return bad
+
+
 # each case also at one word per chunk: the 512 lanes of a width-4 sweep
 # make 8 chunks, so the sampled vectors' port bits come from many of them
 @pytest.mark.parametrize("n, net, one_word", [
@@ -130,15 +146,9 @@ def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net, one_word, monkeyp
     # entry that reads its first input in place of its second disagrees
     # with it; the data outputs, which the oracle checks, do not depend on
     # the completion detector or on the simulator
-    import dataclasses
-
     import dradder.verification as ver
 
-    form = n.int_form
-    bad = form.ids[net]
-    fanout = tuple(tuple((fn, (pos[0], pos[0], *pos[2:]) if out == bad else pos, out, kind)
-                         for fn, pos, out, kind in entries) for entries in form.fanout)
-    n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+    bad = _misread_fanout(n, net)
     res = exhaustive_verify(n, 4)
     if one_word:
         monkeypatch.setattr(ver, "_CHUNK_BYTES", 8 * len(n._structure.ids))
@@ -243,16 +253,17 @@ def test_wide_counterexample_is_exact():
 @pytest.mark.parametrize("width", [1, 8, 63, 64, 130])
 def test_oracle_planes_match_oracle_add(width):
     rng = np.random.default_rng(width)
-    a, b, cin = (rng.integers(0, 2, size=(k, 64), dtype=bool) for k in (width, width, 1))
-    out = oracle_planes(list(a), list(b), cin[0])
+    a, b, cin = ([to_int(p) for p in rng.integers(0, 2, size=(k, 64), dtype=bool)]
+                 for k in (width, width, 1))
+    out = oracle_planes(a, b, cin[0])
     assert len(out) == width + 1
 
     def num(planes, lane):
-        return sum(int(p[lane]) << k for k, p in enumerate(planes))
+        return sum((p >> lane & 1) << k for k, p in enumerate(planes))
 
     for lane in range(64):
-        want = oracle_add(num(a, lane), num(b, lane), int(cin[0][lane]), width)
-        assert (num(out[:width], lane), int(out[width][lane])) == want
+        want = oracle_add(num(a, lane), num(b, lane), cin[0] >> lane & 1, width)
+        assert (num(out[:width], lane), out[width] >> lane & 1) == want
 
 
 def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
@@ -364,21 +375,21 @@ def test_packed_steady_levels_match_bool_lanes(lanes, spec, stage):
     # every rail drawn independently, so spacer and illegal inputs occur too
     inputs = {net: rng.integers(0, 2, size=lanes, dtype=bool)
               for grp in n.inputs for net in grp.rails()}
-    want = steady_set_levels(n, inputs)
-    # the int masks classify_indication walks, lane j at bit j: the set phase,
-    # then a held reset with every input at spacer and ackin still high
-    def mask(v):
-        return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
-
-    ones = (1 << lanes) - 1
-    set_ints = n._settle({net: mask(v) for net, v in inputs.items()}, ones)
-    assert set_ints == [mask(v) for v in want.values()]
-    reset = n._settle({}, np.ones(lanes, dtype=bool), held=list(want.values()))
-    assert n._settle({}, ones, held=set_ints) == list(map(mask, reset))
-    # a uint64 array would read as packed words, not one lane per element
+    ints = {net: to_int(v) for net, v in inputs.items()}
+    got = steady_set_levels(n, ints, lanes)
+    assert list(got) == list(n._structure.ids)
+    # the same walk on numpy bool arrays, one lane per element: the set
+    # phase, then a held reset with every input at spacer and ackin still high
+    want = n._settle(inputs, np.ones(lanes, dtype=bool))
+    assert list(got.values()) == list(map(to_int, want))
+    reset = n._settle({}, np.ones(lanes, dtype=bool), held=want)
+    assert n._settle({}, (1 << lanes) - 1, held=list(got.values())) == list(map(to_int, reset))
+    # a level that does not fit the lanes, or is not an int, is not read
     net = next(iter(inputs))
-    with pytest.raises(ValueError, match=re.escape(f"input net {net!r} holds uint64 words")):
-        steady_set_levels(n, {**inputs, net: inputs[net].astype(np.uint64)})
+    for bad in (-1, 1 << lanes, inputs[net]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"input net {net!r} holds no int in [0, 2**{lanes})")):
+            steady_set_levels(n, {**ints, net: bad}, lanes)
 
 
 def _rebuild(n, gates=None, outputs=None):
@@ -419,12 +430,11 @@ def test_exhaustive_results_are_pinned(safa, redundant, stage, gate_id, kind,
         (failures, illegal, cex)
 
 
-def test_random_counterexample_is_lowest_lane_across_chunks(monkeypatch):
-    import dradder.verification as ver
-    from dradder.netlist import Gate, GateKind, PortGroup
+def _rare_sum0_bug() -> Netlist:
+    """A width-6 adder whose SUM0 rail1 also rises when A3..A5, B3..B5 and
+    CIN are all 1: a wrong sum (and an illegal pair) on 1 lane in 256."""
+    from dradder.netlist import Gate, GateKind
 
-    # SUM0's rail1 also rises when A3..A5, B3..B5 and CIN are all 1: a wrong
-    # sum (and an illegal pair) on 1 lane in 256
     n = gen_hybrid_rca(AdderSpec(6, 2, True))
     r1 = {name: n.group(name).rail1 for name in ("A3", "A4", "A5", "B3", "B4", "B5", "CIN")}
     s0 = n.group("SUM0", output=True)
@@ -433,20 +443,24 @@ def test_random_counterexample_is_lowest_lane_across_chunks(monkeypatch):
         Gate("bug/x2", GateKind.AND4, (r1["B3"], r1["B4"], r1["CIN"], "bug/x1"), "bug/x2"),
         Gate("bug/or", GateKind.OR2, (s0.rail1, "bug/x2"), "bug/or")]
     outs = [PortGroup("SUM0", "bug/or", s0.rail0) if grp is s0 else grp for grp in n.outputs]
-    broken = _rebuild(n, gates=gates, outputs=outs)
-    seed, count = 1007, 1000
+    return _rebuild(n, gates=gates, outputs=outs)
 
-    # the documented random-mode vectors: word-major uint64 draws, one column
-    # per plane CIN, A0..A5, B0..B5
-    raw = np.random.default_rng(seed).integers(0, 2**64, size=(-(-count // 64), 13),
-                                               dtype=np.uint64)
-    planes = [unpack(col, count) for col in raw.T]
+
+def test_random_counterexample_is_lowest_lane_across_chunks(monkeypatch):
+    import dradder.verification as ver
+
+    broken = _rare_sum0_bug()
+    seed, count = 1008, 1000
+
+    # the documented random-mode vectors: plane k (CIN, A0..A5, B0..B5) is
+    # the first `count` bits of its own stream random.Random(f"{seed}/{k}")
+    planes = [random.Random(f"{seed}/{k}").getrandbits(count) for k in range(13)]
     cin, a, b = planes[0], planes[1:7], planes[7:]
     hit = cin & a[3] & a[4] & a[5] & b[3] & b[4] & b[5] & ~(a[0] ^ b[0] ^ cin)
-    failing = np.flatnonzero(hit)
-    lane = int(failing[0])
+    failing = [j for j in range(count) if hit >> j & 1]
+    lane = failing[0]
     # past lane 63, past the first two-word chunk, and not the only failing chunk
-    assert lane > 128 and len(set(failing // 128)) > 1
+    assert lane > 128 and len({j // 128 for j in failing}) > 1
 
     whole = exhaustive_verify(broken, 6, mode="random", count=count, seed=seed)
     # two words per chunk: the lowest failing lane lies in a later chunk
@@ -454,13 +468,13 @@ def test_random_counterexample_is_lowest_lane_across_chunks(monkeypatch):
                         2 * 8 * (len(broken.input_nets) + len(broken.gates)))
     chunked = exhaustive_verify(broken, 6, mode="random", count=count, seed=seed)
     assert chunked == whole
-    assert whole.failures == whole.illegal_states == int(hit.sum())
+    assert whole.failures == whole.illegal_states == len(failing)
     cex = whole.first_counterexample
 
     def num(bits):
-        return sum(int(p[lane]) << k for k, p in enumerate(bits))
+        return sum((p >> lane & 1) << k for k, p in enumerate(bits))
 
-    assert (cex["a"], cex["b"], cex["cin"]) == (num(a), num(b), int(cin[lane]))
+    assert (cex["a"], cex["b"], cex["cin"]) == (num(a), num(b), cin >> lane & 1)
     assert cex["got_sum"] == cex["expected_sum"] ^ 1
 
 
@@ -477,3 +491,39 @@ def test_padding_lanes_are_not_counted(mode, count):
     assert res.illegal_states + spacerish == count
     if mode == "exhaustive":
         assert res.illegal_states == spacerish == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 16), first=st.integers(0, 2047).map(lambda w: 64 * w),
+       lanes=st.integers(1, 1024).map(lambda size: 8 * size))
+def test_index_plane_is_bit_k_of_the_lane_index(k, first, lanes):
+    from dradder.verification import _index_plane
+
+    assert _index_plane(k, first, lanes) == \
+        sum((first + j >> k & 1) << j for j in range(lanes))
+
+
+@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("count", [77, 1000, 4097])
+@pytest.mark.parametrize("bug", ["rare-sum0", "fanout"])
+def test_random_vectors_do_not_depend_on_the_chunk_size(bug, count, words, monkeypatch):
+    # the sweep's failures and lowest failing lane, and the cross-check's
+    # sample (the first vectors drawn), whose first disagreeing vector a
+    # misbuilt simulator entry reports, are the same at any chunk size; at
+    # seed 7 the rare bug's lowest failing lane is 66, in a later chunk at
+    # one word per chunk
+    import dradder.verification as ver
+
+    def broken():
+        if bug == "rare-sum0":
+            return _rare_sum0_bug()
+        n = gen_hybrid_rca(AdderSpec(4, 0, True))
+        _misread_fanout(n, "dafa0/pp0")
+        return n
+
+    width = 6 if bug == "rare-sum0" else 4
+    whole = exhaustive_verify(broken(), width, mode="random", count=count, seed=7)
+    n = broken()
+    monkeypatch.setattr(ver, "_CHUNK_BYTES", words * 8 * len(n._structure.ids))
+    assert exhaustive_verify(n, width, mode="random", count=count, seed=7) == whole
+    assert not whole.passed and whole.checked == count

@@ -14,15 +14,23 @@ any delay table. The generated circuits are monotone per handshake phase,
 so no inertial filtering is needed; a monitor asserts the monotonicity
 instead.
 
+A run carries `lanes` transactions, lane j at bit j of every level and
+pending value, as the steady-state walk does. An event is the int
+`net << lanes | level`, the net's new level on every lane (`net << 1 |
+value` on one lane), and applying it stores that level. Lane j replays its
+one-lane run exactly: where its input did not change, the pending value
+already equals the gate's function, and where `held == value` every lane
+that changed moved to the output's own value. The monitors are lane masks.
+
 Nets are the ids of `Netlist.int_form`, which are the structure pass's:
 the input nets first, then gate k's output at base + k. Pending events
 wait in one bucket per time, in drive order, under a heap of the distinct
 times; a zero-delay drive joins the bucket being drained. The stage
 environment drives and reads ports by the rail ids `IntForm.ports` holds,
-and a transaction applies its inputs in time order. An event is the int
-`net << 1 | value`; a log keeps its events as one flat trace with a
-parallel list of times, so it holds no per-event object, and rebuilds its
-name-keyed `transitions` and `set_levels` from the trace on first read.
+and a transaction applies its inputs in time order. A log keeps its events
+as one flat trace with a parallel list of times, so it holds no per-event
+object, and rebuilds its name-keyed `transitions` and `set_levels` from
+the trace on first read.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import Sequence, TextIO
 
 from .netlist import GateKind, Netlist
@@ -96,67 +104,92 @@ class DelayTable:
 
 @dataclass
 class TransactionLog:
-    """Record of one 4-phase data transaction on a netlist.
+    """Record of one 4-phase data transaction on a netlist, on `lanes` lanes.
 
-    Every event the transaction applied is one int, `net << 1 | level`, in
-    `trace`, in the order it applied; `trace_times` holds its time. The first
-    `set_events` of them make up the set phase. `transitions` and `set_levels`
-    name them on first read and keep the dicts they build."""
+    Every event the transaction applied is one int, `net << lanes | level`,
+    in `trace`, in the order it applied; `trace_times` holds its time. The
+    first `set_events` of them make up the set phase. `transitions` and
+    `set_levels` name them on first read and keep the dicts they build. The
+    monitors are lane masks, and `illegal_seen`, `monotonic` and
+    `rtz_complete` read them over every lane. The timing fields are a
+    one-lane reading: on more lanes, a group's `output_valid` is the latest
+    time over the lanes, and `None` unless it is valid on every lane, so
+    `latency` is the slowest lane's."""
 
     input_apply: dict[str, int]
     output_valid: dict[str, int | None]
     latency: int | None
-    rtz_complete: bool
-    illegal_seen: bool
-    monotonic: bool
+    illegal: int  # lanes on which both rails of a pair were high at once
+    nonmonotone: int  # lanes on which a net fell in the set phase or rose in the reset phase
+    unreturned: int  # lanes on which a net was still high after the reset phase
     events: int
     set_end: int
     names: tuple[str, ...]  # net names by net id
-    trace: list[int]  # net id << 1 | new level, one per event, in applied order
+    trace: list[int]  # net id << lanes | new level, one per event, in applied order
     trace_times: list[int]  # the time of each event in `trace`
     set_events: int  # how many of `trace` applied by set_end
     set_net_levels: list[int]  # every net's level at set_end, by net id
+    lanes: int = 1
+
+    @property
+    def illegal_seen(self) -> bool:
+        return bool(self.illegal)
+
+    @property
+    def monotonic(self) -> bool:
+        return not self.nonmonotone
+
+    @property
+    def rtz_complete(self) -> bool:
+        return not self.unreturned
 
     @cached_property
     def transitions(self) -> dict[str, list[tuple[int, int]]]:
         """(time, level) changes of every net that switched, by net name, in
         order of each net's first transition."""
+        lanes, every = self.lanes, (1 << self.lanes) - 1
         by_net: dict[int, list[tuple[int, int]]] = {}
         for ev, time in zip(self.trace, self.trace_times):
-            by_net.setdefault(ev >> 1, []).append((time, ev & 1))
+            by_net.setdefault(ev >> lanes, []).append((time, ev & every))
         names = self.names
         return {names[k]: trans for k, trans in by_net.items()}
 
     @cached_property
     def set_levels(self) -> dict[str, int]:
         """Level at set_end of every net that had switched by then, by net name."""
-        names, levels = self.names, self.set_net_levels
-        first = dict.fromkeys(ev >> 1 for ev in self.trace[:self.set_events])
+        names, levels, lanes = self.names, self.set_net_levels, self.lanes
+        first = dict.fromkeys(ev >> lanes for ev in self.trace[:self.set_events])
         return {names[k]: levels[k] for k in first}
 
 
 class _Sim:
-    """Single-run simulator core: a time-bucketed event queue over the netlist's
-    integer form, plus the 4-phase stage environment that drives and reads its ports."""
+    """Simulator core on `lanes` int lanes, lane j at bit j: a time-bucketed
+    event queue over the netlist's integer form, plus the 4-phase stage
+    environment that drives and reads its ports. An event is
+    `net << lanes | level`, the net's new level on every lane. The monitors
+    are lane masks: `illegal` holds the lanes on which both rails of a port
+    pair were high at once, `nonmonotone` those on which an event moved a
+    net away from `goal`, the level every net moves toward in the phase
+    being run: all lanes high in the set phase, 0 in the reset phase."""
 
-    def __init__(self, netlist: Netlist, delays: DelayTable):
+    def __init__(self, netlist: Netlist, delays: DelayTable, lanes: int = 1):
         self.form = form = netlist.int_form
         self.delays = delays.delays
+        self.lanes, self.every = lanes, (1 << lanes) - 1
         self.levels = [0] * len(form.names)
         self.pending = [0] * len(form.names)
-        self.buckets: dict[int, list[int]] = {}  # time -> [net id << 1 | value]
+        self.buckets: dict[int, list[int]] = {}  # time -> [net id << lanes | value]
         self.times: list[int] = []  # heap of the bucket times
         self.now = 0
         self.events = 0
-        self.trace: list[int] = []  # every applied event, net id << 1 | value
+        self.trace: list[int] = []  # every applied event, net id << lanes | value
         self.trace_times: list[int] = []  # the time of each
-        self.last = [0] * len(form.names)  # time of each net's last transition
-        self.illegal_seen = False
-        self.monotonic = True
-        self.direction = 0  # +1 set phase, -1 reset phase, 0 unmonitored
+        self.last = [0] * len(form.names)  # time of each net's last transition on any lane
+        self.illegal = self.nonmonotone = 0  # lane masks of the monitors
+        self.goal = self.every
         self.ackin = form.ackin
         if self.ackin is not None:
-            self.drive(self.ackin, 1, 0)
+            self.drive(self.ackin, self.every, 0)
 
     def drive(self, k: int, value: int, time: int) -> None:
         """Queue net `k` to change to `value` at `time`, unless that is already
@@ -167,7 +200,7 @@ class _Sim:
             if bucket is None:
                 bucket = self.buckets[time] = []
                 heapq.heappush(self.times, time)
-            bucket.append(k << 1 | value)
+            bucket.append(k << self.lanes | value)
             self.pending[k] = value
 
     def run(self) -> int:
@@ -176,28 +209,29 @@ class _Sim:
         trace, trace_times, last = self.trace, self.trace_times, self.last
         fanout, partner, delays = self.form.fanout, self.form.partner, self.delays
         pop, push = heapq.heappop, heapq.heappush
-        wrong = {1: 0, -1: 1}.get(self.direction)  # the value breaking monotonicity
+        lanes, every, goal = self.lanes, self.every, self.goal
+        illegal, nonmonotone = self.illegal, self.nonmonotone
         events, max_events, now = self.events, DEFAULT_MAX_EVENTS, self.now
         while times:
             time = pop(times)
             bucket = buckets[time]
             for ev in bucket:  # also visits what is appended on the way
-                net, value = ev >> 1, ev & 1
+                net, value = ev >> lanes, ev & every
                 events += 1
                 if events > max_events:
                     raise SimulationLimitError(
                         f"{events} events exceed the {max_events} budget")
                 now = time
+                if value != goal:  # the lanes that changed away from the goal
+                    nonmonotone |= (levels[net] ^ value) & (value ^ goal)
                 levels[net] = value
                 trace.append(ev)
                 trace_times.append(time)
                 last[net] = time
-                if value == wrong:
-                    self.monotonic = False
                 if value:
                     other = partner[net]
-                    if other is not None and levels[other]:
-                        self.illegal_seen = True
+                    if other is not None and (both := value & levels[other]):
+                        illegal |= both
                 for fn, pos, out, kind in fanout[net]:
                     held = pending[out]
                     if held == value:
@@ -209,54 +243,65 @@ class _Sim:
                         if later is None:
                             later = buckets[due] = []
                             push(times, due)
-                        later.append(out << 1 | new)
+                        later.append(out << lanes | new)
                         pending[out] = new
             del buckets[time]
         self.events, self.now = events, now
+        self.illegal, self.nonmonotone = illegal, nonmonotone
         return now
 
     # -- the stage environment ---------------------------------------------
 
-    def put(self, grp, bit: int | None, time: int) -> None:
-        """Drive the group's codeword for `bit` at `time`; `None` drives the spacer."""
+    def put(self, grp, bits: int | None, time: int) -> None:
+        """Drive the group's codeword for `bits`, a level per lane, at `time`;
+        `None` drives the spacer."""
         rails = self.form.ports[grp]
-        self.drive(rails[0], 0 if bit is None else bit, time)
+        self.drive(rails[0], 0 if bits is None else bits, time)
         if len(rails) == 2:
-            self.drive(rails[1], 0 if bit is None else 1 - bit, time)
+            self.drive(rails[1], 0 if bits is None else self.every ^ bits, time)
 
     def valid_since(self, grp) -> int | None:
-        """Time the group last entered a valid codeword, or `None` if it holds none now."""
+        """Time the group's rails last switched on any lane, or `None` unless
+        it holds a valid codeword on every lane now."""
         high = since = 0  # a rail that never switched reads time 0
         for k in self.form.ports[grp]:
-            high += self.levels[k]
+            high ^= self.levels[k]
             since = max(since, self.last[k])
-        return since if high == 1 else None
+        return since if high == self.every else None
 
 
 def simulate_transaction(
     netlist: Netlist,
     delays: DelayTable,
     inputs: Sequence[tuple[str, int, int]],
+    lanes: int = 1,
 ) -> TransactionLog:
     """Run one full 4-phase transaction: apply the given input values at
     their apply times, run to quiescence, then apply the spacer everywhere
     and run the return-to-zero phase to quiescence.
 
-    `inputs` is a list of (group name, bit value, apply time), applied in
-    time order (a stable sort). A bit other than 0 or 1, or an apply time
-    below 0, raises ValueError. Input groups not listed stay at spacer. The
-    netlist starts all-zero; for a handshake stage the ackin net is driven
-    high at t=0 and low with the spacer.
+    `inputs` is a list of (group name, bits, apply time), applied in time
+    order (a stable sort). On one lane the bits are a bit, 0 or 1; on more,
+    an int in [0, 2**lanes) whose bit j is the group's bit on lane j, which
+    runs lane j's transaction beside the others (module doc). Bits out of
+    range, or an apply time below 0, raise ValueError. Input groups not
+    listed stay at spacer. The netlist starts all-zero; for a handshake
+    stage the ackin net is driven high at t=0 and low with the spacer.
     """
-    sim = _Sim(netlist, delays)
-    sim.direction = +1
+    if not (type(lanes) is int and lanes >= 1):
+        raise ValueError(f"lanes must be an int >= 1, got {lanes!r}")
+    sim = _Sim(netlist, delays, lanes)
+    every = sim.every
     input_apply: dict[str, int] = {}
-    for name, bit, t in sorted(inputs, key=lambda inp: inp[2]):
-        if bit not in (0, 1):
-            raise ValueError(f"input group {name!r} drives bit {bit!r}; bits are 0 or 1")
+    for name, bits, t in sorted(inputs, key=lambda inp: inp[2]):
+        if bits not in (0, 1) and not (type(bits) is int and 0 <= bits <= every):
+            raise ValueError(f"input group {name!r} drives bit {bits!r}; bits are 0 or 1"
+                             if lanes == 1 else
+                             f"input group {name!r} drives {bits!r}; bits on {lanes} "
+                             f"lanes are an int in [0, 2**{lanes})")
         if t < 0:
             raise ValueError(f"input group {name!r} applies at t={t}; apply times start at 0")
-        sim.put(netlist.group(name), bit, t)
+        sim.put(netlist.group(name), bits, t)
         input_apply[name] = t
     set_end = sim.run()
     set_net_levels, set_events = list(sim.levels), len(sim.trace)
@@ -266,7 +311,7 @@ def simulate_transaction(
     if input_apply and output_valid and all(t is not None for t in output_valid.values()):
         latency = max(output_valid.values()) - min(input_apply.values())
 
-    sim.direction = -1  # every input back to spacer and, on a stage, ackin low
+    sim.goal = 0  # every input back to spacer and, on a stage, ackin low
     for grp in netlist.inputs:
         sim.put(grp, None, set_end + 1)
     if sim.ackin is not None:
@@ -277,9 +322,9 @@ def simulate_transaction(
         input_apply=input_apply,
         output_valid=output_valid,
         latency=latency,
-        rtz_complete=not any(sim.levels),
-        illegal_seen=sim.illegal_seen,
-        monotonic=sim.monotonic,
+        illegal=sim.illegal,
+        nonmonotone=sim.nonmonotone,
+        unreturned=reduce(or_, sim.levels) if any(sim.levels) else 0,
         events=sim.events,
         set_end=set_end,
         names=sim.form.names,
@@ -287,6 +332,7 @@ def simulate_transaction(
         trace_times=sim.trace_times,
         set_events=set_events,
         set_net_levels=set_net_levels,
+        lanes=lanes,
     )
 
 
@@ -434,7 +480,7 @@ def dump_waveform(log: TransactionLog, fh: TextIO, *, header: str | None = None)
     by time and net; one net's events at one time keep their applied order."""
     if header:
         fh.write(f"# {header}\n")
-    names = log.names
-    rows = ((t, names[ev >> 1], ev & 1) for ev, t in zip(log.trace, log.trace_times))
+    names, lanes, every = log.names, log.lanes, (1 << log.lanes) - 1
+    rows = ((t, names[ev >> lanes], ev & every) for ev, t in zip(log.trace, log.trace_times))
     for t, net, v in sorted(rows, key=itemgetter(0, 1)):
         fh.write(f"{t} {net} {v}\n")

@@ -20,9 +20,12 @@ evaluation routes check every sweep:
   planes are compared with a plane-wise ripple of the integer oracle;
 * the event-driven simulator, replayed on a sample of every sweep (seeded
   vector indices in exhaustive mode, the first vectors drawn in random
-  mode); the level of every net at the end of its set phase must equal its
-  steady-state level, which one more walk settles for the whole sample, a
-  vector per lane, and the transaction must return to zero.
+  mode) in one run, a vector per lane; on every lane, the level of every
+  net at the end of the set phase must equal its steady-state level, which
+  one more walk settles for the whole sample in the same lanes, no monitor
+  may fire and the transaction must return to zero. The lowest lane that
+  fails is reported, as a replay of one vector at a time would find it
+  first.
 
 The evaluator, `Netlist._settle`, walks the structure pass's gate positions
 and net ids, as STA does, with every input net it is not given at spacer and
@@ -42,7 +45,9 @@ and by enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -115,10 +120,8 @@ def steady_reset_levels(n: Netlist, set_levels: dict[str, int]) -> dict[str, int
 # once as fit it at one bit per lane and net, in whole multiples of 64 lanes,
 # so its memory does not grow with the lane count.
 _CHUNK_BYTES = 32 << 20
-# vectors of each sweep replayed on the event-driven simulator
+# vectors of each sweep replayed on the event-driven simulator, one lane each
 _SIM_SAMPLE = 32
-# a level row of the event simulator, one byte per net, as the digits of a steady row
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _index_plane(k: int, first: int, lanes: int) -> int:
@@ -213,11 +216,13 @@ def exhaustive_verify(
     steady-state evaluator (set phase decoded and compared with the oracle),
     on int lanes and in chunks of bounded memory. A sample of `_SIM_SAMPLE`
     vectors is additionally replayed on the event-driven simulator under
-    unit delays, whose set-phase level of every net must equal the
-    steady-state one: in exhaustive mode a seeded draw of vector indices, in
-    random mode the first vectors drawn. The first counterexample is the
-    lowest failing lane. `rtz_failures` counts sampled transactions that
-    did not return to zero: the steady-state reset cannot fail (module doc).
+    unit delays, in one run of a lane per vector, whose set-phase level of
+    every net must equal the steady-state one: in exhaustive mode a seeded
+    draw of vector indices, in random mode the first vectors drawn. The
+    first counterexample is the lowest failing lane. `sim_checked` counts
+    the sampled vectors below the lowest failing sample lane (all of them
+    if none fails), and `rtz_failures` is 1 if that lane did not return to
+    zero: the steady-state reset cannot fail (module doc).
     """
     *ab, cin = _adder_inputs(width)
     ports = [cin, *ab]  # input ports in plane order: CIN is bit 0 of the exhaustive index
@@ -267,34 +272,26 @@ def exhaustive_verify(
         first = first or chunk_first
 
     # event-driven cross-check of the sampled vectors, net by net: one
-    # steady walk settles them all, sampled vector j on lane j, and its
-    # levels are written out once as m binary digits per net id, so vector
-    # j's row, one digit per net id, is every m-th digit. On a mismatch the
-    # first differing net in walk order is named: the input nets as
-    # declared, then the gate outputs in topo_gates() order.
+    # steady walk and one event-simulator run settle them all, sampled
+    # vector j on lane j. The reported vector is the lowest lane on which a
+    # net's level differs or a monitor fired, and on it the first differing
+    # net in walk order is named: the input nets as declared, then the gate
+    # outputs in topo_gates() order.
     every = (1 << m) - 1
     steady = n._settle(_drive(rails, picked, every), every)
-    digits = "".join(map(format, steady, itertools.repeat(f"0{m}b"))).encode()
-    delays = DelayTable.unit()
-    sim_checked = rtz_failures = 0
-    sim_first = None
-    for j in range(m):
-        row = digits[m - 1 - j::m]
-        log = simulate_transaction(n, delays, [(name, p >> j & 1, 0)
-                                               for name, p in zip(ports, picked)])
-        levels = bytes(log.set_net_levels).translate(_DIGITS)
-        net = None
-        if levels != row:
-            walk = itertools.chain(range(s.base), (s.base + k for k in s.positions))
-            net = log.names[next(i for i in walk if levels[i] != row[i])]
-        rtz_failures += not log.rtz_complete
-        if net is not None or not log.rtz_complete or log.illegal_seen \
-                or not log.monotonic:
-            sim_first = {"a": _lane_int(picked[1:width + 1], j),
-                         "b": _lane_int(picked[width + 1:], j), "cin": picked[0] >> j & 1,
-                         "via": "event simulator", "net": net}
-            break
-        sim_checked += 1
+    inputs = [(name, p, 0) for name, p in zip(ports, picked)]
+    log = simulate_transaction(n, DelayTable.unit(), inputs, lanes=m)
+    differ = list(map(operator.xor, log.set_net_levels, steady))
+    bad = functools.reduce(operator.or_, differ, log.illegal | log.nonmonotone | log.unreturned)
+    sim_checked, rtz_failures, sim_first = m, 0, None
+    if bad:
+        j = (bad & -bad).bit_length() - 1
+        walk = itertools.chain(range(s.base), (s.base + k for k in s.positions))
+        net = next((log.names[i] for i in walk if differ[i] >> j & 1), None)
+        sim_checked, rtz_failures = j, log.unreturned >> j & 1
+        sim_first = {"a": _lane_int(picked[1:width + 1], j),
+                     "b": _lane_int(picked[width + 1:], j), "cin": picked[0] >> j & 1,
+                     "via": "event simulator", "net": net}
 
     notes: list[str] = []
     if spacerish:

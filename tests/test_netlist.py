@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import dradder
 from dradder import netlist as netlist_module
 from dradder.netlist import ARITY, GATE_AT, Gate, GateKind, Netlist, PortGroup
-from packed import pack, to_int, unpack
+from packed import to_int
 
 
 def test_arity_table():
@@ -79,21 +79,13 @@ def test_gate_fn_matches_truth_table_on_ints_and_arrays(kind):
     rows = list(itertools.product((0, 1), repeat=ARITY[kind] + 1))
     expect = [int(bool(REFERENCE[kind](row[:-1], row[-1]))) for row in rows]
     assert [_own(kind, list(row[:-1]), row[-1]) for row in rows] == expect
-    cols = [np.array(col, dtype=bool) for col in zip(*rows)]
-    out = _own(kind, cols[:-1], cols[-1])
-    assert out.dtype == bool
-    assert out.tolist() == [bool(e) for e in expect]
-    # every input x held combination as one lane of packed words (AO222's
-    # 128 combinations take two words)
-    words = [pack(col) for col in cols]
-    out = _own(kind, words[:-1], words[-1])
-    assert out.dtype == np.uint64 and len(out) == -(-len(rows) // 64)
-    assert unpack(out, len(rows)).tolist() == [bool(e) for e in expect]
-    # held=False, as the steady-state evaluator passes it, on words too
-    out = _own(kind, words[:-1], False)
-    assert out.dtype == np.uint64
-    assert unpack(out, len(rows)).tolist() == \
-        [bool(REFERENCE[kind](row[:-1], 0)) for row in rows]
+    # every input x held combination as one int lane, row j at bit j (AO222's
+    # 128 combinations take more than one 64-bit word)
+    cols = [sum(bit << j for j, bit in enumerate(col)) for col in zip(*rows)]
+    assert _own(kind, cols[:-1], cols[-1]) == sum(e << j for j, e in enumerate(expect))
+    # held=False, as the steady-state evaluator passes it, on lanes too
+    assert _own(kind, cols[:-1], False) == \
+        sum(bool(REFERENCE[kind](row[:-1], 0)) << j for j, row in enumerate(rows))
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
@@ -102,8 +94,8 @@ def test_gate_fn_is_zero_on_all_zero_inputs(kind):
     # netlist: an inverting kind would break return-to-zero and fail here
     for held in (0, 1):
         assert _own(kind, [0] * ARITY[kind], held) == 0
-        zeros = [np.zeros(3, dtype=bool)] * ARITY[kind]
-        assert not _own(kind, zeros, np.full(3, bool(held))).any()
+        # three int lanes, the output held on all of them or on none
+        assert _own(kind, [0] * ARITY[kind], held * 0b111) == 0
 
 
 @pytest.mark.parametrize("kind", list(GateKind))

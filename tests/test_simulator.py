@@ -225,6 +225,19 @@ def test_inputs_outside_the_protocol_are_rejected(netlist, inputs, message):
         assert log.input_apply == {"A": 0} and log.rtz_complete
 
 
+@pytest.mark.parametrize("lanes, bits, message", [
+    (4, 16, "input group 'A' drives 16; bits on 4 lanes are an int in [0, 2**4)"),
+    (4, -1, "input group 'A' drives -1; bits on 4 lanes are an int in [0, 2**4)"),
+    (4, 1.5, "input group 'A' drives 1.5; bits on 4 lanes are an int in [0, 2**4)"),
+    (0, 1, "lanes must be an int >= 1, got 0"),
+    (True, 1, "lanes must be an int >= 1, got True"),
+])
+def test_lane_inputs_outside_their_range_are_rejected(lanes, bits, message):
+    with pytest.raises(ValueError) as exc:
+        simulate_transaction(gen_safa(), DelayTable.unit(), [("A", bits, 0)], lanes=lanes)
+    assert exc.value.args == (message,)
+
+
 _A = PortGroup("A", "a1", "a0")
 _Y = PortGroup("Y", "y1", "y0")
 _Y_COPIES_A = [Gate("g1", GateKind.BUF, ("a1",), "y1"), Gate("g0", GateKind.BUF, ("a0",), "y0")]
@@ -621,3 +634,87 @@ def test_protocol_names_outputs_stuck_in_the_reset_phase():
                               Gate("g0", GateKind.BUF, ("a0",), "y0")], [_A], [_Y])
     _, summary = run_protocol(gen_stage(latch), DelayTable.unit(), [{"A": 1}, {"A": 0}])
     assert (summary.completed, summary.deadlocks) == (1, [(0, ("Y",))])
+
+
+# criterion 6's table: unequal kinds and a zero-delay BUF
+_CRITERION_6 = DelayTable({GateKind.BUF: 0, GateKind.AND2: 1, GateKind.AND4: 2,
+                           GateKind.OR2: 1, GateKind.OR3: 2, GateKind.OR4: 2,
+                           GateKind.AO21: 3, GateKind.AO22: 2, GateKind.AO222: 3,
+                           GateKind.C2: 2})
+_LANE_NETLISTS = [gen_hybrid_rca(AdderSpec(4, 2, True)), gen_hybrid_rca(AdderSpec(2, 0, False)),
+                  gen_stage(gen_hybrid_rca(AdderSpec(4, 0, True))),
+                  _random_netlist(0), _random_netlist(1)]
+
+
+def _lane_events(log, j):
+    """(time, net, level) of each event of `log` that changed lane j, reset
+    phase times counted from the set phase's end."""
+    levels, rows = [0] * len(log.names), []
+    for i, (ev, t) in enumerate(zip(log.trace, log.trace_times)):
+        net, level = ev >> log.lanes, ev >> j & 1
+        if level != levels[net]:
+            levels[net] = level
+            rows.append((t - (0 if i < log.set_events else log.set_end), net, level))
+    return rows
+
+
+def _lanes_and_runs(netlist, delays, schedule, bits):
+    """One run on len(bits[0]) lanes of `schedule`'s (group, time) entries,
+    entry k driving bits[k][j] on lane j, and the one-lane run of each lane."""
+    m = len(bits[0])
+    log = simulate_transaction(netlist, delays, [
+        (g, sum(b << j for j, b in enumerate(row)), t) for (g, t), row in zip(schedule, bits)],
+        lanes=m)
+    runs = [simulate_transaction(netlist, delays, [(g, row[j], t) for (g, t), row
+                                                   in zip(schedule, bits)]) for j in range(m)]
+    return log, runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_run_on_lanes_equals_one_run_per_lane(data):
+    netlist = data.draw(st.sampled_from(_LANE_NETLISTS), "netlist")
+    delays = data.draw(st.sampled_from([DelayTable.unit(), _CRITERION_6, _SKEWED]), "delays")
+    m = data.draw(st.integers(1, 8), "lanes")
+    # a group may be listed more than once, so it can change again on some lanes
+    schedule = data.draw(st.lists(st.tuples(st.sampled_from([g.name for g in netlist.inputs]),
+                                            st.integers(0, 6)), min_size=1, max_size=12))
+    bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                              min_size=len(schedule), max_size=len(schedule)))
+    log, runs = _lanes_and_runs(netlist, delays, schedule, bits)
+    for j, run in enumerate(runs):
+        assert [level >> j & 1 for level in log.set_net_levels] == run.set_net_levels
+        assert _lane_events(log, j) == _lane_events(run, 0)
+        assert (log.illegal >> j & 1, log.nonmonotone >> j & 1, log.unreturned >> j & 1) == \
+            (run.illegal_seen, not run.monotonic, not run.rtz_complete)
+    assert sum(len(_lane_events(log, j)) for j in range(m)) == sum(run.events for run in runs)
+    assert log.set_end == max(run.set_end for run in runs)
+    # the timing fields read the slowest lane, and only when every lane is valid
+    for name, since in log.output_valid.items():
+        each = [run.output_valid[name] for run in runs]
+        assert since == (None if None in each else max(each))
+    each = [run.latency for run in runs]
+    assert log.latency == (None if None in each else max(each))
+
+
+@pytest.mark.parametrize("netlist", [_LANE_NETLISTS[0], _LANE_NETLISTS[2]], ids=["adder", "stage"])
+def test_monitors_fire_on_the_lanes_that_break_them(netlist):
+    # A0 is applied again at t=3: it rises on lane 1 and falls on lane 2,
+    # and on both some rail pair is briefly high on both rails; lanes 0 and
+    # 3 keep it and stay clean
+    schedule = [(g.name, 0) for g in netlist.inputs] + [("A0", 3)]
+    bits = [[1, 0, 1, 0] if g == "A0" else [0, 1, 1, 0] for g, _ in schedule[:-1]]
+    log, runs = _lanes_and_runs(netlist, DelayTable.unit(), schedule, bits + [[1, 1, 0, 0]])
+    assert (log.nonmonotone, log.illegal, log.unreturned) == (0b0110, 0b0110, 0)
+    assert [(run.monotonic, run.illegal_seen) for run in runs] == \
+        [(True, False), (False, True), (False, True), (True, False)]
+    assert (log.monotonic, log.illegal_seen, log.rtz_complete) == (False, True, True)
+
+
+def test_return_to_zero_is_a_lane_mask():
+    # Y's rail 1 latches on the lanes where A is 1, and only those stay high
+    latch = Netlist("latch", [Gate("g1", GateKind.OR2, ("a1", "y1"), "y1"),
+                              Gate("g0", GateKind.BUF, ("a0",), "y0")], [_A], [_Y])
+    log, runs = _lanes_and_runs(latch, DelayTable.unit(), [("A", 0)], [[0, 1, 1, 0]])
+    assert (log.unreturned, log.rtz_complete) == (0b0110, False)
+    assert [run.rtz_complete for run in runs] == [True, False, False, True]

@@ -159,6 +159,66 @@ def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net, one_word, monkeyp
     assert bad not in n._dies_after[-1]  # the sweep dropped it after its last reader
 
 
+def _latch_in_simulator(n: Netlist, net: str) -> None:
+    """Give `n` an int_form in which the simulator's gate driving `net`,
+    once high, holds high: a transaction that raises it never returns to zero."""
+    import dataclasses
+
+    form = n.int_form
+    bad = form.ids[net]
+    fanout = tuple(tuple(((lambda L, p, held, fn=fn: fn(L, p, held) | held) if out == bad
+                          else fn, pos, out, kind) for fn, pos, out, kind in entries)
+                   for entries in form.fanout)
+    n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+
+
+def _cross_check_one_vector_at_a_time(n: Netlist, width: int):
+    """Exhaustive mode's cross-check as a loop of one-vector replays that
+    stops at the first failing sampled vector: (sim_checked, rtz_failures,
+    counterexample or None)."""
+    from dradder.simulator import DEFAULT_SEED, simulate_transaction
+
+    ports = ["CIN", *(f"{ab}{i}" for ab in "AB" for i in range(width))]
+    s = n._structure
+    walk = [*list(s.ids)[:s.base], *(g.output for g in n.topo_gates())]
+    sample = sorted(random.Random(DEFAULT_SEED).sample(range(2 ** len(ports)), 32))
+    for j, index in enumerate(sample):
+        bits = {name: index >> k & 1 for k, name in enumerate(ports)}
+        log = simulate_transaction(n, DelayTable.unit(), [(g, b, 0) for g, b in bits.items()])
+        steady = steady_set_levels(n, {rail: level for g, b in bits.items()
+                                       for rail, level in zip(n.group(g).rails(), (b, 1 - b))}, 1)
+        sim = dict(zip(log.names, log.set_net_levels))
+        net = next((x for x in walk if sim[x] != steady[x]), None)
+        if net or log.illegal_seen or not log.monotonic or not log.rtz_complete:
+            return j, int(not log.rtz_complete), {
+                "a": sum(bits[f"A{q}"] << q for q in range(width)),
+                "b": sum(bits[f"B{q}"] << q for q in range(width)), "cin": bits["CIN"],
+                "via": "event simulator", "net": net}
+    return 32, 0, None
+
+
+@pytest.mark.parametrize("misread, latched, lane, rtz", [
+    ("dafa0/pp0", None, 4, 0),
+    (None, "dafa0/pp0", 6, 1),
+    (None, "dafa1/pp0", 22, 1),
+    # a wrong level on lane 4, and lanes left short of zero from lane 22
+    ("dafa0/pp0", "dafa1/pp0", 4, 0),
+])
+def test_crosscheck_reports_what_one_vector_at_a_time_would(misread, latched, lane, rtz):
+    # the one run on lanes reports the sampled vector, the net and the
+    # return-to-zero count a replay of one vector at a time stops at
+    n = gen_hybrid_rca(AdderSpec(4, 0, True))
+    if misread:
+        _misread_fanout(n, misread)
+    if latched:
+        _latch_in_simulator(n, latched)
+    res = exhaustive_verify(n, 4)
+    sim_checked, rtz_failures, cex = _cross_check_one_vector_at_a_time(n, 4)
+    assert (res.sim_checked, res.rtz_failures, res.first_counterexample) == \
+        (sim_checked, rtz_failures, cex) == (lane, rtz, cex)
+    assert not res.passed and res.failures == 1
+
+
 def test_exhaustive_verify_small_widths():
     for s, red in [(0, True), (0, False), (2, True), (2, False)]:
         stage = gen_stage(gen_hybrid_rca(AdderSpec(4, s, red)))
@@ -277,25 +337,29 @@ def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
     flipped = stage.group("SUM1", output=True).rail1
     real = ver.simulate_transaction
 
-    # wrong set-phase levels on one net or on two, then a transaction left
-    # short of zero; of two nets the first in topological order is named,
-    # although dafa0/sum11 has the lower net id
+    # on the first sampled vector, lane 0 of the one run that replays the
+    # whole sample: wrong set-phase levels on one net or on two, then a
+    # transaction left short of zero; of two nets the first in topological
+    # order is named, although dafa0/sum11 has the lower net id
     ids, topo = stage.int_form.ids, [g.output for g in stage.topo_gates()]
     assert ids["dafa0/sum11"] < ids["safa0/cg2"]
     assert topo.index("safa0/cg2") < topo.index("dafa0/sum11")
     for flips, net in (((flipped,), flipped),
                        (("safa0/cg2", "dafa0/sum11"), "safa0/cg2"),
                        ((), None)):
+        calls = []
+
         def corrupted(*args, **kwargs):
             log = real(*args, **kwargs)
+            calls.append(log.lanes)
             for x in flips:
-                k = log.names.index(x)
-                log.set_net_levels[k] = 1 - log.set_net_levels[k]
-            log.rtz_complete = bool(flips)
+                log.set_net_levels[log.names.index(x)] ^= 1
+            log.unreturned = 0 if flips else 1
             return log
 
         monkeypatch.setattr(ver, "simulate_transaction", corrupted)
         res = exhaustive_verify(stage, 4)
+        assert calls == [ver._SIM_SAMPLE]
         assert not res.passed
         assert res.failures == 1 and res.sim_checked == 0
         assert res.rtz_failures == (not flips)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import accumulate, chain, filterfalse, islice, repeat
@@ -72,24 +71,6 @@ class Gate(NamedTuple):
     kind: GateKind
     inputs: tuple[str, ...]
     output: str
-
-
-# (GATE_AT function, input net ids by position, output net id, gate kind):
-# the simulator evaluates a gate as fn(levels, pos, held), unless the input
-# that changed moved to the value its output already holds
-FanoutEntry = tuple[Callable, tuple[int, ...], int, GateKind]
-
-
-@dataclass(frozen=True)
-class IntForm:
-    """A netlist over `Structure`'s net ids: every port rail, ack net and gate net."""
-
-    ids: dict[str, int]  # the netlist's `_structure.ids` itself
-    names: tuple[str, ...]  # names[ids[net]] == net
-    fanout: tuple[tuple[FanoutEntry, ...], ...]  # per net id, every gate reading it
-    ports: dict[PortGroup, tuple[int, ...]]  # every input and output group's rail ids, rail1 first
-    partner: tuple[int | None, ...]  # the other rail of a dual-rail port net
-    ackin: int | None  # the ackin net's id, on a handshake stage
 
 
 class PortGroup(NamedTuple):
@@ -356,15 +337,15 @@ class Netlist:
         while a later gate reads it."""
         s = self._structure
         ids, base, src, off, gates = s.ids, s.base, s.src, s.off, self.gates
-        levels = [ones ^ ones] * len(ids)
+        levels = [0] * len(ids)
         for net, level in rails.items():
             levels[ids[net]] = level
         if self.ackin is not None:
             levels[ids[self.ackin]] = ones
         dead = self._dies_after if drop else repeat(())
-        for k, nets in zip(s.positions, dead):  # False: no bool-to-int promotion
+        for k, nets in zip(s.positions, dead):
             levels[base + k] = GATE_AT[gates[k].kind](
-                levels, src[off[k]:off[k + 1]], False if held is None else held[base + k])
+                levels, src[off[k]:off[k + 1]], 0 if held is None else held[base + k])
             for j in nets:
                 levels[j] = None
         return levels
@@ -392,28 +373,30 @@ class Netlist:
         return tuple(map(tuple, dies))
 
     @cached_property
-    def int_form(self) -> IntForm:
-        """The netlist over `_structure`'s net ids, derived once for the event simulator.
-
-        Raises ValueError on `Structure.error`, topo_gates()'s message; a
-        cyclic netlist built in-process still gets a form."""
+    def _fanout(self) -> tuple[tuple[tuple, ...], tuple[int | None, ...]]:
+        """The event simulator's table, two tuples by net id: the gates that
+        read the net, each as (its GATE_AT entry, its input ids by position,
+        its output id, its kind), and the net's dual-rail partner, the other
+        rail of its port pair, or None. Built on first use from
+        `_structure`'s src and off in gate-list order, so validate(), STA
+        and the steady walk never pay for it, and a cyclic netlist built
+        in-process still gets one. Raises ValueError on `Structure.error`,
+        topo_gates()'s message."""
         s = self._structure
         if s.error:
             raise ValueError(s.error)
         ids, base, src, off = s.ids, s.base, s.src, s.off
-        fanout: list[list[FanoutEntry]] = [[] for _ in ids]
+        fanout: list[list[tuple]] = [[] for _ in ids]
         for k, kind in enumerate(map(itemgetter(1), self.gates)):
             pos = tuple(src[off[k]:off[k + 1]])
             entry = (GATE_AT[kind], pos, base + k, kind)
             for j in pos:
                 fanout[j].append(entry)
-        ports = {grp: tuple(ids[r] for r in grp.rails()) for grp in self.inputs + self.outputs}
         partner: list[int | None] = [None] * len(ids)
-        for rails in ports.values():
-            if len(rails) == 2:
-                partner[rails[0]], partner[rails[1]] = rails[1], rails[0]
-        return IntForm(ids, tuple(ids), tuple(map(tuple, fanout)), ports, tuple(partner),
-                       None if self.ackin is None else ids[self.ackin])
+        for grp in self.inputs + self.outputs:
+            if grp.rail0 is not None:
+                partner[ids[grp.rail1]], partner[ids[grp.rail0]] = ids[grp.rail0], ids[grp.rail1]
+        return tuple(map(tuple, fanout)), tuple(partner)
 
     # -- serialization -------------------------------------------------------
 

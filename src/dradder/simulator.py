@@ -22,15 +22,18 @@ one-lane run exactly: where its input did not change, the pending value
 already equals the gate's function, and where `held == value` every lane
 that changed moved to the output's own value. The monitors are lane masks.
 
-Nets are the ids of `Netlist.int_form`, which are the structure pass's:
-the input nets first, then gate k's output at base + k. Pending events
-wait in one bucket per time, in drive order, under a heap of the distinct
-times; a zero-delay drive joins the bucket being drained. The stage
-environment drives and reads ports by the rail ids `IntForm.ports` holds,
+Nets are the structure pass's ids, as STA and the steady walk number them:
+the input nets first, then gate k's output at base + k. Each event reads
+its net's entries in `Netlist._fanout`, built once per netlist beside the
+structure pass: the gates that read the net and its dual-rail partner.
+Pending events wait in one bucket per time, in drive order, under a heap
+of the distinct times; a zero-delay drive joins the bucket being drained.
+The stage environment drives and reads ports by the ids of their rails,
 and a transaction applies its inputs in time order. A log keeps its events
 as one flat trace with a parallel list of times, so it holds no per-event
-object, and rebuilds its name-keyed `transitions` and `set_levels` from
-the trace on first read.
+object, names nets through the structure pass's `ids` it shares, and
+rebuilds its name-keyed `transitions` and `set_levels` from the trace on
+first read.
 """
 
 from __future__ import annotations
@@ -124,12 +127,17 @@ class TransactionLog:
     unreturned: int  # lanes on which a net was still high after the reset phase
     events: int
     set_end: int
-    names: tuple[str, ...]  # net names by net id
+    ids: dict[str, int]  # every net's id: the netlist's `_structure.ids` itself
     trace: list[int]  # net id << lanes | new level, one per event, in applied order
     trace_times: list[int]  # the time of each event in `trace`
     set_events: int  # how many of `trace` applied by set_end
     set_net_levels: list[int]  # every net's level at set_end, by net id
     lanes: int = 1
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Net names by net id."""
+        return tuple(self.ids)
 
     @property
     def illegal_seen(self) -> bool:
@@ -164,7 +172,7 @@ class TransactionLog:
 
 class _Sim:
     """Simulator core on `lanes` int lanes, lane j at bit j: a time-bucketed
-    event queue over the netlist's integer form, plus the 4-phase stage
+    event queue over the structure pass's net ids, plus the 4-phase stage
     environment that drives and reads its ports. An event is
     `net << lanes | level`, the net's new level on every lane. The monitors
     are lane masks: `illegal` holds the lanes on which both rails of a port
@@ -173,21 +181,22 @@ class _Sim:
     being run: all lanes high in the set phase, 0 in the reset phase."""
 
     def __init__(self, netlist: Netlist, delays: DelayTable, lanes: int = 1):
-        self.form = form = netlist.int_form
+        self.fanout = netlist._fanout
+        self.ids = ids = netlist._structure.ids
         self.delays = delays.delays
         self.lanes, self.every = lanes, (1 << lanes) - 1
-        self.levels = [0] * len(form.names)
-        self.pending = [0] * len(form.names)
+        self.levels = [0] * len(ids)
+        self.pending = [0] * len(ids)
         self.buckets: dict[int, list[int]] = {}  # time -> [net id << lanes | value]
         self.times: list[int] = []  # heap of the bucket times
         self.now = 0
         self.events = 0
         self.trace: list[int] = []  # every applied event, net id << lanes | value
         self.trace_times: list[int] = []  # the time of each
-        self.last = [0] * len(form.names)  # time of each net's last transition on any lane
+        self.last = [0] * len(ids)  # time of each net's last transition on any lane
         self.illegal = self.nonmonotone = 0  # lane masks of the monitors
         self.goal = self.every
-        self.ackin = form.ackin
+        self.ackin = None if netlist.ackin is None else ids[netlist.ackin]
         if self.ackin is not None:
             self.drive(self.ackin, self.every, 0)
 
@@ -207,7 +216,7 @@ class _Sim:
         """Process events until the queue is empty; returns the last event time."""
         levels, pending, buckets, times = self.levels, self.pending, self.buckets, self.times
         trace, trace_times, last = self.trace, self.trace_times, self.last
-        fanout, partner, delays = self.form.fanout, self.form.partner, self.delays
+        (fanout, partner), delays = self.fanout, self.delays
         pop, push = heapq.heappop, heapq.heappush
         lanes, every, goal = self.lanes, self.every, self.goal
         illegal, nonmonotone = self.illegal, self.nonmonotone
@@ -255,19 +264,19 @@ class _Sim:
     def put(self, grp, bits: int | None, time: int) -> None:
         """Drive the group's codeword for `bits`, a level per lane, at `time`;
         `None` drives the spacer."""
-        rails = self.form.ports[grp]
-        self.drive(rails[0], 0 if bits is None else bits, time)
-        if len(rails) == 2:
-            self.drive(rails[1], 0 if bits is None else self.every ^ bits, time)
+        self.drive(self.ids[grp.rail1], 0 if bits is None else bits, time)
+        if grp.rail0 is not None:
+            self.drive(self.ids[grp.rail0], 0 if bits is None else self.every ^ bits, time)
 
     def valid_since(self, grp) -> int | None:
         """Time the group's rails last switched on any lane, or `None` unless
         it holds a valid codeword on every lane now."""
-        high = since = 0  # a rail that never switched reads time 0
-        for k in self.form.ports[grp]:
-            high ^= self.levels[k]
-            since = max(since, self.last[k])
-        return since if high == self.every else None
+        ids, levels, last = self.ids, self.levels, self.last  # a rail that never switched: time 0
+        k = ids[grp.rail1]
+        if grp.rail0 is None:
+            return last[k] if levels[k] == self.every else None
+        j = ids[grp.rail0]
+        return max(last[k], last[j]) if levels[k] ^ levels[j] == self.every else None
 
 
 def simulate_transaction(
@@ -327,7 +336,7 @@ def simulate_transaction(
         unreturned=reduce(or_, sim.levels) if any(sim.levels) else 0,
         events=sim.events,
         set_end=set_end,
-        names=sim.form.names,
+        ids=sim.ids,
         trace=sim.trace,
         trace_times=sim.trace_times,
         set_events=set_events,
@@ -374,8 +383,9 @@ def run_protocol(
         # levels alternate from 0, so a net ends high when it rose more than it fell
         return trace.count(k << 1 | 1) > trace.count(k << 1)
 
-    form = stage.int_form
-    ackout = form.ids[stage.ackout]
+    stage._fanout  # a malformed stage raises here, as topo_gates() does, also with no vectors
+    ids = stage._structure.ids
+    ackout = ids[stage.ackout]
     logs: list[TransactionLog] = []
     summary = ProtocolSummary()
     for idx, vec in enumerate(vectors):
@@ -390,7 +400,7 @@ def run_protocol(
             continue
         if ends_high(log.trace, ackout):
             blocking = tuple(grp.name for grp in stage.outputs
-                             if any(ends_high(log.trace, k) for k in form.ports[grp]))
+                             if any(ends_high(log.trace, ids[r]) for r in grp.rails()))
             summary.deadlocks.append((idx, blocking))
             continue
         summary.completed += 1

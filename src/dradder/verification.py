@@ -29,14 +29,15 @@ evaluation routes check every sweep:
 
 The evaluator, `Netlist._settle`, walks the structure pass's gate positions
 and net ids, as STA does, with every input net it is not given at spacer and
-ackin high; the simulator runs on `Netlist.int_form`, whose fanout entries
-it builds from the same pass. Both take gate semantics from the one table
-`netlist.GATE_AT`. Each kind outputs 0 from all-zero inputs, whatever a
-C-element holds, so the steady state after the spacer is all-zero for any
-acyclic netlist: return to zero is observed only on the event-simulated
-sample. The cross-check also guards how the fanout entries are built, event
-scheduling and delays, the C-element holding its value across phases, and
-the simulator's illegal-state and monotonicity monitors.
+ackin high; the simulator runs on the same net ids, through the fanout table
+`Netlist._fanout` built from the same pass's `src` and `off`. Both take gate
+semantics from the one table `netlist.GATE_AT`. Each kind outputs 0 from
+all-zero inputs, whatever a C-element holds, so the steady state after the
+spacer is all-zero for any acyclic netlist: return to zero is observed only
+on the event-simulated sample. The cross-check also guards how the fanout
+entries are built, event scheduling and delays, the C-element holding its
+value across phases, and the simulator's illegal-state and monotonicity
+monitors.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally

@@ -423,7 +423,7 @@ def test_port_declared_twice_is_parse_error(tmp_path, capsys, netlist, message):
     # place of a load error
     assert netlist.validate() == [message]
     for route in (lambda: Netlist.from_dict(netlist.to_dict()), netlist.topo_gates,
-                  lambda: netlist.int_form, lambda: critical_path(netlist, DelayTable.unit()),
+                  lambda: netlist._fanout, lambda: critical_path(netlist, DelayTable.unit()),
                   lambda: steady_set_levels(netlist, {}, 1)):
         with pytest.raises(ValueError) as exc:
             route()

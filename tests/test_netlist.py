@@ -245,7 +245,7 @@ def test_every_route_rejects_a_duplicate_gate_id():
     message = "duplicate gate id 'g0'"
     for route in (dup.topo_gates, lambda: critical_path(dup, DelayTable.unit()),
                   lambda: steady_set_levels(dup, {"i0": 0b11}, 2),
-                  lambda: dup.int_form):
+                  lambda: dup._fanout):
         with pytest.raises(ValueError) as info:
             route()
         assert str(info.value) == message
@@ -321,7 +321,7 @@ def test_validate_reports_every_finding_kind_in_order():
         "gate graph contains a cycle",
     ]
     # the routes that raise take the first duplicate id or wrong input count
-    for route in (bad.topo_gates, lambda: bad.int_form,
+    for route in (bad.topo_gates, lambda: bad._fanout,
                   lambda: Netlist.from_dict(bad.to_dict())):
         with pytest.raises(ValueError, match="duplicate gate id 'g1'"):
             route()
@@ -454,9 +454,9 @@ def test_out_of_order_path_detects_every_cycle():
         assert n.validate() == ["gate graph contains a cycle"], case
         with pytest.raises(ValueError, match="contains a cycle"):
             n.topo_gates()
-        form = n.int_form  # a cyclic netlist still gets a form: every gate has an entry
-        assert {out for entries in form.fanout for _, _, out, _ in entries} == \
-            {form.ids[g.output] for g in gates}
+        # a cyclic netlist still gets a fanout table: every gate has an entry
+        assert {out for readers in n._fanout[0] for _, _, out, _ in readers} == \
+            {n._structure.ids[g.output] for g in gates}
     acyclic = Netlist("ok", prefix, [PortGroup("A", "a")], [PortGroup("Y", "p1")])
     assert [g.id for g in acyclic.topo_gates()] == ["p0", "p1"]
 
@@ -765,8 +765,8 @@ def test_generated_stages_hold_no_reference_cycle():
         stage = gen_stage(gen_hybrid_rca(AdderSpec(32, 2, True)))
         problems = stage.validate()
         cp = critical_path(stage, DelayTable.unit())
-        form = stage.int_form
-        del stage, cp, form
+        fanout = stage._fanout
+        del stage, cp, fanout
         freed = gc.collect()
     finally:
         gc.enable()
@@ -776,7 +776,7 @@ def test_generated_stages_hold_no_reference_cycle():
 def _numbering(n: Netlist) -> list[str]:
     """Check the one net numbering on `n`; returns the nets no gate drives
     and no input names, in id order."""
-    s, form = n._structure, n.int_form
+    s = n._structure
     ids, base, count = s.ids, s.base, len(n.gates)
     inputs = list(dict.fromkeys(n.input_nets))
     assert base == len(inputs)
@@ -787,8 +787,19 @@ def _numbering(n: Netlist) -> list[str]:
     rest = list(dict.fromkeys(net for net in itertools.chain(
         *(g.inputs for g in n.gates), n.output_nets) if net not in known))
     assert [ids[net] for net in rest] == list(range(base + count, len(ids)))
-    assert all(form.names[ids[net]] == net for net in ids)
-    assert form.ids is ids
+    # ids run in insertion order, so a log's names, tuple(ids), read them by id
+    assert list(ids.values()) == list(range(len(ids)))
+    # the simulator's table has a row per id: each gate once per input it
+    # reads, with its inputs by position, and each port rail's partner
+    fanout, partner = n._fanout
+    assert len(fanout) == len(partner) == len(ids)
+    assert sorted((j, out) for j, readers in enumerate(fanout) for _, _, out, _ in readers) \
+        == sorted((j, base + k) for k in range(count) for j in s.src[s.off[k]:s.off[k + 1]])
+    assert all(pos == tuple(s.src[s.off[out - base]:s.off[out - base + 1]])
+               for readers in fanout for _, pos, out, _ in readers)
+    pairs = [(ids[g.rail1], ids[g.rail0]) for g in n.inputs + n.outputs if not g.scalar]
+    assert {(j, other) for j, other in enumerate(partner) if other is not None} == \
+        {*pairs, *((b, a) for a, b in pairs)}
     return rest
 
 

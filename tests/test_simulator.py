@@ -396,7 +396,7 @@ def _replayed_lanes(block: Netlist, delays: DelayTable, trials: int, seed: int =
                 early.append({**lane, "outputs_valid_early": valid})
                 if len(valid) == len(block.outputs):
                     full.append(early[-1])
-            if not any(sim.levels[k] for g in block.outputs for k in sim.form.ports[g]):
+            if not any(sim.levels[sim.ids[r]] for g in block.outputs for r in g.rails()):
                 reset.append(lane)
     return len(vectors), early, full, reset
 
@@ -496,7 +496,8 @@ def test_every_simulator_route_rejects_a_two_driver_net():
     for bad, route in (
             (two, lambda: simulate_transaction(two, DelayTable.unit(), [("A", 1, 0), ("B", 1, 0)])),
             (two, lambda: classify_indication(two, DelayTable.unit(), trials=4)),
-            (stage, lambda: run_protocol(stage, DelayTable.unit(), random_vectors(stage, 1)))):
+            (stage, lambda: run_protocol(stage, DelayTable.unit(), random_vectors(stage, 1))),
+            (stage, lambda: run_protocol(stage, DelayTable.unit(), []))):  # before any vector
         with pytest.raises(ValueError) as want:
             bad.topo_gates()
         with pytest.raises(ValueError) as got:
@@ -594,7 +595,7 @@ def test_transaction_logs_keep_their_invariants():
     # levels and the flags agree with them, and every event is one transition
     for netlist in [_random_netlist(seed) for seed in range(10)] + [_LOOP]:
         rng = random.Random(f"invariants {netlist.name}")
-        ids = netlist.int_form.ids
+        ids = netlist._structure.ids
         for delays in _PIN_TABLES:
             for _ in range(8):
                 log = simulate_transaction(netlist, delays, _random_schedule(netlist, rng))
@@ -616,7 +617,7 @@ def test_transaction_logs_keep_their_invariants():
 def test_transaction_log_keeps_no_per_event_objects():
     stage = gen_stage(gen_hybrid_rca(AdderSpec(32, 2, True)))
     inputs = [(grp.name, 1, 0) for grp in stage.inputs]
-    simulate_transaction(stage, DelayTable.unit(), inputs)  # builds the cached int form
+    simulate_transaction(stage, DelayTable.unit(), inputs)  # builds the cached fanout table
     gc.collect()
     gc.disable()
     try:
@@ -626,6 +627,7 @@ def test_transaction_log_keeps_no_per_event_objects():
     finally:
         gc.enable()
     assert log.events > 600 and grown < 32
+    assert log.ids is stage._structure.ids  # names come from the one numbering, not a copy
 
 
 def test_protocol_names_outputs_stuck_in_the_reset_phase():

@@ -93,16 +93,19 @@ def test_steady_set_levels_keys_and_unknown_inputs(n):
 
 
 def test_static_passes_do_not_build_the_simulator_form():
-    # STA and the steady-state evaluator walk the structure pass, so only
-    # the event simulator builds int_form
+    # validate(), STA and the steady-state walks, classify's included, read
+    # the structure pass, so only the event simulator builds its fanout table
+    from dradder.simulator import classify_indication
     from dradder.timing import critical_path
 
-    for check in (lambda n: steady_set_levels(n, {}, 1),
+    for check in (lambda n: n.validate(),
+                  lambda n: steady_set_levels(n, {}, 1),
                   lambda n: equation_equivalence(n, SAFA_EQUATIONS),
-                  lambda n: critical_path(n, DelayTable.unit())):
+                  lambda n: critical_path(n, DelayTable.unit()),
+                  lambda n: classify_indication(n, DelayTable.unit(), trials=8)):
         n = gen_safa()
         check(n)
-        assert "int_form" not in n.__dict__
+        assert "_structure" in n.__dict__ and "_fanout" not in n.__dict__
 
 
 def _shuffled(n: Netlist) -> Netlist:
@@ -124,15 +127,13 @@ def _fanout_cases():
 
 
 def _misread_fanout(n: Netlist, net: str) -> int:
-    """Give `n` an int_form in which the simulator's gate driving `net`
+    """Give `n` a fanout table in which the simulator's gate driving `net`
     reads its first input in place of its second; returns the net's id."""
-    import dataclasses
-
-    form = n.int_form
-    bad = form.ids[net]
-    fanout = tuple(tuple((fn, (pos[0], pos[0], *pos[2:]) if out == bad else pos, out, kind)
-                         for fn, pos, out, kind in entries) for entries in form.fanout)
-    n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+    bad = n._structure.ids[net]
+    fanout, partner = n._fanout
+    n.__dict__["_fanout"] = tuple(
+        tuple((fn, (pos[0], pos[0], *pos[2:]) if out == bad else pos, out, kind)
+              for fn, pos, out, kind in readers) for readers in fanout), partner
     return bad
 
 
@@ -142,10 +143,10 @@ def _misread_fanout(n: Netlist, net: str) -> int:
     pytest.param(n, net, one_word, id=name + ("-one-word" if one_word else ""))
     for one_word in (False, True) for n, net, name in _fanout_cases()])
 def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net, one_word, monkeypatch):
-    # the evaluator walks the structure pass, not int_form, so a simulator
-    # entry that reads its first input in place of its second disagrees
-    # with it; the data outputs, which the oracle checks, do not depend on
-    # the completion detector or on the simulator
+    # the evaluator walks the structure pass, not the fanout table, so a
+    # simulator entry that reads its first input in place of its second
+    # disagrees with it; the data outputs, which the oracle checks, do not
+    # depend on the completion detector or on the simulator
     import dradder.verification as ver
 
     bad = _misread_fanout(n, net)
@@ -160,16 +161,14 @@ def test_cross_check_sees_a_wrongly_built_fanout_entry(n, net, one_word, monkeyp
 
 
 def _latch_in_simulator(n: Netlist, net: str) -> None:
-    """Give `n` an int_form in which the simulator's gate driving `net`,
+    """Give `n` a fanout table in which the simulator's gate driving `net`,
     once high, holds high: a transaction that raises it never returns to zero."""
-    import dataclasses
-
-    form = n.int_form
-    bad = form.ids[net]
-    fanout = tuple(tuple(((lambda L, p, held, fn=fn: fn(L, p, held) | held) if out == bad
-                          else fn, pos, out, kind) for fn, pos, out, kind in entries)
-                   for entries in form.fanout)
-    n.__dict__["int_form"] = dataclasses.replace(form, fanout=fanout)
+    bad = n._structure.ids[net]
+    fanout, partner = n._fanout
+    n.__dict__["_fanout"] = tuple(
+        tuple(((lambda L, p, held, fn=fn: fn(L, p, held) | held) if out == bad
+               else fn, pos, out, kind) for fn, pos, out, kind in readers)
+        for readers in fanout), partner
 
 
 def _cross_check_one_vector_at_a_time(n: Netlist, width: int):
@@ -341,7 +340,7 @@ def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
     # whole sample: wrong set-phase levels on one net or on two, then a
     # transaction left short of zero; of two nets the first in topological
     # order is named, although dafa0/sum11 has the lower net id
-    ids, topo = stage.int_form.ids, [g.output for g in stage.topo_gates()]
+    ids, topo = stage._structure.ids, [g.output for g in stage.topo_gates()]
     assert ids["dafa0/sum11"] < ids["safa0/cg2"]
     assert topo.index("safa0/cg2") < topo.index("dafa0/sum11")
     for flips, net in (((flipped,), flipped),
@@ -442,12 +441,15 @@ def test_packed_steady_levels_match_bool_lanes(lanes, spec, stage):
     ints = {net: to_int(v) for net, v in inputs.items()}
     got = steady_set_levels(n, ints, lanes)
     assert list(got) == list(n._structure.ids)
-    # the same walk on numpy bool arrays, one lane per element: the set
-    # phase, then a held reset with every input at spacer and ackin still high
-    want = n._settle(inputs, np.ones(lanes, dtype=bool))
-    assert list(got.values()) == list(map(to_int, want))
-    reset = n._settle({}, np.ones(lanes, dtype=bool), held=want)
-    assert n._settle({}, (1 << lanes) - 1, held=list(got.values())) == list(map(to_int, reset))
+    # the set phase, then a held reset with every input at spacer and ackin
+    # still high, on all lanes at once and as one-lane 0/1 walks: on lanes
+    # 0, 1 and the last, and on 5 seeded ones
+    reset = n._settle({}, (1 << lanes) - 1, held=list(got.values()))
+    rng = random.Random(lanes)
+    for j in sorted({0, 1, lanes - 1, *(rng.randrange(lanes) for _ in range(5))} - {lanes}):
+        want = n._settle({net: v >> j & 1 for net, v in ints.items()}, 1)
+        assert [v >> j & 1 for v in got.values()] == want
+        assert [v >> j & 1 for v in reset] == n._settle({}, 1, held=want)
     # a level that does not fit the lanes, or is not an int, is not read
     net = next(iter(inputs))
     for bad in (-1, 1 << lanes, inputs[net]):

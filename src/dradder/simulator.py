@@ -490,7 +490,6 @@ def dump_waveform(log: TransactionLog, fh: TextIO, *, header: str | None = None)
     by time and net; one net's events at one time keep their applied order."""
     if header:
         fh.write(f"# {header}\n")
-    names, lanes, every = log.names, log.lanes, (1 << log.lanes) - 1
-    rows = ((t, names[ev >> lanes], ev & every) for ev, t in zip(log.trace, log.trace_times))
+    rows = ((t, net, v) for net, trans in log.transitions.items() for t, v in trans)
     for t, net, v in sorted(rows, key=itemgetter(0, 1)):
         fh.write(f"{t} {net} {v}\n")

@@ -41,7 +41,7 @@ monitors.
 
 The ten published sum/carry equations are embedded as product-term data
 and checked for disjointness (DSOP) and monotonic cover, both structurally
-and by enumeration.
+and on int lanes over every valid assignment.
 """
 
 from __future__ import annotations
@@ -92,10 +92,13 @@ def oracle_planes(a: list, b: list, cin) -> list:
 def steady_set_levels(n: Netlist, inputs: dict[str, int], lanes: int) -> dict[str, int]:
     """Steady levels after a set phase from all-zero on `lanes` int lanes,
     lane j at bit j: each input net's level is an int in [0, 2**lanes), and
-    so is each net's result, keyed by name in net-id order. An unknown net or
-    a level out of range is a `ValueError` naming the net. C2 settles to AND
-    under monotone rising inputs. One `Netlist._settle` walk: every other
-    input net at spacer, ackin, if any, high."""
+    so is each net's result, keyed by name in net-id order. `lanes` that is
+    not an int >= 1, an unknown net or a level out of range is a
+    `ValueError`. C2 settles to AND under monotone rising inputs. One
+    `Netlist._settle` walk: every other input net at spacer, ackin, if any,
+    high."""
+    if not (type(lanes) is int and lanes >= 1):
+        raise ValueError(f"lanes must be an int >= 1, got {lanes!r}")
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
     ids, top = n._structure.ids, 1 << lanes
     for net, level in inputs.items():
@@ -325,6 +328,10 @@ class OutputPair:
 
 @dataclass(frozen=True)
 class EquationSet:
+    """Sum-of-products equations over dual-rail `variables`, evaluated on int
+    lanes: lane j is the j-th valid assignment in `itertools.product((0, 1),
+    repeat=n)` order, so variable k is bit n-1-k of j."""
+
     name: str
     variables: tuple[PortGroup, ...]
     outputs: tuple[OutputPair, ...]
@@ -334,16 +341,18 @@ class EquationSet:
             if v.rail1 in p and v.rail0 in p:
                 raise ValueError(f"product {sorted(p)} contains both rails of {v.name}")
 
-    def valid_assignments(self) -> list[dict[str, int]]:
-        names = [v.name for v in self.variables]
-        return [dict(zip(names, bits))
-                for bits in itertools.product((0, 1), repeat=len(names))]
+    @functools.cached_property
+    def planes(self) -> dict[str, int]:
+        """Each rail's lanes: rail1 carries its variable's bit, rail0 the complement."""
+        n = len(self.variables)
+        bits = [sum(1 << j for j in range(1 << n) if j >> (n - 1 - k) & 1) for k in range(n)]
+        return _drive([(v.rail1, v.rail0) for v in self.variables], bits, (1 << (1 << n)) - 1)
 
-    def true_rails(self, assignment: dict[str, int]) -> frozenset[str]:
-        rails = set()
-        for v in self.variables:
-            rails.add(v.rail1 if assignment[v.name] else v.rail0)
-        return frozenset(rails)
+    def holds(self, p: frozenset[str]) -> int:
+        """The AND of `p`'s rail planes: a rail not in the set holds on no
+        lane, an empty product on every lane."""
+        every = (1 << (1 << len(self.variables))) - 1
+        return functools.reduce(operator.and_, (self.planes.get(r, 0) for r in p), every)
 
 
 def _dr(name: str) -> PortGroup:
@@ -430,10 +439,7 @@ def structurally_disjoint(p: frozenset[str], q: frozenset[str],
 def semantically_disjoint(p: frozenset[str], q: frozenset[str],
                           eqs: EquationSet) -> bool:
     """True iff no valid (one-hot-per-variable) assignment satisfies both."""
-    return not any(
-        p <= rails and q <= rails
-        for rails in (eqs.true_rails(asg) for asg in eqs.valid_assignments())
-    )
+    return not eqs.holds(p) & eqs.holds(q)
 
 
 @dataclass(frozen=True)
@@ -446,8 +452,8 @@ class DsopResult:
 def dsop_check(eqs: EquationSet) -> DsopResult:
     """Every pair of products within each output equation must be disjoint.
 
-    Checked by the structural opposite-rail rule and, independently, by
-    enumeration over valid assignments; the two verdicts must agree."""
+    Checked by the structural opposite-rail rule and, independently, on
+    int lanes over every valid assignment; the two verdicts must agree."""
     offending = None
     agree = True
     for out in eqs.outputs:
@@ -472,36 +478,31 @@ class MonotonicCoverResult:
 
 def monotonic_cover_check(eqs: EquationSet) -> MonotonicCoverResult:
     """For each complementary output pair and each valid input assignment,
-    exactly one product across the combined product list must hold."""
+    exactly one product across the combined product list must hold. Each
+    violation names the output, the assignment and its count of products."""
+    n = len(eqs.variables)
     violations = []
     for out in eqs.outputs:
-        for asg in eqs.valid_assignments():
-            rails = eqs.true_rails(asg)
-            active = sum(1 for p in out.all_products() if p <= rails)
-            if active != 1:
+        masks = [eqs.holds(p) for p in out.all_products()]
+        for j in range(1 << n):
+            if (active := sum(m >> j & 1 for m in masks)) != 1:
+                asg = {v.name: j >> (n - 1 - k) & 1 for k, v in enumerate(eqs.variables)}
                 violations.append((out.name, asg, active))
     return MonotonicCoverResult(not violations, tuple(violations))
 
 
 def equation_equivalence(n: Netlist, eqs: EquationSet) -> bool:
     """Steady-state netlist outputs equal the equation evaluation over every
-    valid input assignment, one int lane each. Netlist input/output group
-    names must match the equation variable and output names."""
-    assignments = eqs.valid_assignments()
-    lanes = len(assignments)
-    every = (1 << lanes) - 1
+    valid input assignment, on `EquationSet`'s lanes. Netlist input/output
+    group names must match the equation variable and output names."""
     inputs: dict[str, int] = {}
     for v in eqs.variables:
         grp = n.group(v.name)
-        bits = sum(asg[v.name] << j for j, asg in enumerate(assignments))
-        inputs[grp.rail1], inputs[grp.rail0] = bits, every ^ bits
-    levels = steady_set_levels(n, inputs, lanes)
-
+        inputs[grp.rail1], inputs[grp.rail0] = eqs.planes[v.rail1], eqs.planes[v.rail0]
+    levels = steady_set_levels(n, inputs, 1 << len(eqs.variables))
     for out in eqs.outputs:
         grp = n.group(out.name, output=True)
-        for rail_net, products in ((grp.rail1, out.products1), (grp.rail0, out.products0)):
-            expect = sum(any(p <= eqs.true_rails(asg) for p in products) << j
-                         for j, asg in enumerate(assignments))
-            if levels[rail_net] != expect:
+        for rail, products in ((grp.rail1, out.products1), (grp.rail0, out.products0)):
+            if levels[rail] != functools.reduce(operator.or_, map(eqs.holds, products), 0):
                 return False
     return True

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -90,6 +91,12 @@ def test_steady_set_levels_keys_and_unknown_inputs(n):
         set(n.input_nets) | {g.output for g in n.gates}
     with pytest.raises(ValueError, match="input net 'ghost' is not in"):
         steady_set_levels(n, {**inputs, "ghost": 0b111}, 3)
+
+
+@pytest.mark.parametrize("lanes", [0, -1, 1.5, True])
+def test_steady_set_levels_rejects_a_lane_count_that_is_not_an_int_from_1(lanes):
+    with pytest.raises(ValueError, match=re.escape(f"lanes must be an int >= 1, got {lanes!r}")):
+        steady_set_levels(gen_safa(), {}, lanes)
 
 
 def test_static_passes_do_not_build_the_simulator_form():
@@ -391,6 +398,80 @@ def test_product_checks_flag_overlapping_products():
     assert len(monotonic_cover_check(eqs).violations) == 1
 
 
+# The per-assignment reference for the lane-mask product checks: every valid
+# assignment as a dict, and the set of rails it makes true.
+
+
+def _valid_assignments(eqs):
+    names = [v.name for v in eqs.variables]
+    return [dict(zip(names, bits)) for bits in itertools.product((0, 1), repeat=len(names))]
+
+
+def _true_rails(eqs, asg):
+    return frozenset(v.rail1 if asg[v.name] else v.rail0 for v in eqs.variables)
+
+
+def _reference_disjoint(p, q, eqs):
+    return not any(p <= rails and q <= rails
+                   for rails in (_true_rails(eqs, asg) for asg in _valid_assignments(eqs)))
+
+
+def _reference_dsop(eqs):
+    offending, agree = None, True
+    for out in eqs.outputs:
+        for eq_products in (out.products1, out.products0):
+            for prod in eq_products:
+                eqs.check_product(prod)
+            for (i, p), (j, q) in itertools.combinations(enumerate(eq_products), 2):
+                s = structurally_disjoint(p, q, eqs.variables)
+                m = _reference_disjoint(p, q, eqs)
+                agree = agree and s == m
+                if not (s and m) and offending is None:
+                    offending = (out.name, i, j)
+    return DsopResult(offending is None and agree, offending, agree)
+
+
+def _reference_violations(eqs):
+    return tuple((out.name, asg, active)
+                 for out in eqs.outputs for asg in _valid_assignments(eqs)
+                 if (active := sum(p <= _true_rails(eqs, asg) for p in out.all_products())) != 1)
+
+
+def _outcome(check, eqs):
+    try:
+        return check(eqs)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@st.composite
+def _equation_sets(draw):
+    """1-4 variables and 1-3 output pairs of up to 4 products each. A
+    product may be empty, name a rail of no variable ("W1") or, in some
+    sets, hold both rails of a variable."""
+    n = draw(st.integers(1, 4))
+    variables = tuple(PortGroup(f"V{k}", f"V{k}1", f"V{k}0") for k in range(n))
+    both = draw(st.booleans())
+    picks = [st.sampled_from([(), (v.rail1,), (v.rail0,)] * 3 + [(v.rail1, v.rail0)] * both)
+             for v in variables]
+    product = st.tuples(*picks, st.sampled_from([()] * 4 + [("W1",)])).map(
+        lambda rails: frozenset(itertools.chain.from_iterable(rails)))
+    equation = st.lists(product, max_size=4).map(tuple)
+    pairs = draw(st.lists(st.tuples(equation, equation), min_size=1, max_size=3))
+    return EquationSet("random", variables,
+                       tuple(OutputPair(f"Y{i}", p1, p0) for i, (p1, p0) in enumerate(pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_equation_sets())
+def test_product_checks_equal_the_per_assignment_reference(eqs):
+    for out in eqs.outputs:
+        for p, q in itertools.combinations_with_replacement(out.all_products(), 2):
+            assert semantically_disjoint(p, q, eqs) == _reference_disjoint(p, q, eqs)
+    assert _outcome(dsop_check, eqs) == _outcome(_reference_dsop, eqs)
+    assert monotonic_cover_check(eqs).violations == _reference_violations(eqs)
+
+
 def test_disjointness_checkers_agree_on_random_products():
     rng = random.Random(1011)
     variables = SAFA_EQUATIONS.variables
@@ -420,6 +501,11 @@ def test_netlists_realize_their_equations():
                for g in safa.outputs]
     assert not equation_equivalence(Netlist(safa.name, safa.gates, safa.inputs, swapped),
                                     SAFA_EQUATIONS)
+    dafa = gen_dafa(True)
+    for out in dafa.outputs:  # each output pair's rails swapped in turn
+        swapped = [PortGroup(g.name, g.rail0, g.rail1) if g is out else g for g in dafa.outputs]
+        assert not equation_equivalence(Netlist(dafa.name, dafa.gates, dafa.inputs, swapped),
+                                        DAFA_EQUATIONS), out.name
 
 
 def test_contradictory_product_rejected():

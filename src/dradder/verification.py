@@ -147,6 +147,12 @@ def _lane_int(planes, lane: int) -> int:
     return sum((p >> lane & 1) << k for k, p in enumerate(planes))
 
 
+def _vector(planes: list[int], lane: int, width: int) -> dict[str, int]:
+    """The vector on `lane` of the input planes CIN, A0.., B0.. in that order."""
+    return {"a": _lane_int(planes[1:width + 1], lane),
+            "b": _lane_int(planes[width + 1:], lane), "cin": planes[0] >> lane & 1}
+
+
 def _drive(rails: list[tuple[str, ...]], planes: list[int], every: int) -> dict[str, int]:
     """Input rail levels on int lanes: plane k on rail1 of `rails[k]`, its
     complement within `every` on rail0."""
@@ -154,40 +160,6 @@ def _drive(rails: list[tuple[str, ...]], planes: list[int], every: int) -> dict[
     for (rail1, rail0), bit in zip(rails, planes):
         levels[rail1], levels[rail0] = bit, every ^ bit
     return levels
-
-
-def _sweep_chunk(n: Netlist, rails: list[tuple[str, ...]], outs: list[PortGroup],
-                 planes: list[int], every: int):
-    """Evaluate one chunk of int lanes, lane j at bit j of each plane and of
-    `every`, and decode its output groups `outs`; `rails` holds each plane's
-    input (rail1, rail0). Returns the counts of illegal pairs, spacer pairs
-    and failing lanes and the lowest failing lane's counterexample (or
-    None). The walk keeps only the ports; every other net is dropped after
-    its last reader."""
-    cin, a, b = planes[0], planes[1:len(outs)], planes[len(outs):]
-    levels = n._settle(_drive(rails, planes, every), every, drop=True)
-    ids = n._structure.ids
-
-    illegal = spacerish = 0
-    got = []
-    for grp in outs:
-        r1, r0 = levels[ids[grp.rail1]], levels[ids[grp.rail0]]
-        illegal += (r1 & r0).bit_count()
-        spacerish += (every ^ (r1 | r0)).bit_count()
-        got.append(r1)
-    expected = oracle_planes(a, b, cin)
-    bad = 0
-    for g, e in zip(got, expected):
-        bad |= g ^ e
-
-    first = None
-    if bad:
-        i = (bad & -bad).bit_length() - 1
-        first = {"a": _lane_int(a, i), "b": _lane_int(b, i), "cin": cin >> i & 1,
-                 "got_sum": _lane_int(got[:-1], i), "got_cout": got[-1] >> i & 1,
-                 "expected_sum": _lane_int(expected[:-1], i),
-                 "expected_cout": expected[-1] >> i & 1}
-    return illegal, spacerish, bad.bit_count(), first
 
 
 @dataclass
@@ -212,11 +184,13 @@ def exhaustive_verify(
 ) -> VerifyResult:
     """Check an adder netlist against the integer oracle.
 
-    A netlist without the ports `gen_hybrid_rca` gives a `width`-bit adder
-    (bare or staged; extra output groups allowed) is a `ValueError`.
-    Exhaustive mode sweeps all 2**(2*width+1) transactions (allowed up to
-    width 8); random mode draws `count` seeded vectors at any width, plane k
-    from `random.Random(f"{seed}/{k}")`. The full sweep runs through the
+    A `width` or, in random mode, a `count` that is not an int >= 1 (a bool
+    is not), or a netlist without the ports `gen_hybrid_rca` gives a
+    `width`-bit adder (bare or staged; extra output groups allowed) is a
+    `ValueError`, raised before any work. Exhaustive mode sweeps all
+    2**(2*width+1) transactions (allowed up to width 8); random mode draws
+    `count` seeded vectors at any width, plane k from
+    `random.Random(f"{seed}/{k}")`. The full sweep runs through the
     steady-state evaluator (set phase decoded and compared with the oracle),
     on int lanes and in chunks of bounded memory. A sample of `_SIM_SAMPLE`
     vectors is additionally replayed on the event-driven simulator under
@@ -228,18 +202,29 @@ def exhaustive_verify(
     if none fails), and `rtz_failures` is 1 if that lane did not return to
     zero: the steady-state reset cannot fail (module doc).
     """
+    if not (type(width) is int and width >= 1):
+        raise ValueError(f"width must be an int >= 1, got {width!r}")
     *ab, cin = _adder_inputs(width)
     ports = [cin, *ab]  # input ports in plane order: CIN is bit 0 of the exhaustive index
     if mode == "exhaustive":
         if width > 8:
             raise ValueError("exhaustive mode is limited to width <= 8")
         total = 2 ** len(ports)
+        # sampled vector j on lane j: the bits of its index
+        sample = sorted(random.Random(seed).sample(range(total), min(_SIM_SAMPLE, total)))
+        picked = [sum((i >> k & 1) << j for j, i in enumerate(sample)) for k in range(len(ports))]
+
+        def chunk_planes(lo: int, lanes: int) -> list[int]:
+            return [_index_plane(k, lo, lanes) for k in range(len(ports))]
     elif mode == "random":
-        if count < 1:
-            raise ValueError(f"random mode needs count >= 1, got {count}")
-        total = count
+        if not (type(count) is int and count >= 1):
+            raise ValueError(f"random mode needs count >= 1, got {count!r}")
+        total, picked = count, None
         # one stream per plane, so the vectors do not depend on the chunk size
         draws = [random.Random(f"{seed}/{k}").getrandbits for k in range(len(ports))]
+
+        def chunk_planes(lo: int, lanes: int) -> list[int]:
+            return [draw(lanes) for draw in draws]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     n.topo_gates()  # a malformed, two-driver or cyclic netlist raises here
@@ -251,29 +236,34 @@ def exhaustive_verify(
                          f"SUM0..SUM{width - 1}, COUT among its outputs")
     s = n._structure
     rails = [n.group(name).rails() for name in ports]
+    outs = [(s.ids[g.rail1], s.ids[g.rail0]) for g in outs]  # each pair's rail ids from here on
     step = 64 * max(1, _CHUNK_BYTES // (8 * len(s.ids)))
     m = min(_SIM_SAMPLE, total)
-    if mode == "exhaustive":  # sampled vector j on lane j: the bits of its index
-        sample = sorted(random.Random(seed).sample(range(total), m))
-        picked = [sum((i >> k & 1) << j for j, i in enumerate(sample))
-                  for k in range(len(ports))]
 
     illegal = spacerish = failures = 0
     first = None
     for lo in range(0, total, step):
         lanes = min(step, total - lo)
-        if mode == "exhaustive":
-            planes = [_index_plane(k, lo, lanes) for k in range(len(ports))]
-        else:
-            planes = [draw(lanes) for draw in draws]
-            if not lo:  # the first vectors drawn are already a uniform sample
-                picked = [p & ((1 << m) - 1) for p in planes]
-        (chunk_illegal, chunk_spacerish, chunk_failures,
-         chunk_first) = _sweep_chunk(n, rails, outs, planes, (1 << lanes) - 1)
-        illegal += chunk_illegal
-        spacerish += chunk_spacerish
-        failures += chunk_failures
-        first = first or chunk_first
+        every = (1 << lanes) - 1
+        planes = chunk_planes(lo, lanes)
+        if picked is None:  # the first vectors drawn are already a uniform sample
+            picked = [p & ((1 << m) - 1) for p in planes]
+        levels = n._settle(_drive(rails, planes, every), every, drop=True)
+        expected = oracle_planes(planes[1:width + 1], planes[width + 1:], planes[0])
+        got, bad = [], 0
+        for (i1, i0), e in zip(outs, expected):
+            r1, r0 = levels[i1], levels[i0]
+            illegal += (r1 & r0).bit_count()
+            spacerish += (every ^ (r1 | r0)).bit_count()
+            got.append(r1)
+            bad |= r1 ^ e
+        failures += bad.bit_count()
+        if bad and first is None:
+            i = (bad & -bad).bit_length() - 1
+            first = {**_vector(planes, i, width), "got_sum": _lane_int(got[:-1], i),
+                     "got_cout": got[-1] >> i & 1, "expected_sum": _lane_int(expected[:-1], i),
+                     "expected_cout": expected[-1] >> i & 1}
+    del levels, got, expected  # the cross-check's peak holds no chunk's levels
 
     # event-driven cross-check of the sampled vectors, net by net: one
     # steady walk and one event-simulator run settle them all, sampled
@@ -293,9 +283,7 @@ def exhaustive_verify(
         walk = itertools.chain(range(s.base), (s.base + k for k in s.positions))
         net = next((log.names[i] for i in walk if differ[i] >> j & 1), None)
         sim_checked, rtz_failures = j, log.unreturned >> j & 1
-        sim_first = {"a": _lane_int(picked[1:width + 1], j),
-                     "b": _lane_int(picked[width + 1:], j), "cin": picked[0] >> j & 1,
-                     "via": "event simulator", "net": net}
+        sim_first = {**_vector(picked, j, width), "via": "event simulator", "net": net}
 
     notes: list[str] = []
     if spacerish:
@@ -494,14 +482,19 @@ def monotonic_cover_check(eqs: EquationSet) -> MonotonicCoverResult:
 def equation_equivalence(n: Netlist, eqs: EquationSet) -> bool:
     """Steady-state netlist outputs equal the equation evaluation over every
     valid input assignment, on `EquationSet`'s lanes. Netlist input/output
-    group names must match the equation variable and output names."""
+    group names must match the equation variable and output names, and
+    those groups must be rail pairs: a single wire is a `ValueError`."""
+    ins = [n.group(v.name) for v in eqs.variables]
+    outs = [n.group(out.name, output=True) for out in eqs.outputs]
+    for kind, groups in (("input", ins), ("output", outs)):
+        if wire := next((grp.name for grp in groups if grp.scalar), None):
+            raise ValueError(f"{kind} group {wire!r} is a single wire; "
+                             "equation equivalence needs rail pairs")
     inputs: dict[str, int] = {}
-    for v in eqs.variables:
-        grp = n.group(v.name)
+    for v, grp in zip(eqs.variables, ins):
         inputs[grp.rail1], inputs[grp.rail0] = eqs.planes[v.rail1], eqs.planes[v.rail0]
     levels = steady_set_levels(n, inputs, 1 << len(eqs.variables))
-    for out in eqs.outputs:
-        grp = n.group(out.name, output=True)
+    for out, grp in zip(eqs.outputs, outs):
         for rail, products in ((grp.rail1, out.products1), (grp.rail0, out.products0)):
             if levels[rail] != functools.reduce(operator.or_, map(eqs.holds, products), 0):
                 return False

@@ -290,6 +290,26 @@ def test_verify_rejects_a_netlist_that_is_not_an_adder_of_that_width(n, width):
             exhaustive_verify(n, width, mode=mode, count=100)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"width": 0}, "width must be an int >= 1, got 0"),
+    ({"width": -1}, "width must be an int >= 1, got -1"),
+    ({"width": True}, "width must be an int >= 1, got True"),
+    ({"width": 4.0}, "width must be an int >= 1, got 4.0"),
+    ({"count": 0}, "random mode needs count >= 1, got 0"),
+    ({"count": True}, "random mode needs count >= 1, got True"),
+    ({"count": 2.5}, "random mode needs count >= 1, got 2.5"),
+    ({"count": "3"}, "random mode needs count >= 1, got '3'"),
+], ids=["width-0", "width-negative", "width-bool", "width-float",
+        "count-0", "count-bool", "count-float", "count-str"])
+def test_verify_rejects_a_width_or_count_that_is_not_an_int_from_1(kwargs, message):
+    # raised before any work: the netlist's structure pass is never built
+    n = gen_hybrid_rca(AdderSpec(2, 0, True))
+    with pytest.raises(ValueError) as exc:
+        exhaustive_verify(n, **{"width": 2, "mode": "random", "count": 10, **kwargs})
+    assert exc.value.args == (message,)
+    assert "_structure" not in n.__dict__
+
+
 @pytest.mark.parametrize("width, safa", [(63, 1), (64, 2), (128, 0)])
 def test_random_verify_at_any_width(width, safa):
     n = gen_hybrid_rca(AdderSpec(width, safa, True))
@@ -508,6 +528,17 @@ def test_netlists_realize_their_equations():
                                         DAFA_EQUATIONS), out.name
 
 
+@pytest.mark.parametrize("scalar, message", [
+    ("SUM", "output group 'SUM' is a single wire; equation equivalence needs rail pairs"),
+    ("A", "input group 'A' is a single wire; equation equivalence needs rail pairs"),
+], ids=["output", "input"])
+def test_equation_equivalence_refuses_single_wire_groups(scalar, message):
+    n = _rebuilt(gen_safa(), f"scalar_{scalar}", scalar={scalar})
+    with pytest.raises(ValueError) as exc:
+        equation_equivalence(n, SAFA_EQUATIONS)
+    assert exc.value.args == (message,)
+
+
 def test_contradictory_product_rejected():
     bad = frozenset({"A1", "A0"})
     with pytest.raises(ValueError):
@@ -572,14 +603,19 @@ def _with_kind(n, gate_id, kind):
       "got_cout": 1, "got_sum": 32}),
 ])
 def test_exhaustive_results_are_pinned(safa, redundant, stage, gate_id, kind,
-                                       failures, illegal, cex):
+                                       failures, illegal, cex, monkeypatch):
+    # also at one word per chunk, 128 chunks: the reg/b5_0 counterexample is
+    # vector index 4 159, so its lowest failing lane lies in chunk 64
+    import dradder.verification as ver
     from dradder.netlist import GateKind
 
     n = gen_hybrid_rca(AdderSpec(6, safa, redundant))
     n = _with_kind(gen_stage(n) if stage else n, gate_id, GateKind(kind))
-    res = exhaustive_verify(n, 6)
-    assert (res.failures, res.illegal_states, res.first_counterexample) == \
-        (failures, illegal, cex)
+    for chunk_bytes in (ver._CHUNK_BYTES, 8 * len(n._structure.ids)):
+        monkeypatch.setattr(ver, "_CHUNK_BYTES", chunk_bytes)
+        res = exhaustive_verify(n, 6)
+        assert (res.failures, res.illegal_states, res.first_counterexample) == \
+            (failures, illegal, cex)
 
 
 def _rare_sum0_bug() -> Netlist:

@@ -29,11 +29,11 @@ structure pass: the gates that read the net and its dual-rail partner.
 Pending events wait in one bucket per time, in drive order, under a heap
 of the distinct times; a zero-delay drive joins the bucket being drained.
 The stage environment drives and reads ports by the ids of their rails,
-and a transaction applies its inputs in time order. A log keeps its events
-as one flat trace with a parallel list of times, so it holds no per-event
-object, names nets through the structure pass's `ids` it shares, and
-rebuilds its name-keyed `transitions` and `set_levels` from the trace on
-first read.
+and a transaction applies its inputs in time order. A log, the one record
+of a run, keeps its events as one flat trace with a parallel list of
+times, so it holds no per-event object; it shares the structure pass's
+`ids` and the netlist's output groups, and derives its named and timed
+readings (`transitions`, `set_levels`, `output_valid`, `latency`) on first read.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import itemgetter, or_
+from operator import itemgetter, or_, xor
 from typing import Sequence, TextIO
 
-from .netlist import GateKind, Netlist
+from .netlist import GateKind, Netlist, PortGroup
 
 DEFAULT_SEED = 1011
 DEFAULT_MAX_EVENTS = 10_000_000
@@ -111,23 +111,18 @@ class TransactionLog:
 
     Every event the transaction applied is one int, `net << lanes | level`,
     in `trace`, in the order it applied; `trace_times` holds its time. The
-    first `set_events` of them make up the set phase. `transitions` and
-    `set_levels` name them on first read and keep the dicts they build. The
-    monitors are lane masks, and `illegal_seen`, `monotonic` and
-    `rtz_complete` read them over every lane. The timing fields are a
-    one-lane reading: on more lanes, a group's `output_valid` is the latest
-    time over the lanes, and `None` unless it is valid on every lane, so
-    `latency` is the slowest lane's."""
+    first `set_events` of them make up the set phase. The cached properties
+    are derived from them on first read. The monitors are lane masks, and
+    `illegal_seen`, `monotonic` and `rtz_complete` read them over every lane."""
 
     input_apply: dict[str, int]
-    output_valid: dict[str, int | None]
-    latency: int | None
     illegal: int  # lanes on which both rails of a pair were high at once
     nonmonotone: int  # lanes on which a net fell in the set phase or rose in the reset phase
-    unreturned: int  # lanes on which a net was still high after the reset phase
+    end_high: dict[int, int]  # net id -> the lanes it was still high on after the reset phase
     events: int
     set_end: int
     ids: dict[str, int]  # every net's id: the netlist's `_structure.ids` itself
+    outputs: tuple[PortGroup, ...]  # the netlist's output groups themselves
     trace: list[int]  # net id << lanes | new level, one per event, in applied order
     trace_times: list[int]  # the time of each event in `trace`
     set_events: int  # how many of `trace` applied by set_end
@@ -148,8 +143,12 @@ class TransactionLog:
         return not self.nonmonotone
 
     @property
+    def unreturned(self) -> int:  # lanes on which a net was still high after the reset phase
+        return reduce(or_, self.end_high.values(), 0)
+
+    @property
     def rtz_complete(self) -> bool:
-        return not self.unreturned
+        return not self.end_high
 
     @cached_property
     def transitions(self) -> dict[str, list[tuple[int, int]]]:
@@ -168,6 +167,28 @@ class TransactionLog:
         names, levels, lanes = self.names, self.set_net_levels, self.lanes
         first = dict.fromkeys(ev >> lanes for ev in self.trace[:self.set_events])
         return {names[k]: levels[k] for k in first}
+
+    @cached_property
+    def output_valid(self) -> dict[str, int | None]:
+        """Per output group, its rails' last set-phase time (0 if none), or `None`
+        unless its set-end levels are a valid codeword on every lane: on more
+        lanes, the latest time over the lanes, so `latency` is the slowest lane's."""
+        ids, levels, lanes, every = self.ids, self.set_net_levels, self.lanes, (1 << self.lanes) - 1
+        last = {ev >> lanes: t for ev, t in zip(self.trace[:self.set_events], self.trace_times)}
+        valid: dict[str, int | None] = {}
+        for grp in self.outputs:
+            rails = [ids[rail] for rail in grp.rails()]
+            code = reduce(xor, [levels[k] for k in rails])  # rail 1, or rail 1 ^ rail 0
+            valid[grp.name] = max(last.get(k, 0) for k in rails) if code == every else None
+        return valid
+
+    @cached_property
+    def latency(self) -> int | None:
+        """Latest `output_valid` minus earliest apply, or `None` if either is empty or any is `None`."""
+        valid = self.output_valid.values()
+        if not self.input_apply or not valid or None in valid:
+            return None
+        return max(valid) - min(self.input_apply.values())
 
 
 class _Sim:
@@ -193,7 +214,6 @@ class _Sim:
         self.events = 0
         self.trace: list[int] = []  # every applied event, net id << lanes | value
         self.trace_times: list[int] = []  # the time of each
-        self.last = [0] * len(ids)  # time of each net's last transition on any lane
         self.illegal = self.nonmonotone = 0  # lane masks of the monitors
         self.goal = self.every
         self.ackin = None if netlist.ackin is None else ids[netlist.ackin]
@@ -215,7 +235,7 @@ class _Sim:
     def run(self) -> int:
         """Process events until the queue is empty; returns the last event time."""
         levels, pending, buckets, times = self.levels, self.pending, self.buckets, self.times
-        trace, trace_times, last = self.trace, self.trace_times, self.last
+        trace, trace_times = self.trace, self.trace_times
         (fanout, partner), delays = self.fanout, self.delays
         pop, push = heapq.heappop, heapq.heappush
         lanes, every, goal = self.lanes, self.every, self.goal
@@ -236,7 +256,6 @@ class _Sim:
                 levels[net] = value
                 trace.append(ev)
                 trace_times.append(time)
-                last[net] = time
                 if value:
                     other = partner[net]
                     if other is not None and (both := value & levels[other]):
@@ -267,16 +286,6 @@ class _Sim:
         self.drive(self.ids[grp.rail1], 0 if bits is None else bits, time)
         if grp.rail0 is not None:
             self.drive(self.ids[grp.rail0], 0 if bits is None else self.every ^ bits, time)
-
-    def valid_since(self, grp) -> int | None:
-        """Time the group's rails last switched on any lane, or `None` unless
-        it holds a valid codeword on every lane now."""
-        ids, levels, last = self.ids, self.levels, self.last  # a rail that never switched: time 0
-        k = ids[grp.rail1]
-        if grp.rail0 is None:
-            return last[k] if levels[k] == self.every else None
-        j = ids[grp.rail0]
-        return max(last[k], last[j]) if levels[k] ^ levels[j] == self.every else None
 
 
 def simulate_transaction(
@@ -315,11 +324,6 @@ def simulate_transaction(
     set_end = sim.run()
     set_net_levels, set_events = list(sim.levels), len(sim.trace)
 
-    output_valid = {grp.name: sim.valid_since(grp) for grp in netlist.outputs}
-    latency = None
-    if input_apply and output_valid and all(t is not None for t in output_valid.values()):
-        latency = max(output_valid.values()) - min(input_apply.values())
-
     sim.goal = 0  # every input back to spacer and, on a stage, ackin low
     for grp in netlist.inputs:
         sim.put(grp, None, set_end + 1)
@@ -329,14 +333,13 @@ def simulate_transaction(
 
     return TransactionLog(
         input_apply=input_apply,
-        output_valid=output_valid,
-        latency=latency,
         illegal=sim.illegal,
         nonmonotone=sim.nonmonotone,
-        unreturned=reduce(or_, sim.levels) if any(sim.levels) else 0,
+        end_high={k: v for k, v in enumerate(sim.levels) if v} if any(sim.levels) else {},
         events=sim.events,
         set_end=set_end,
         ids=sim.ids,
+        outputs=netlist.outputs,
         trace=sim.trace,
         trace_times=sim.trace_times,
         set_events=set_events,
@@ -348,6 +351,8 @@ def simulate_transaction(
 def random_vectors(netlist: Netlist, count: int, seed: int = DEFAULT_SEED) -> list[dict[str, int]]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if type(seed) is not int:  # None would seed from the OS
+        raise ValueError(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     groups = [grp.name for grp in netlist.inputs]
     return [{g: rng.randint(0, 1) for g in groups} for _ in range(count)]
@@ -378,11 +383,6 @@ def run_protocol(
     """
     if stage.ackout is None or stage.ackin is None:
         raise ValueError(f"{stage.name!r} has no handshake ports; wrap it with gen_stage")
-
-    def ends_high(trace: list[int], k: int) -> bool:
-        # levels alternate from 0, so a net ends high when it rose more than it fell
-        return trace.count(k << 1 | 1) > trace.count(k << 1)
-
     stage._fanout  # a malformed stage raises here, as topo_gates() does, also with no vectors
     ids = stage._structure.ids
     ackout = ids[stage.ackout]
@@ -394,13 +394,15 @@ def run_protocol(
         log = simulate_transaction(stage, delays, inputs)
         logs.append(log)
 
-        if (ackout << 1 | 1) not in log.trace[:log.set_events]:
+        # every input rises once from all-zero and every gate kind is positive
+        # unate, so a net only rises in the set phase: ackout rose iff it ends it high
+        if not log.set_net_levels[ackout]:
             blocking = tuple(n for n, t in log.output_valid.items() if t is None)
             summary.deadlocks.append((idx, blocking))
             continue
-        if ends_high(log.trace, ackout):
+        if ackout in log.end_high:
             blocking = tuple(grp.name for grp in stage.outputs
-                             if any(ends_high(log.trace, ids[r]) for r in grp.rails()))
+                             if any(ids[r] in log.end_high for r in grp.rails()))
             summary.deadlocks.append((idx, blocking))
             continue
         summary.completed += 1
@@ -434,7 +436,10 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     Each phase moves its inputs one way, so any delays settle there:
     `delays` never changes the verdict. "early" if a lane has every output
     valid early, or both witness kinds occur; "strong" if neither; else "weak".
-    Every input group must be a rail pair; outputs may be single wires."""
+    Every input group must be a rail pair; outputs may be single wires. A
+    `seed` that is not an int (a bool is not) is a `ValueError`."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     groups, pairs = fb.inputs, len(fb.inputs)

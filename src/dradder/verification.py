@@ -185,11 +185,11 @@ def exhaustive_verify(
     """Check an adder netlist against the integer oracle.
 
     A `width` or, in random mode, a `count` that is not an int >= 1 (a bool
-    is not), or a netlist without the ports `gen_hybrid_rca` gives a
-    `width`-bit adder (bare or staged; extra output groups allowed) is a
-    `ValueError`, raised before any work. Exhaustive mode sweeps all
-    2**(2*width+1) transactions (allowed up to width 8); random mode draws
-    `count` seeded vectors at any width, plane k from
+    is not), a `seed` that is not an int, or a netlist without the ports
+    `gen_hybrid_rca` gives a `width`-bit adder (bare or staged; extra output
+    groups allowed) is a `ValueError`, raised before any work. Exhaustive
+    mode sweeps all 2**(2*width+1) transactions (allowed up to width 8);
+    random mode draws `count` seeded vectors at any width, plane k from
     `random.Random(f"{seed}/{k}")`. The full sweep runs through the
     steady-state evaluator (set phase decoded and compared with the oracle),
     on int lanes and in chunks of bounded memory. A sample of `_SIM_SAMPLE`
@@ -204,6 +204,8 @@ def exhaustive_verify(
     """
     if not (type(width) is int and width >= 1):
         raise ValueError(f"width must be an int >= 1, got {width!r}")
+    if type(seed) is not int:  # None would seed the cross-check sample from the OS
+        raise ValueError(f"seed must be an int, got {seed!r}")
     *ab, cin = _adder_inputs(width)
     ports = [cin, *ab]  # input ports in plane order: CIN is bit 0 of the exhaustive index
     if mode == "exhaustive":

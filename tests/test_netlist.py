@@ -7,7 +7,6 @@ import re
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 import dradder
 from dradder import netlist as netlist_module
 from dradder.netlist import ARITY, GATE_AT, Gate, GateKind, Netlist, PortGroup
-from packed import to_int
 
 
 def test_arity_table():
@@ -416,9 +414,8 @@ def test_out_of_order_stages_check_like_ordered_ones(width, safa):
     stage = gen_stage(gen_hybrid_rca(AdderSpec(width, safa, True)))
     shuffled = list(stage.gates)
     random.Random(width * 1000 + safa).shuffle(shuffled)
-    rng = np.random.default_rng(safa)
-    lanes = {x: to_int(rng.integers(0, 2, 64).astype(bool)) for x in stage.input_nets
-             if x != stage.ackin}
+    rng = random.Random(safa)
+    lanes = {x: rng.getrandbits(64) for x in stage.input_nets if x != stage.ackin}
     kwargs = {} if width == 4 else {"mode": "random", "count": 256, "seed": safa}
     expect = (critical_path(stage, DelayTable.unit()), steady_set_levels(stage, lanes, 64),
               exhaustive_verify(stage, width, **kwargs))

@@ -22,6 +22,7 @@ from dradder.netlist import ARITY, Gate, GateKind, Netlist, PortGroup
 from dradder.simulator import (
     DEFAULT_SEED,
     DelayTable,
+    ProtocolSummary,
     SimulationLimitError,
     classify_indication,
     dump_waveform,
@@ -241,6 +242,18 @@ def test_lane_inputs_outside_their_range_are_rejected(lanes, bits, message):
 _A = PortGroup("A", "a1", "a0")
 _Y = PortGroup("Y", "y1", "y0")
 _Y_COPIES_A = [Gate("g1", GateKind.BUF, ("a1",), "y1"), Gate("g0", GateKind.BUF, ("a0",), "y0")]
+# Y's rail 1 latches once A is 1, so it never returns to zero
+_LATCH = Netlist("latch", [Gate("g1", GateKind.OR2, ("a1", "y1"), "y1"),
+                           Gate("g0", GateKind.BUF, ("a0",), "y0")], [_A], [_Y])
+
+
+@pytest.mark.parametrize("apply", [0, 2])
+def test_a_rail_that_never_switched_reads_as_time_0(apply):
+    # zero-delay buffers: Y's rail 1 rises as A is applied, and its rail 0,
+    # never switched, does not make Y valid any later
+    copy = Netlist("copy", _Y_COPIES_A, [_A], [_Y])
+    log = simulate_transaction(copy, DelayTable.unit(), [("A", 1, apply)])
+    assert (log.output_valid, log.latency) == ({"Y": apply}, 0)
 
 
 @pytest.mark.parametrize("gates, illegal, rtz_failures", [
@@ -385,7 +398,9 @@ def _replayed_lanes(block: Netlist, delays: DelayTable, trials: int, seed: int =
             for grp in others:
                 sim.put(grp, vec[grp.name], 0)
             sim.run()
-            valid = [g.name for g in block.outputs if sim.valid_since(g) is not None]
+            # a valid codeword: exactly one rail high, or a wire high
+            valid = [g.name for g in block.outputs
+                     if sum(sim.levels[sim.ids[r]] for r in g.rails()) == 1]
             sim.put(delayed, vec[delayed.name], sim.now + 1)
             sim.run()
             for grp in others:
@@ -412,9 +427,10 @@ def test_classify_indication_equals_the_event_simulator_on_every_lane(block, del
 
 
 @st.composite
-def _random_blocks(draw):
+def _random_blocks(draw, wire=True):
     """A small DAG block over 2-4 dual-rail input pairs, of every gate kind
-    reading any earlier net, with one or two dual-rail outputs and maybe a wire."""
+    reading any earlier net, with one or two dual-rail outputs and, if
+    `wire`, maybe a single-wire output."""
     inputs = [PortGroup(f"I{q}", f"i{q}_1", f"i{q}_0") for q in range(draw(st.integers(2, 4)))]
     nets = [r for grp in inputs for r in grp.rails()]
     gates = []
@@ -426,7 +442,7 @@ def _random_blocks(draw):
     pick = st.sampled_from(nets)
     outputs = [PortGroup(f"Y{j}", draw(pick), draw(pick))
                for j in range(draw(st.integers(1, 2)))]
-    if draw(st.booleans()):
+    if wire and draw(st.booleans()):
         outputs.append(PortGroup("W", draw(pick)))
     return Netlist("random_block", gates, inputs, outputs)
 
@@ -442,6 +458,71 @@ def test_classify_indication_equals_the_event_simulator_on_random_blocks(
     rep = classify_indication(block, delays, trials, seed)
     assert (rep.trials, rep.early_set_witnesses, rep.full_early_set_witnesses,
             rep.early_reset_witnesses) == _replayed_lanes(block, delays, trials, seed)
+
+
+def _protocol_by_trace(stage: Netlist, logs) -> tuple[ProtocolSummary, list]:
+    """`run_protocol`'s summary of `logs` and each log's (`output_valid`,
+    `latency`), read from the trace alone: a set-phase replay keeping each
+    net's last switching time, and deadlocks from ackout's rises and falls."""
+    ids = stage._structure.ids
+    ackout, summary, timing = ids[stage.ackout], ProtocolSummary(), []
+    for idx, log in enumerate(logs):
+        last, levels = [0] * len(ids), [0] * len(ids)
+        for ev, t in zip(log.trace[:log.set_events], log.trace_times):
+            last[ev >> 1], levels[ev >> 1] = t, ev & 1
+        valid = {}
+        for grp in stage.outputs:
+            rails = [ids[r] for r in grp.rails()]
+            valid[grp.name] = max(last[k] for k in rails) \
+                if sum(levels[k] for k in rails) == 1 else None
+        times = list(valid.values())
+        timing.append((valid, None if not times or None in times
+                       else max(times) - min(log.input_apply.values())))
+
+        def ends_high(k):  # levels alternate from 0: a net ends high if it rose more than it fell
+            return log.trace.count(k << 1 | 1) > log.trace.count(k << 1)
+
+        summary.transactions += 1
+        if (ackout << 1 | 1) not in log.trace[:log.set_events]:
+            summary.deadlocks.append((idx, tuple(n for n, t in valid.items() if t is None)))
+        elif ends_high(ackout):
+            summary.deadlocks.append((idx, tuple(g.name for g in stage.outputs
+                                                 if any(ends_high(ids[r]) for r in g.rails()))))
+        else:
+            summary.completed += 1
+            summary.illegal_states += log.illegal_seen
+            summary.rtz_failures += any(map(ends_high, range(len(ids))))
+    return summary, timing
+
+
+_STAGED_SAFA = gen_stage(gen_safa())
+# the carry-in registers cut out, so the carry-in rails are never driven
+_SEVERED = Netlist("severed", [g for g in _STAGED_SAFA.gates
+                               if g.id not in ("reg/cin1", "reg/cin0")],
+                   _STAGED_SAFA.inputs, _STAGED_SAFA.outputs, "ackin", _STAGED_SAFA.ackout)
+# Z copies A beside the latch, so only Y holds the reset phase up
+_LATCH_BESIDE_COPY = Netlist("latch_beside_copy", [*_LATCH.gates,
+                                                   Gate("z1", GateKind.BUF, ("a1",), "z1"),
+                                                   Gate("z0", GateKind.BUF, ("a0",), "z0")],
+                             [_A], [_Y, PortGroup("Z", "z1", "z0")])
+# Y copies A and a net no output reads latches: the handshake completes,
+# but the stage does not return to zero
+_HIDDEN_LATCH = Netlist("hidden_latch", [*_Y_COPIES_A, Gate("h", GateKind.OR2, ("a1", "h"), "h")],
+                        [_A], [_Y])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_random_blocks(wire=False).map(gen_stage),
+                 st.sampled_from([gen_stage(_LATCH_BESIDE_COPY), _SEVERED,
+                                  gen_stage(_HIDDEN_LATCH)])),
+       _DELAY_TABLES, st.integers(1, 8), st.integers(0, 9))
+def test_protocol_verdicts_and_log_timing_equal_a_trace_replay(stage, delays, count, seed):
+    logs, summary = run_protocol(stage, delays, random_vectors(stage, count, seed))
+    assert (summary, [(log.output_valid, log.latency) for log in logs]) == \
+        _protocol_by_trace(stage, logs)
+    for log in logs:  # the nets left high are those whose last event is a rise
+        final = {ev >> 1: ev & 1 for ev in log.trace}
+        assert log.end_high == {k: 1 for k, level in final.items() if level}
 
 
 def test_zero_delay_events_apply_in_drive_order():
@@ -632,9 +713,7 @@ def test_transaction_log_keeps_no_per_event_objects():
 
 def test_protocol_names_outputs_stuck_in_the_reset_phase():
     # Y's rail 1 latches, so ackout rises and never falls again
-    latch = Netlist("latch", [Gate("g1", GateKind.OR2, ("a1", "y1"), "y1"),
-                              Gate("g0", GateKind.BUF, ("a0",), "y0")], [_A], [_Y])
-    _, summary = run_protocol(gen_stage(latch), DelayTable.unit(), [{"A": 1}, {"A": 0}])
+    _, summary = run_protocol(gen_stage(_LATCH), DelayTable.unit(), [{"A": 1}, {"A": 0}])
     assert (summary.completed, summary.deadlocks) == (1, [(0, ("Y",))])
 
 
@@ -715,8 +794,6 @@ def test_monitors_fire_on_the_lanes_that_break_them(netlist):
 
 def test_return_to_zero_is_a_lane_mask():
     # Y's rail 1 latches on the lanes where A is 1, and only those stay high
-    latch = Netlist("latch", [Gate("g1", GateKind.OR2, ("a1", "y1"), "y1"),
-                              Gate("g0", GateKind.BUF, ("a0",), "y0")], [_A], [_Y])
-    log, runs = _lanes_and_runs(latch, DelayTable.unit(), [("A", 0)], [[0, 1, 1, 0]])
+    log, runs = _lanes_and_runs(_LATCH, DelayTable.unit(), [("A", 0)], [[0, 1, 1, 0]])
     assert (log.unreturned, log.rtz_complete) == (0b0110, False)
     assert [run.rtz_complete for run in runs] == [True, False, False, True]

@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,7 @@ from dradder.generators import (
     gen_stage,
 )
 from dradder.netlist import Netlist, PortGroup
-from dradder.simulator import DelayTable
+from dradder.simulator import DelayTable, classify_indication, random_vectors
 from dradder.verification import (
     ALL_EQUATION_SETS,
     DAFA_EQUATIONS,
@@ -35,7 +34,6 @@ from dradder.verification import (
     steady_set_levels,
     structurally_disjoint,
 )
-from packed import to_int
 
 
 def test_oracle_add():
@@ -310,6 +308,22 @@ def test_verify_rejects_a_width_or_count_that_is_not_an_int_from_1(kwargs, messa
     assert "_structure" not in n.__dict__
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "7", True], ids=["none", "float", "str", "bool"])
+@pytest.mark.parametrize("run", [
+    lambda n, seed: exhaustive_verify(n, 2, seed=seed),
+    lambda n, seed: random_vectors(n, 3, seed),
+    lambda n, seed: classify_indication(n, DelayTable.unit(), 2, seed),
+], ids=["exhaustive_verify", "random_vectors", "classify_indication"])
+def test_a_seed_that_is_not_an_int_is_refused(run, seed):
+    # None would seed from the OS, so a run could not be repeated; refused
+    # before any work: the netlist's structure pass is never built
+    n = gen_hybrid_rca(AdderSpec(2, 0, True))
+    with pytest.raises(ValueError) as exc:
+        run(n, seed)
+    assert exc.value.args == (f"seed must be an int, got {seed!r}",)
+    assert "_structure" not in n.__dict__
+
+
 @pytest.mark.parametrize("width, safa", [(63, 1), (64, 2), (128, 0)])
 def test_random_verify_at_any_width(width, safa):
     n = gen_hybrid_rca(AdderSpec(width, safa, True))
@@ -338,9 +352,8 @@ def test_wide_counterexample_is_exact():
 
 @pytest.mark.parametrize("width", [1, 8, 63, 64, 130])
 def test_oracle_planes_match_oracle_add(width):
-    rng = np.random.default_rng(width)
-    a, b, cin = ([to_int(p) for p in rng.integers(0, 2, size=(k, 64), dtype=bool)]
-                 for k in (width, width, 1))
+    rng = random.Random(width)
+    a, b, cin = ([rng.getrandbits(64) for _ in range(k)] for k in (width, width, 1))
     out = oracle_planes(a, b, cin[0])
     assert len(out) == width + 1
 
@@ -380,7 +393,7 @@ def test_crosscheck_reports_first_disagreeing_net(monkeypatch):
             calls.append(log.lanes)
             for x in flips:
                 log.set_net_levels[log.names.index(x)] ^= 1
-            log.unreturned = 0 if flips else 1
+            log.end_high = {} if flips else {0: 1}  # a net left high on lane 0
             return log
 
         monkeypatch.setattr(ver, "simulate_transaction", corrupted)
@@ -551,25 +564,22 @@ def test_contradictory_product_rejected():
 def test_packed_steady_levels_match_bool_lanes(lanes, spec, stage):
     n = gen_hybrid_rca(spec)
     n = gen_stage(n) if stage else n
-    rng = np.random.default_rng(lanes)
+    rng = random.Random(lanes)
     # every rail drawn independently, so spacer and illegal inputs occur too
-    inputs = {net: rng.integers(0, 2, size=lanes, dtype=bool)
-              for grp in n.inputs for net in grp.rails()}
-    ints = {net: to_int(v) for net, v in inputs.items()}
+    ints = {net: rng.getrandbits(lanes) for grp in n.inputs for net in grp.rails()}
     got = steady_set_levels(n, ints, lanes)
     assert list(got) == list(n._structure.ids)
     # the set phase, then a held reset with every input at spacer and ackin
     # still high, on all lanes at once and as one-lane 0/1 walks: on lanes
     # 0, 1 and the last, and on 5 seeded ones
     reset = n._settle({}, (1 << lanes) - 1, held=list(got.values()))
-    rng = random.Random(lanes)
     for j in sorted({0, 1, lanes - 1, *(rng.randrange(lanes) for _ in range(5))} - {lanes}):
         want = n._settle({net: v >> j & 1 for net, v in ints.items()}, 1)
         assert [v >> j & 1 for v in got.values()] == want
         assert [v >> j & 1 for v in reset] == n._settle({}, 1, held=want)
     # a level that does not fit the lanes, or is not an int, is not read
-    net = next(iter(inputs))
-    for bad in (-1, 1 << lanes, inputs[net]):
+    net = next(iter(ints))
+    for bad in (-1, 1 << lanes, 1.0):
         with pytest.raises(ValueError, match=re.escape(
                 f"input net {net!r} holds no int in [0, 2**{lanes})")):
             steady_set_levels(n, {**ints, net: bad}, lanes)

@@ -18,6 +18,7 @@ from .simulator import (
     ProtocolSummary,
     SimulationLimitError,
     TransactionLog,
+    TransactionView,
     classify_indication,
     dump_waveform,
     random_vectors,

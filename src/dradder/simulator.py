@@ -21,6 +21,8 @@ value` on one lane), and applying it stores that level. Lane j replays its
 one-lane run exactly: where its input did not change, the pending value
 already equals the gate's function, and where `held == value` every lane
 that changed moved to the output's own value. The monitors are lane masks.
+`TransactionLog.lane` projects lane j's one-lane log out of a run, and
+`run_protocol` runs its vectors as the lanes of one run per chunk.
 
 Nets are the structure pass's ids, as STA and the steady walk number them:
 the input nets first, then gate k's output at base + k. Each event reads
@@ -43,7 +45,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import itemgetter, or_, xor
+from operator import and_, itemgetter, or_, xor
 from typing import Sequence, TextIO
 
 from .netlist import GateKind, Netlist, PortGroup
@@ -189,6 +191,45 @@ class TransactionLog:
         if not self.input_apply or not valid or None in valid:
             return None
         return max(valid) - min(self.input_apply.values())
+
+    def lane(self, j: int) -> "TransactionLog":
+        """The one-lane log that `simulate_transaction` gives for lane j's
+        inputs, projected from this run: the events that changed lane j, in
+        applied order, as `net << 1 | level`. Lane j's `set_end` is its last
+        set-phase change. This run started every lane's reset phase at the
+        slowest lane's `set_end + 1`, so lane j's reset-phase times move back
+        by `set_end` minus its own."""
+        if not (type(j) is int and 0 <= j < self.lanes):
+            raise ValueError(f"lane must be an int in [0, {self.lanes}), got {j!r}")
+        lanes, bit, levels = self.lanes, 1 << j, [0] * len(self.ids)  # levels: 0 or bit
+        trace: list[int] = []
+        times: list[int] = []
+
+        def keep(start: int, stop: int, shift: int) -> None:
+            for ev, t in zip(self.trace[start:stop], self.trace_times[start:stop]):
+                net, level = ev >> lanes, ev & bit
+                if level != levels[net]:
+                    levels[net] = level
+                    trace.append(net << 1 | level >> j)
+                    times.append(t - shift)
+
+        keep(0, self.set_events, 0)
+        set_events, set_end = len(trace), times[-1] if trace else 0
+        keep(self.set_events, len(self.trace), self.set_end - set_end)
+        return TransactionLog(
+            input_apply=dict(self.input_apply),
+            illegal=self.illegal >> j & 1,
+            nonmonotone=self.nonmonotone >> j & 1,
+            end_high={k: 1 for k, v in self.end_high.items() if v >> j & 1},
+            events=len(trace),
+            set_end=set_end,
+            ids=self.ids,
+            outputs=self.outputs,
+            trace=trace,
+            trace_times=times,
+            set_events=set_events,
+            set_net_levels=[v >> j & 1 for v in self.set_net_levels],
+        )
 
 
 class _Sim:
@@ -349,6 +390,8 @@ def simulate_transaction(
 
 
 def random_vectors(netlist: Netlist, count: int, seed: int = DEFAULT_SEED) -> list[dict[str, int]]:
+    if type(count) is not int:  # a bool is not a count
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if type(seed) is not int:  # None would seed from the OS
@@ -356,6 +399,41 @@ def random_vectors(netlist: Netlist, count: int, seed: int = DEFAULT_SEED) -> li
     rng = random.Random(seed)
     groups = [grp.name for grp in netlist.inputs]
     return [{g: rng.randint(0, 1) for g in groups} for _ in range(count)]
+
+
+def _from_lane(name: str) -> property:
+    return property(lambda view: getattr(view.log, name),
+                    doc=f"`TransactionLog.{name}` of the lane's one-lane log.")
+
+
+@dataclass(eq=False)
+class TransactionView:
+    """Transaction `lane` of a `run_protocol` lane run, `run`. The fields are
+    decoded with the run; every other reading comes from `run.lane(lane)`,
+    the one-lane log, projected on first read and kept."""
+
+    run: TransactionLog = field(repr=False)
+    lane: int
+    latency: int | None
+    events: int
+    illegal_seen: bool
+    monotonic: bool
+    rtz_complete: bool
+    input_apply: dict[str, int]
+
+    @cached_property
+    def log(self) -> TransactionLog:
+        return self.run.lane(self.lane)
+
+    output_valid = _from_lane("output_valid")
+    set_end = _from_lane("set_end")
+    end_high = _from_lane("end_high")
+    set_net_levels = _from_lane("set_net_levels")
+    trace = _from_lane("trace")
+    trace_times = _from_lane("trace_times")
+    set_events = _from_lane("set_events")
+    transitions = _from_lane("transitions")
+    set_levels = _from_lane("set_levels")
 
 
 @dataclass
@@ -367,50 +445,138 @@ class ProtocolSummary:
     deadlocks: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
 
 
+_PROTOCOL_LANES = 1024  # vectors per lane run: its lane ints and trace grow with them
+
+
 def run_protocol(
     stage: Netlist,
     delays: DelayTable,
     vectors: Sequence[dict[str, int]],
-) -> tuple[list[TransactionLog], ProtocolSummary]:
+) -> tuple[list[TransactionView], ProtocolSummary]:
     """Drive a handshake stage through one 4-phase cycle per vector.
 
-    Each cycle is one `simulate_transaction` from all-zero: data in at t=0,
-    the set phase run until no event is pending, then spacer in and the
-    reset phase run to quiescence too; the environment never waits on
-    ackout. A deadlock is a set phase in which ackout never rose, reporting
-    the output pairs not valid at its end, or ackout still high after the
-    reset phase, reporting the output pairs with a rail still high.
+    Each cycle is one transaction from all-zero: data in at t=0, the set
+    phase run until no event is pending, then spacer in and the reset phase
+    run to quiescence too; the environment never waits on ackout. So the
+    vectors run as the lanes of one `simulate_transaction` per chunk of up
+    to 1 024 of them, vector j of a chunk on lane j, and the event budget
+    bounds a chunk, not a transaction. One pass over each lane trace decodes
+    every lane's `latency`, `events` and monitors, and the summary comes
+    from the run's lane masks, all within this call. Each `TransactionView`
+    projects its other readings on first read: `TransactionLog.lane` gives
+    the one-lane log, its reset-phase times shifted to the lane's own end
+    of the set phase.
+
+    A deadlock is a set phase in which ackout never rose, reporting the
+    output pairs not valid at its end, or ackout still high after the reset
+    phase, reporting the output pairs with a rail still high. Every vector
+    must give each input group a bit, 0 or 1, and name no other group: any
+    other vector is a `ValueError` naming its index, raised before any run.
     """
     if stage.ackout is None or stage.ackin is None:
         raise ValueError(f"{stage.name!r} has no handshake ports; wrap it with gen_stage")
     stage._fanout  # a malformed stage raises here, as topo_gates() does, also with no vectors
-    ids = stage._structure.ids
-    ackout = ids[stage.ackout]
-    logs: list[TransactionLog] = []
-    summary = ProtocolSummary()
+    vectors, names = list(vectors), [grp.name for grp in stage.inputs]
+    wanted = set(names)
     for idx, vec in enumerate(vectors):
-        summary.transactions += 1
-        inputs = [(grp.name, vec[grp.name], 0) for grp in stage.inputs]
-        log = simulate_transaction(stage, delays, inputs)
-        logs.append(log)
+        if vec.keys() != wanted:
+            if (missing := next((name for name in names if name not in vec), None)) is not None:
+                raise ValueError(f"transaction {idx} has no bit for input group {missing!r}")
+            extra = next(name for name in vec if name not in wanted)
+            raise ValueError(f"transaction {idx} names input group {extra!r}, "
+                             f"which {stage.name!r} does not have")
+        for name in names:
+            if not (type(bit := vec[name]) in (int, bool) and bit in (0, 1)):
+                raise ValueError(f"transaction {idx}: input group {name!r} drives bit "
+                                 f"{bit!r}; bits are 0 or 1")
+    logs: list[TransactionView] = []
+    summary = ProtocolSummary()
+    for start in range(0, len(vectors), _PROTOCOL_LANES):
+        chunk = vectors[start:start + _PROTOCOL_LANES]
+        inputs = [(name, int("".join("01"[vec[name]] for vec in reversed(chunk)), 2), 0)
+                  for name in names]  # lane j at bit j
+        run = simulate_transaction(stage, delays, inputs, lanes=len(chunk))
+        logs += _decode_protocol(stage, run, start, summary)
+    return logs, summary
 
+
+def _lane_sums(masks: list[int], lanes: int) -> list[int]:
+    """Per lane j, how many of `masks` have bit j set. Carry-save adders fold
+    each weight's masks, two at a time, into one bit plane and carries of the
+    next weight; then lane j's count reads bit j across the planes."""
+    planes = []
+    while masks:
+        carries, rest = [], iter(masks)
+        plane = next(rest)
+        for a, b in zip(rest, rest):
+            ab = plane ^ a
+            carries.append(plane & a | ab & b)
+            plane = ab ^ b
+        if not len(masks) % 2:  # the last mask had no partner
+            carries.append(plane & masks[-1])
+            plane ^= masks[-1]
+        planes.append(plane)
+        masks = [c for c in carries if c]
+    # one digit string per plane, top plane first: lane j is column lanes - 1 - j
+    columns = zip(*(f"{plane:0{lanes}b}" for plane in reversed(planes)))
+    return [int("".join(col), 2) for col in columns][::-1] or [0] * lanes
+
+
+def _decode_protocol(stage: Netlist, run: TransactionLog, start: int,
+                     summary: ProtocolSummary) -> list[TransactionView]:
+    """Each lane's view of a `run_protocol` lane run whose lane j is
+    transaction `start + j`, each verdict added to `summary`. One pass over
+    the trace keeps each net's last level, so an event's changed lanes are
+    that level ^ its own: their sum is each lane's `events`. A lane's latency
+    is the last set-phase time an output rail changed on it, when every output
+    group is valid there at the set end."""
+    ids, lanes, every = stage._structure.ids, run.lanes, (1 << run.lanes) - 1
+    trace, prev, changed = run.trace, [0] * len(ids), []
+    for ev in trace:
+        net, value = ev >> lanes, ev & every
+        changed.append(prev[net] ^ value)
+        prev[net] = value
+    events = _lane_sums(changed, lanes)
+    rails = {ids[rail] for grp in stage.outputs for rail in grp.rails()}
+    last, todo = [0] * lanes, every  # each lane's last output-rail change; lanes not yet seen
+    for i in range(run.set_events - 1, -1, -1):
+        if not todo:
+            break
+        if trace[i] >> lanes in rails and (seen := changed[i] & todo):
+            todo ^= seen
+            while seen:
+                low = seen & -seen
+                last[low.bit_length() - 1] = run.trace_times[i]
+                seen ^= low
+
+    levels, high = run.set_net_levels, run.end_high
+    codes = [reduce(xor, [levels[ids[rail]] for rail in grp.rails()])  # rail 1, or rail 1 ^ rail 0
+             for grp in stage.outputs]
+    valid = reduce(and_, codes, every) if stage.inputs and codes else 0
+    ackout = ids[stage.ackout]
+    rose, stuck, unreturned = levels[ackout], high.get(ackout, 0), run.unreturned
+    views = []
+    for j in range(lanes):
+        illegal, returned = run.illegal >> j & 1, not unreturned >> j & 1
+        views.append(TransactionView(
+            run, j, last[j] if valid >> j & 1 else None, events[j], bool(illegal),
+            not run.nonmonotone >> j & 1, returned, dict(run.input_apply)))
         # every input rises once from all-zero and every gate kind is positive
         # unate, so a net only rises in the set phase: ackout rose iff it ends it high
-        if not log.set_net_levels[ackout]:
-            blocking = tuple(n for n, t in log.output_valid.items() if t is None)
-            summary.deadlocks.append((idx, blocking))
-            continue
-        if ackout in log.end_high:
+        summary.transactions += 1
+        if not rose >> j & 1:
+            blocking = tuple(grp.name for grp, code in zip(stage.outputs, codes)
+                             if not code >> j & 1)
+            summary.deadlocks.append((start + j, blocking))
+        elif stuck >> j & 1:
             blocking = tuple(grp.name for grp in stage.outputs
-                             if any(ids[r] in log.end_high for r in grp.rails()))
-            summary.deadlocks.append((idx, blocking))
-            continue
-        summary.completed += 1
-        if log.illegal_seen:
-            summary.illegal_states += 1
-        if not log.rtz_complete:
-            summary.rtz_failures += 1
-    return logs, summary
+                             if any(high.get(ids[rail], 0) >> j & 1 for rail in grp.rails()))
+            summary.deadlocks.append((start + j, blocking))
+        else:
+            summary.completed += 1
+            summary.illegal_states += illegal
+            summary.rtz_failures += not returned
+    return views
 
 
 @dataclass
@@ -440,6 +606,8 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     `seed` that is not an int (a bool is not) is a `ValueError`."""
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
+    if type(trials) is not int:  # a bool is not a count
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     groups, pairs = fb.inputs, len(fb.inputs)
@@ -490,7 +658,8 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     return IndicationReport(cls, len(vectors), early_set, full_early_set, early_reset, note)
 
 
-def dump_waveform(log: TransactionLog, fh: TextIO, *, header: str | None = None) -> None:
+def dump_waveform(log: TransactionLog | TransactionView, fh: TextIO, *,
+                  header: str | None = None) -> None:
     """Write each event of the log's trace as a 'time net level' line, sorted
     by time and net; one net's events at one time keep their applied order."""
     if header:

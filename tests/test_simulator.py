@@ -511,11 +511,13 @@ _HIDDEN_LATCH = Netlist("hidden_latch", [*_Y_COPIES_A, Gate("h", GateKind.OR2, (
                         [_A], [_Y])
 
 
+_PROTOCOL_STAGES = st.one_of(_random_blocks(wire=False).map(gen_stage),
+                             st.sampled_from([gen_stage(_LATCH_BESIDE_COPY), _SEVERED,
+                                              gen_stage(_HIDDEN_LATCH)]))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(_random_blocks(wire=False).map(gen_stage),
-                 st.sampled_from([gen_stage(_LATCH_BESIDE_COPY), _SEVERED,
-                                  gen_stage(_HIDDEN_LATCH)])),
-       _DELAY_TABLES, st.integers(1, 8), st.integers(0, 9))
+@given(_PROTOCOL_STAGES, _DELAY_TABLES, st.integers(1, 8), st.integers(0, 9))
 def test_protocol_verdicts_and_log_timing_equal_a_trace_replay(stage, delays, count, seed):
     logs, summary = run_protocol(stage, delays, random_vectors(stage, count, seed))
     assert (summary, [(log.output_valid, log.latency) for log in logs]) == \
@@ -797,3 +799,93 @@ def test_return_to_zero_is_a_lane_mask():
     log, runs = _lanes_and_runs(_LATCH, DelayTable.unit(), [("A", 0)], [[0, 1, 1, 0]])
     assert (log.unreturned, log.rtz_complete) == (0b0110, False)
     assert [run.rtz_complete for run in runs] == [True, False, False, True]
+
+
+_READINGS = ("latency", "events", "illegal_seen", "monotonic", "rtz_complete", "input_apply",
+             "output_valid", "set_end", "end_high", "set_net_levels", "trace", "trace_times",
+             "set_events", "transitions", "set_levels")
+
+
+def _readings(log) -> list:
+    """Every reading of a transaction; a dict as its items, so key order counts."""
+    return [list(v.items()) if isinstance(v := getattr(log, name), dict) else v
+            for name in _READINGS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PROTOCOL_STAGES, _DELAY_TABLES, st.integers(1, 8), st.integers(0, 9))
+def test_each_protocol_transaction_equals_its_one_lane_run(stage, delays, count, seed):
+    vectors, runs = random_vectors(stage, count, seed), []
+
+    def lane_run(*args, **kwargs):
+        runs.append(kwargs["lanes"])
+        return simulate_transaction(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:  # chunks of 3 lanes, the last one short
+        mp.setattr(simulator, "_PROTOCOL_LANES", 3)
+        mp.setattr(simulator, "simulate_transaction", lane_run)
+        logs, _ = run_protocol(stage, delays, vectors)
+    assert runs == [min(3, count - start) for start in range(0, count, 3)]
+    assert len(logs) == count and not any("log" in vars(log) for log in logs)  # nothing projected
+    for log, vec in zip(logs, vectors):
+        run = simulate_transaction(stage, delays, [(grp.name, vec[grp.name], 0)
+                                                   for grp in stage.inputs])
+        assert _readings(log) == _readings(run)
+
+
+@pytest.mark.parametrize("netlist", [_LANE_NETLISTS[2], _random_netlist(2)],
+                         ids=["stage", "random"])
+def test_lane_projects_the_one_lane_log_of_a_32_lane_run(netlist):
+    # staggered apply times and a group applied again, so the lanes' set
+    # phases end at different times and each reset phase must be shifted
+    rng = random.Random(netlist.name)
+    schedule = [(g.name, rng.randint(0, 4)) for g in netlist.inputs] + [(netlist.inputs[0].name, 5)]
+    bits = [[rng.randint(0, 1) for _ in range(32)] for _ in schedule]
+    log, runs = _lanes_and_runs(netlist, _SKEWED, schedule, bits)
+    assert len({run.set_end for run in runs}) > 1
+    for j, run in enumerate(runs):
+        lane = log.lane(j)
+        assert lane == run and _readings(lane) == _readings(run)
+    for j in (-1, 32, True):
+        with pytest.raises(ValueError, match=rf"lane must be an int in \[0, 32\), got {j!r}"):
+            log.lane(j)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"B": 1, "CIN": 0}, "transaction 1 has no bit for input group 'A'"),
+    ({"A": 1, "B": 1, "CIN": 1, "X": 1},
+     "transaction 1 names input group 'X', which 'safa_stage' does not have"),
+    ({"A": 2, "B": 1, "CIN": 0}, "transaction 1: input group 'A' drives bit 2; bits are 0 or 1"),
+    ({"A": 1, "B": -1, "CIN": 0}, "transaction 1: input group 'B' drives bit -1; bits are 0 or 1"),
+    ({"A": 1, "B": 1, "CIN": 1.0},
+     "transaction 1: input group 'CIN' drives bit 1.0; bits are 0 or 1"),
+    ({"A": "1", "B": 1, "CIN": 0},
+     "transaction 1: input group 'A' drives bit '1'; bits are 0 or 1"),
+], ids=["missing", "unknown", "two", "negative", "float", "str"])
+def test_protocol_refuses_a_bad_vector_before_any_run(bad, message, monkeypatch):
+    # a bit other than 0 or 1 would spill into the next lane once packed
+    monkeypatch.setattr(simulator, "simulate_transaction", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ValueError) as exc:
+        run_protocol(gen_stage(gen_safa()), DelayTable.unit(), [{"A": 1, "B": 0, "CIN": 1}, bad])
+    assert exc.value.args == (message,)
+
+
+def test_protocol_takes_bools_as_bits():
+    stage = gen_stage(gen_safa())
+    ints = [{"A": 1, "B": 0, "CIN": 1}, {"A": 0, "B": 0, "CIN": 0}]
+    bools = [{g: bool(bit) for g, bit in vec.items()} for vec in ints]
+    (by_int, summary), (by_bool, same) = (run_protocol(stage, DelayTable.unit(), vecs)
+                                          for vecs in (ints, bools))
+    assert summary == same and [_readings(log) for log in by_int] == \
+        [_readings(log) for log in by_bool]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("call, name", [
+    (lambda value: random_vectors(gen_safa(), value), "count"),
+    (lambda value: classify_indication(gen_safa(), DelayTable.unit(), value), "trials"),
+], ids=["random_vectors", "classify_indication"])
+def test_a_count_that_is_not_an_int_is_refused(call, name, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert exc.value.args == (f"{name} must be an int, got {value!r}",)

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import os
 import sys
+from collections import deque
 
 from .generators import (
     AdderSpec,
@@ -136,8 +137,10 @@ def cmd_sim(args) -> int:
 
     staged = n.ackin is not None and n.ackout is not None
     with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump_fh:
-        if staged:
-            logs, summary = run_protocol(n, delays, vectors)
+        if staged:  # each view is dropped once its lines are written
+            views, summary = run_protocol(n, delays, vectors)
+            views = deque(views)
+            logs = (views.popleft() for _ in range(len(views)))
         else:  # simulated one by one, up to the first failing transaction
             logs = (simulate_transaction(n, delays, [(name, bit, 0) for name, bit in vec.items()])
                     for vec in vectors)

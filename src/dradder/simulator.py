@@ -21,7 +21,6 @@ value` on one lane), and applying it stores that level. Lane j replays its
 one-lane run exactly: where its input did not change, the pending value
 already equals the gate's function, and where `held == value` every lane
 that changed moved to the output's own value. The monitors are lane masks.
-`TransactionLog.lane` projects lane j's one-lane log out of a run, and
 `run_protocol` runs its vectors as the lanes of one run per chunk.
 
 Nets are the structure pass's ids, as STA and the steady walk number them:
@@ -192,45 +191,6 @@ class TransactionLog:
             return None
         return max(valid) - min(self.input_apply.values())
 
-    def lane(self, j: int) -> "TransactionLog":
-        """The one-lane log that `simulate_transaction` gives for lane j's
-        inputs, projected from this run: the events that changed lane j, in
-        applied order, as `net << 1 | level`. Lane j's `set_end` is its last
-        set-phase change. This run started every lane's reset phase at the
-        slowest lane's `set_end + 1`, so lane j's reset-phase times move back
-        by `set_end` minus its own."""
-        if not (type(j) is int and 0 <= j < self.lanes):
-            raise ValueError(f"lane must be an int in [0, {self.lanes}), got {j!r}")
-        lanes, bit, levels = self.lanes, 1 << j, [0] * len(self.ids)  # levels: 0 or bit
-        trace: list[int] = []
-        times: list[int] = []
-
-        def keep(start: int, stop: int, shift: int) -> None:
-            for ev, t in zip(self.trace[start:stop], self.trace_times[start:stop]):
-                net, level = ev >> lanes, ev & bit
-                if level != levels[net]:
-                    levels[net] = level
-                    trace.append(net << 1 | level >> j)
-                    times.append(t - shift)
-
-        keep(0, self.set_events, 0)
-        set_events, set_end = len(trace), times[-1] if trace else 0
-        keep(self.set_events, len(self.trace), self.set_end - set_end)
-        return TransactionLog(
-            input_apply=dict(self.input_apply),
-            illegal=self.illegal >> j & 1,
-            nonmonotone=self.nonmonotone >> j & 1,
-            end_high={k: 1 for k, v in self.end_high.items() if v >> j & 1},
-            events=len(trace),
-            set_end=set_end,
-            ids=self.ids,
-            outputs=self.outputs,
-            trace=trace,
-            trace_times=times,
-            set_events=set_events,
-            set_net_levels=[v >> j & 1 for v in self.set_net_levels],
-        )
-
 
 class _Sim:
     """Simulator core on `lanes` int lanes, lane j at bit j: a time-bucketed
@@ -342,24 +302,29 @@ def simulate_transaction(
     `inputs` is a list of (group name, bits, apply time), applied in time
     order (a stable sort). On one lane the bits are a bit, 0 or 1; on more,
     an int in [0, 2**lanes) whose bit j is the group's bit on lane j, which
-    runs lane j's transaction beside the others (module doc). Bits out of
-    range, or an apply time below 0, raise ValueError. Input groups not
-    listed stay at spacer. The netlist starts all-zero; for a handshake
-    stage the ackin net is driven high at t=0 and low with the spacer.
+    runs lane j's transaction beside the others (module doc). Bits that are
+    not an int or bool in range, or an apply time that is not an int >= 0
+    (a bool is not), raise ValueError. Input groups not listed stay at
+    spacer. The netlist starts all-zero; for a handshake stage the ackin
+    net is driven high at t=0 and low with the spacer.
     """
     if not (type(lanes) is int and lanes >= 1):
         raise ValueError(f"lanes must be an int >= 1, got {lanes!r}")
     sim = _Sim(netlist, delays, lanes)
     every = sim.every
-    input_apply: dict[str, int] = {}
-    for name, bits, t in sorted(inputs, key=lambda inp: inp[2]):
-        if bits not in (0, 1) and not (type(bits) is int and 0 <= bits <= every):
+    inputs = list(inputs)  # read twice: all are checked before the time sort
+    for name, bits, t in inputs:
+        if not (type(bits) in (int, bool) and 0 <= bits <= every):
             raise ValueError(f"input group {name!r} drives bit {bits!r}; bits are 0 or 1"
                              if lanes == 1 else
                              f"input group {name!r} drives {bits!r}; bits on {lanes} "
                              f"lanes are an int in [0, 2**{lanes})")
+        if type(t) is not int:  # a bool is not a time
+            raise ValueError(f"input group {name!r} applies at t={t!r}; apply times are ints")
         if t < 0:
             raise ValueError(f"input group {name!r} applies at t={t}; apply times start at 0")
+    input_apply: dict[str, int] = {}
+    for name, bits, t in sorted(inputs, key=itemgetter(2)):
         sim.put(netlist.group(name), bits, t)
         input_apply[name] = t
     set_end = sim.run()
@@ -408,11 +373,14 @@ def _from_lane(name: str) -> property:
 
 @dataclass(eq=False)
 class TransactionView:
-    """Transaction `lane` of a `run_protocol` lane run, `run`. The fields are
-    decoded with the run; every other reading comes from `run.lane(lane)`,
-    the one-lane log, projected on first read and kept."""
+    """Transaction `lane` of a `run_protocol` chunk, whose packed `inputs`
+    put bit j of each group's bits on lane j. The fields are decoded with the
+    chunk's lane run; every other reading comes from `log`, the one-lane run
+    of the lane's own vector, simulated on first read and kept."""
 
-    run: TransactionLog = field(repr=False)
+    stage: Netlist = field(repr=False)
+    delays: DelayTable = field(repr=False)
+    inputs: tuple[tuple[str, int, int], ...] = field(repr=False)  # shared by the chunk's views
     lane: int
     latency: int | None
     events: int
@@ -423,7 +391,8 @@ class TransactionView:
 
     @cached_property
     def log(self) -> TransactionLog:
-        return self.run.lane(self.lane)
+        return simulate_transaction(self.stage, self.delays, [
+            (name, bits >> self.lane & 1, t) for name, bits, t in self.inputs])
 
     output_valid = _from_lane("output_valid")
     set_end = _from_lane("set_end")
@@ -463,9 +432,8 @@ def run_protocol(
     bounds a chunk, not a transaction. One pass over each lane trace decodes
     every lane's `latency`, `events` and monitors, and the summary comes
     from the run's lane masks, all within this call. Each `TransactionView`
-    projects its other readings on first read: `TransactionLog.lane` gives
-    the one-lane log, its reset-phase times shifted to the lane's own end
-    of the set phase.
+    re-simulates its own vector for its other readings, on first read,
+    under a copy of `delays` taken by this call.
 
     A deadlock is a set phase in which ackout never rose, reporting the
     output pairs not valid at its end, or ackout still high after the reset
@@ -489,14 +457,16 @@ def run_protocol(
             if not (type(bit := vec[name]) in (int, bool) and bit in (0, 1)):
                 raise ValueError(f"transaction {idx}: input group {name!r} drives bit "
                                  f"{bit!r}; bits are 0 or 1")
+    # the views re-run under this copy, whatever the caller later does to `delays`
+    delays = DelayTable(dict(delays.delays), delays.time_unit)
     logs: list[TransactionView] = []
     summary = ProtocolSummary()
     for start in range(0, len(vectors), _PROTOCOL_LANES):
         chunk = vectors[start:start + _PROTOCOL_LANES]
-        inputs = [(name, int("".join("01"[vec[name]] for vec in reversed(chunk)), 2), 0)
-                  for name in names]  # lane j at bit j
+        inputs = tuple((name, int("".join("01"[vec[name]] for vec in reversed(chunk)), 2), 0)
+                       for name in names)  # lane j at bit j
         run = simulate_transaction(stage, delays, inputs, lanes=len(chunk))
-        logs += _decode_protocol(stage, run, start, summary)
+        logs += _decode_protocol(stage, delays, inputs, run, start, summary)
     return logs, summary
 
 
@@ -522,10 +492,10 @@ def _lane_sums(masks: list[int], lanes: int) -> list[int]:
     return [int("".join(col), 2) for col in columns][::-1] or [0] * lanes
 
 
-def _decode_protocol(stage: Netlist, run: TransactionLog, start: int,
-                     summary: ProtocolSummary) -> list[TransactionView]:
-    """Each lane's view of a `run_protocol` lane run whose lane j is
-    transaction `start + j`, each verdict added to `summary`. One pass over
+def _decode_protocol(stage: Netlist, delays: DelayTable, inputs: tuple, run: TransactionLog,
+                     start: int, summary: ProtocolSummary) -> list[TransactionView]:
+    """Each lane's view of a `run_protocol` lane run of `inputs` whose lane j
+    is transaction `start + j`, each verdict added to `summary`. One pass over
     the trace keeps each net's last level, so an event's changed lanes are
     that level ^ its own: their sum is each lane's `events`. A lane's latency
     is the last set-phase time an output rail changed on it, when every output
@@ -559,8 +529,8 @@ def _decode_protocol(stage: Netlist, run: TransactionLog, start: int,
     for j in range(lanes):
         illegal, returned = run.illegal >> j & 1, not unreturned >> j & 1
         views.append(TransactionView(
-            run, j, last[j] if valid >> j & 1 else None, events[j], bool(illegal),
-            not run.nonmonotone >> j & 1, returned, dict(run.input_apply)))
+            stage, delays, inputs, j, last[j] if valid >> j & 1 else None, events[j],
+            bool(illegal), not run.nonmonotone >> j & 1, returned, dict(run.input_apply)))
         # every input rises once from all-zero and every gate kind is positive
         # unate, so a net only rises in the set phase: ackout rose iff it ends it high
         summary.transactions += 1

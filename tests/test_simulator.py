@@ -4,6 +4,7 @@ import io
 import json
 import platform
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -216,7 +217,17 @@ _ACKIN_AS_RAIL = Netlist("ackin_as_rail", [Gate("g1", GateKind.BUF, ("a1",), "y1
     (_ACKIN_AS_RAIL, [("A", 1, -1)], "net 'ack' is named twice among the input rails and ackin"),
     # an event is net << 1 | bit, so bit 2 (and 1 - 2 on rail 0) would drive other nets
     (gen_safa(), [("B", 1, 0), ("A", 2, 0)], "input group 'A' drives bit 2; bits are 0 or 1"),
-], ids=["safa-before-zero", "ackin-as-rail-before-zero", "safa-bit-2"])
+    (gen_safa(), [("B", 1, 0), ("A", 1.0, 0)], "input group 'A' drives bit 1.0; bits are 0 or 1"),
+    # the model's times are integer units
+    (gen_safa(), [("B", 1, 0), ("A", 1, 0.5)],
+     "input group 'A' applies at t=0.5; apply times are ints"),
+    (gen_safa(), [("B", 1, 0), ("A", 1, True)],
+     "input group 'A' applies at t=True; apply times are ints"),
+    # refused before the time sort, which cannot order it among ints
+    (gen_safa(), [("B", 1, 0), ("A", 1, "1")],
+     "input group 'A' applies at t='1'; apply times are ints"),
+], ids=["safa-before-zero", "ackin-as-rail-before-zero", "safa-bit-2", "safa-float-bit",
+        "safa-float-time", "safa-bool-time", "safa-str-time"])
 def test_inputs_outside_the_protocol_are_rejected(netlist, inputs, message):
     with pytest.raises(ValueError) as exc:
         simulate_transaction(netlist, DelayTable.unit(), inputs)
@@ -230,6 +241,7 @@ def test_inputs_outside_the_protocol_are_rejected(netlist, inputs, message):
     (4, 16, "input group 'A' drives 16; bits on 4 lanes are an int in [0, 2**4)"),
     (4, -1, "input group 'A' drives -1; bits on 4 lanes are an int in [0, 2**4)"),
     (4, 1.5, "input group 'A' drives 1.5; bits on 4 lanes are an int in [0, 2**4)"),
+    (4, 1.0, "input group 'A' drives 1.0; bits on 4 lanes are an int in [0, 2**4)"),
     (0, 1, "lanes must be an int >= 1, got 0"),
     (True, 1, "lanes must be an int >= 1, got True"),
 ])
@@ -833,22 +845,34 @@ def test_each_protocol_transaction_equals_its_one_lane_run(stage, delays, count,
         assert _readings(log) == _readings(run)
 
 
-@pytest.mark.parametrize("netlist", [_LANE_NETLISTS[2], _random_netlist(2)],
-                         ids=["stage", "random"])
-def test_lane_projects_the_one_lane_log_of_a_32_lane_run(netlist):
-    # staggered apply times and a group applied again, so the lanes' set
-    # phases end at different times and each reset phase must be shifted
-    rng = random.Random(netlist.name)
-    schedule = [(g.name, rng.randint(0, 4)) for g in netlist.inputs] + [(netlist.inputs[0].name, 5)]
-    bits = [[rng.randint(0, 1) for _ in range(32)] for _ in schedule]
-    log, runs = _lanes_and_runs(netlist, _SKEWED, schedule, bits)
-    assert len({run.set_end for run in runs}) > 1
-    for j, run in enumerate(runs):
-        lane = log.lane(j)
-        assert lane == run and _readings(lane) == _readings(run)
-    for j in (-1, 32, True):
-        with pytest.raises(ValueError, match=rf"lane must be an int in \[0, 32\), got {j!r}"):
-            log.lane(j)
+def test_protocol_views_keep_no_lane_run_and_no_caller_table_or_vector():
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    delays = DelayTable(dict(_CRITERION_6.delays))  # the caller's table, edited below
+    vectors, refs = random_vectors(stage, 7, 5), []
+
+    def lane_run(*args, **kwargs):
+        run = simulate_transaction(*args, **kwargs)
+        refs.append(weakref.ref(run))
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:  # chunks of 3 lanes, the last one short
+        mp.setattr(simulator, "_PROTOCOL_LANES", 3)
+        mp.setattr(simulator, "simulate_transaction", lane_run)
+        logs, _ = run_protocol(stage, delays, vectors)
+    gc.collect()
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    # a view reads its vector and table as they were when run_protocol ran
+    want = [simulate_transaction(stage, _CRITERION_6, [(grp.name, vec[grp.name], 0)
+                                                       for grp in stage.inputs])
+            for vec in vectors]
+    assert not any("log" in vars(log) for log in logs)
+    for kind in delays.delays:
+        delays.delays[kind] += 1
+    for vec in vectors:
+        for name in vec:
+            vec[name] ^= 1
+    for log, run in zip(logs, want):
+        assert _readings(log) == _readings(run)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import os
 import sys
-from collections import deque
 
 from .generators import (
     AdderSpec,
@@ -135,18 +134,18 @@ def cmd_sim(args) -> int:
     else:
         vectors = random_vectors(n, args.count, args.seed)
 
+    def run(vec):
+        return simulate_transaction(n, delays, [(grp.name, vec[grp.name], 0) for grp in n.inputs])
+
     staged = n.ackin is not None and n.ackout is not None
     with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump_fh:
-        if staged:  # each view is dropped once its lines are written
-            views, summary = run_protocol(n, delays, vectors)
-            views = deque(views)
-            logs = (views.popleft() for _ in range(len(views)))
+        if staged:
+            logs, summary = run_protocol(n, delays, vectors)
         else:  # simulated one by one, up to the first failing transaction
-            logs = (simulate_transaction(n, delays, [(name, bit, 0) for name, bit in vec.items()])
-                    for vec in vectors)
-        for i, log in enumerate(logs):
+            logs = map(run, vectors)
+        for i, (vec, log) in enumerate(zip(vectors, logs)):
             if dump_fh:
-                dump_waveform(log, dump_fh, header=f"transaction {i}")
+                dump_waveform(run(vec) if staged else log, dump_fh, header=f"transaction {i}")
             print(f"transaction {i}: latency={log.latency} {delays.time_unit} "
                   f"rtz={log.rtz_complete} illegal={log.illegal_seen}")
             if not staged and (log.illegal_seen or not log.rtz_complete):

@@ -25,8 +25,12 @@ class AdderSpec:
     redundant_carry: bool = True
 
     def __post_init__(self):
+        if type(self.width) is not int:  # a bool is not a width
+            raise ValueError(f"width must be an int >= 1, got {self.width!r}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        if type(self.safa_stages) is not int:
+            raise ValueError(f"safa_stages must be an int in [0, width], got {self.safa_stages!r}")
         if not 0 <= self.safa_stages <= self.width:
             raise ValueError(f"safa_stages must be in [0, width], got {self.safa_stages}")
         if (self.width - self.safa_stages) % 2:
@@ -236,6 +240,8 @@ def _emit_completion_tree(b: _Builder, prefix: str, groups) -> str:
 
 def gen_completion_detector(pairs: int) -> Netlist:
     """Detector over `pairs` rail pairs: output 1 iff all valid, 0 iff all spacer."""
+    if type(pairs) is not int:  # a bool is not a count
+        raise ValueError(f"pairs must be an int >= 1, got {pairs!r}")
     if pairs < 1:
         raise ValueError(f"need at least one rail pair, got {pairs}")
     b = _Builder()

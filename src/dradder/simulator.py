@@ -366,43 +366,17 @@ def random_vectors(netlist: Netlist, count: int, seed: int = DEFAULT_SEED) -> li
     return [{g: rng.randint(0, 1) for g in groups} for _ in range(count)]
 
 
-def _from_lane(name: str) -> property:
-    return property(lambda view: getattr(view.log, name),
-                    doc=f"`TransactionLog.{name}` of the lane's one-lane log.")
-
-
-@dataclass(eq=False)
+@dataclass
 class TransactionView:
-    """Transaction `lane` of a `run_protocol` chunk, whose packed `inputs`
-    put bit j of each group's bits on lane j. The fields are decoded with the
-    chunk's lane run; every other reading comes from `log`, the one-lane run
-    of the lane's own vector, simulated on first read and kept."""
+    """One `run_protocol` transaction, decoded from its chunk's lane run.
+    Its full log is `simulate_transaction` of its own vector: every
+    transaction starts from all-zero."""
 
-    stage: Netlist = field(repr=False)
-    delays: DelayTable = field(repr=False)
-    inputs: tuple[tuple[str, int, int], ...] = field(repr=False)  # shared by the chunk's views
-    lane: int
     latency: int | None
     events: int
     illegal_seen: bool
     monotonic: bool
     rtz_complete: bool
-    input_apply: dict[str, int]
-
-    @cached_property
-    def log(self) -> TransactionLog:
-        return simulate_transaction(self.stage, self.delays, [
-            (name, bits >> self.lane & 1, t) for name, bits, t in self.inputs])
-
-    output_valid = _from_lane("output_valid")
-    set_end = _from_lane("set_end")
-    end_high = _from_lane("end_high")
-    set_net_levels = _from_lane("set_net_levels")
-    trace = _from_lane("trace")
-    trace_times = _from_lane("trace_times")
-    set_events = _from_lane("set_events")
-    transitions = _from_lane("transitions")
-    set_levels = _from_lane("set_levels")
 
 
 @dataclass
@@ -431,9 +405,7 @@ def run_protocol(
     to 1 024 of them, vector j of a chunk on lane j, and the event budget
     bounds a chunk, not a transaction. One pass over each lane trace decodes
     every lane's `latency`, `events` and monitors, and the summary comes
-    from the run's lane masks, all within this call. Each `TransactionView`
-    re-simulates its own vector for its other readings, on first read,
-    under a copy of `delays` taken by this call.
+    from the run's lane masks, all within this call.
 
     A deadlock is a set phase in which ackout never rose, reporting the
     output pairs not valid at its end, or ackout still high after the reset
@@ -457,16 +429,14 @@ def run_protocol(
             if not (type(bit := vec[name]) in (int, bool) and bit in (0, 1)):
                 raise ValueError(f"transaction {idx}: input group {name!r} drives bit "
                                  f"{bit!r}; bits are 0 or 1")
-    # the views re-run under this copy, whatever the caller later does to `delays`
-    delays = DelayTable(dict(delays.delays), delays.time_unit)
     logs: list[TransactionView] = []
     summary = ProtocolSummary()
     for start in range(0, len(vectors), _PROTOCOL_LANES):
         chunk = vectors[start:start + _PROTOCOL_LANES]
-        inputs = tuple((name, int("".join("01"[vec[name]] for vec in reversed(chunk)), 2), 0)
-                       for name in names)  # lane j at bit j
+        inputs = [(name, int("".join("01"[vec[name]] for vec in reversed(chunk)), 2), 0)
+                  for name in names]  # lane j at bit j
         run = simulate_transaction(stage, delays, inputs, lanes=len(chunk))
-        logs += _decode_protocol(stage, delays, inputs, run, start, summary)
+        logs += _decode_protocol(stage, run, start, summary)
     return logs, summary
 
 
@@ -492,10 +462,10 @@ def _lane_sums(masks: list[int], lanes: int) -> list[int]:
     return [int("".join(col), 2) for col in columns][::-1] or [0] * lanes
 
 
-def _decode_protocol(stage: Netlist, delays: DelayTable, inputs: tuple, run: TransactionLog,
-                     start: int, summary: ProtocolSummary) -> list[TransactionView]:
-    """Each lane's view of a `run_protocol` lane run of `inputs` whose lane j
-    is transaction `start + j`, each verdict added to `summary`. One pass over
+def _decode_protocol(stage: Netlist, run: TransactionLog, start: int,
+                     summary: ProtocolSummary) -> list[TransactionView]:
+    """Each lane's view of a `run_protocol` lane run whose lane j is
+    transaction `start + j`, each verdict added to `summary`. One pass over
     the trace keeps each net's last level, so an event's changed lanes are
     that level ^ its own: their sum is each lane's `events`. A lane's latency
     is the last set-phase time an output rail changed on it, when every output
@@ -528,9 +498,8 @@ def _decode_protocol(stage: Netlist, delays: DelayTable, inputs: tuple, run: Tra
     views = []
     for j in range(lanes):
         illegal, returned = run.illegal >> j & 1, not unreturned >> j & 1
-        views.append(TransactionView(
-            stage, delays, inputs, j, last[j] if valid >> j & 1 else None, events[j],
-            bool(illegal), not run.nonmonotone >> j & 1, returned, dict(run.input_apply)))
+        views.append(TransactionView(last[j] if valid >> j & 1 else None, events[j],
+                                     bool(illegal), not run.nonmonotone >> j & 1, returned))
         # every input rises once from all-zero and every gate kind is positive
         # unate, so a net only rises in the set phase: ackout rose iff it ends it high
         summary.transactions += 1
@@ -628,7 +597,7 @@ def classify_indication(fb: Netlist, delays: DelayTable, trials: int,
     return IndicationReport(cls, len(vectors), early_set, full_early_set, early_reset, note)
 
 
-def dump_waveform(log: TransactionLog | TransactionView, fh: TextIO, *,
+def dump_waveform(log: TransactionLog, fh: TextIO, *,
                   header: str | None = None) -> None:
     """Write each event of the log's trace as a 'time net level' line, sorted
     by time and net; one net's events at one time keep their applied order."""

@@ -305,6 +305,8 @@ def sweep_hybrid(width: int, d: DelayTable) -> SweepResult:
     OR3 2, OR4 2, AO21 6, AO22 4, AO222 5, C2 5, the w=32 curve has its
     minimum 107 at s=0 alone, while `critical_path` over the generated w=32
     stages gives a minimum of 111, at s=0 and s=2."""
+    if type(width) is not int:  # a bool is not a width
+        raise ValueError(f"width must be an int >= 2, got {width!r}")
     if width < 2:
         raise ValueError(f"sweep needs width >= 2, got {width}")
     curve = tuple(

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dradder
-from dradder import cli
+from dradder import cli, simulator
 from dradder.cli import (
     EXIT_DEADLOCK,
     EXIT_FAIL,
@@ -29,8 +30,15 @@ from dradder.generators import (
     gen_stage,
 )
 from dradder.netlist import Gate, GateKind, Netlist, PortGroup
-from dradder.simulator import DelayTable, classify_indication
-from dradder.timing import compare_report, critical_path
+from dradder.simulator import (
+    DEFAULT_SEED,
+    DelayTable,
+    classify_indication,
+    dump_waveform,
+    random_vectors,
+    simulate_transaction,
+)
+from dradder.timing import compare_report, critical_path, hybrid_latency, sweep_hybrid
 from dradder.verification import VerifyResult, exhaustive_verify, oracle_add, steady_set_levels
 
 
@@ -87,6 +95,27 @@ def test_sim_stage_with_vector_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "completed 2/2" in out
     assert dump.read_text().startswith("# transaction 0")
+
+
+def test_a_staged_dump_is_each_vectors_one_lane_dump(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "_PROTOCOL_LANES", 3)  # 7 vectors cross two chunk boundaries
+    net = _build(tmp_path, "rca", "--width", "4", "--safa", "2", "--stage")
+    stage = Netlist.load(net)
+    rows = [(3, 5, 0), (15, 15, 1), (0, 0, 0), (0, 15, 1), (9, 6, 1), (1, 1, 0), (12, 3, 1)]
+    vecs = tmp_path / "vectors.txt"
+    vecs.write_text("".join(f"{a:x} {b:x} {cin}\n" for a, b, cin in rows))
+    from_file = [{**{f"A{i}": a >> i & 1 for i in range(4)},
+                  **{f"B{i}": b >> i & 1 for i in range(4)}, "CIN": cin} for a, b, cin in rows]
+    for source, vectors in ((["--count", "7"], random_vectors(stage, 7, DEFAULT_SEED)),
+                            (["--vectors", str(vecs)], from_file)):
+        dump = tmp_path / "wave.txt"
+        assert main(["sim", "--netlist", str(net), *source, "--dump", str(dump)]) == EXIT_OK
+        want = io.StringIO()
+        for i, vec in enumerate(vectors):
+            log = simulate_transaction(stage, DelayTable.unit(), [(grp.name, vec[grp.name], 0)
+                                                                  for grp in stage.inputs])
+            dump_waveform(log, want, header=f"transaction {i}")
+        assert dump.read_text() == want.getvalue()
 
 
 def test_vector_file_drives_the_ports_in_declaration_order(tmp_path):
@@ -520,6 +549,20 @@ def test_verify_rejects_bad_arguments(capsys, argv):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: gen_completion_detector(0), ValueError, "need at least one rail pair, got 0"),
+    # a bool is not a width or a count
+    (lambda: gen_completion_detector(True), ValueError, "pairs must be an int >= 1, got True"),
+    (lambda: gen_completion_detector(2.0), ValueError, "pairs must be an int >= 1, got 2.0"),
+    (lambda: AdderSpec(True, 1), ValueError, "width must be an int >= 1, got True"),
+    (lambda: AdderSpec(4.0, 2), ValueError, "width must be an int >= 1, got 4.0"),
+    (lambda: AdderSpec(4, 2.0), ValueError,
+     "safa_stages must be an int in [0, width], got 2.0"),
+    (lambda: hybrid_latency(4.0, 2, DelayTable.unit()), ValueError,
+     "width must be an int >= 1, got 4.0"),
+    (lambda: sweep_hybrid(4.0, DelayTable.unit()), ValueError,
+     "width must be an int >= 2, got 4.0"),
+    (lambda: sweep_hybrid(True, DelayTable.unit()), ValueError,
+     "width must be an int >= 2, got True"),
+    (lambda: sweep_hybrid(1, DelayTable.unit()), ValueError, "sweep needs width >= 2, got 1"),
     (lambda: gen_stage(Netlist("bare", [], [], [])), ValueError,
      "'bare' has no dual-rail ports to wrap"),
     (lambda: gen_safa().group("Z"), KeyError, "no input group 'Z' in safa"),
@@ -538,7 +581,9 @@ def test_verify_rejects_bad_arguments(capsys, argv):
     (lambda: oracle_add(0, 0, 0, 0), ValueError, "width must be >= 1, got 0"),
     (lambda: exhaustive_verify(gen_hybrid_rca(AdderSpec(2, 0, True)), 2, mode="walk"),
      ValueError, "unknown mode 'walk'"),
-], ids=["cd-no-pairs", "stage-no-ports", "unknown-input-group", "unknown-output-group",
+], ids=["cd-no-pairs", "cd-bool-pairs", "cd-float-pairs", "spec-bool-width", "spec-float-width",
+        "spec-float-safa", "latency-float-width", "sweep-float-width", "sweep-bool-width",
+        "sweep-width-1", "stage-no-ports", "unknown-input-group", "unknown-output-group",
         "classify-no-trials", "classify-one-pair", "classify-wire-input", "unknown-legend",
         "oracle-width-0", "verify-unknown-mode"])
 def test_library_errors_name_their_cause(call, error, message):

@@ -28,6 +28,10 @@ def test_adder_spec_requires_consistent_partition():
         AdderSpec(32, 33, True)
     with pytest.raises(ValueError):
         AdderSpec(0, 0, True)
+    # a width or stage count that is not an int, a bool included
+    for width, safa in ((True, 1), (4.0, 2), (1, True), (4, 2.0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            AdderSpec(width, safa, True)
 
 
 def test_safa_census():

@@ -334,16 +334,24 @@ def test_waveform_dump_keeps_a_zero_width_pulse_in_order():
     assert lines == sorted(lines, key=lambda line: (int(line.split()[0]), line.split()[1]))
 
 
+def _one_lane_runs(stage: Netlist, delays: DelayTable, vectors) -> list:
+    """Each vector's full log: its own one-lane `simulate_transaction`."""
+    return [simulate_transaction(stage, delays, [(grp.name, vec[grp.name], 0)
+                                                 for grp in stage.inputs]) for vec in vectors]
+
+
 def test_simulator_event_trace_is_pinned():
     # recorded before the simulator moved onto the integer netlist form
     stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, redundant_carry=True)))
-    logs, summary = run_protocol(stage, DelayTable.unit(), random_vectors(stage, 12, 7))
+    vectors = random_vectors(stage, 12, 7)
+    logs, summary = run_protocol(stage, DelayTable.unit(), vectors)
+    runs = _one_lane_runs(stage, DelayTable.unit(), vectors)
     assert summary.completed == 12
     assert sum(log.events for log in logs) == 2108
-    trace = json.dumps([[log.latency, log.events, log.set_end,
-                         sorted((net, t, v) for net, tr in log.transitions.items()
+    trace = json.dumps([[log.latency, log.events, run.set_end,
+                         sorted((net, t, v) for net, tr in run.transitions.items()
                                 for t, v in tr)]
-                        for log in logs])
+                        for log, run in zip(logs, runs)])
     assert hashlib.sha256(trace.encode()).hexdigest() == \
         "9b950ddd072a992c8e41745e4fae220e8e434d729d4fc1512ce7469e5c53a223"
 
@@ -531,12 +539,14 @@ _PROTOCOL_STAGES = st.one_of(_random_blocks(wire=False).map(gen_stage),
 @settings(max_examples=80, deadline=None)
 @given(_PROTOCOL_STAGES, _DELAY_TABLES, st.integers(1, 8), st.integers(0, 9))
 def test_protocol_verdicts_and_log_timing_equal_a_trace_replay(stage, delays, count, seed):
-    logs, summary = run_protocol(stage, delays, random_vectors(stage, count, seed))
-    assert (summary, [(log.output_valid, log.latency) for log in logs]) == \
-        _protocol_by_trace(stage, logs)
-    for log in logs:  # the nets left high are those whose last event is a rise
-        final = {ev >> 1: ev & 1 for ev in log.trace}
-        assert log.end_high == {k: 1 for k, level in final.items() if level}
+    vectors = random_vectors(stage, count, seed)
+    logs, summary = run_protocol(stage, delays, vectors)
+    runs = _one_lane_runs(stage, delays, vectors)
+    assert (summary, [(run.output_valid, log.latency) for log, run in zip(logs, runs)]) == \
+        _protocol_by_trace(stage, runs)
+    for run in runs:  # the nets left high are those whose last event is a rise
+        final = {ev >> 1: ev & 1 for ev in run.trace}
+        assert run.end_high == {k: 1 for k, level in final.items() if level}
 
 
 def test_zero_delay_events_apply_in_drive_order():
@@ -568,14 +578,16 @@ def test_transaction_log_key_order_is_pinned():
     # the digest covers the order of the named dicts' keys; recorded on the
     # heap queue with name-keyed dicts built for every transaction
     stage = gen_stage(gen_hybrid_rca(AdderSpec(8, 2, True)))
-    logs, _ = run_protocol(stage, DelayTable.unit(), random_vectors(stage, 6, 5))
-    rows = [[list(log.transitions.items()), list(log.set_levels.items())] for log in logs]
+    vectors = random_vectors(stage, 6, 5)
+    logs, _ = run_protocol(stage, DelayTable.unit(), vectors)
+    runs = _one_lane_runs(stage, DelayTable.unit(), vectors)
+    rows = [[list(run.transitions.items()), list(run.set_levels.items())] for run in runs]
     assert sum(log.events for log in logs) == 1064
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
         "31aaad0edd634453c40c576f5cb3b0b47042370175c80c023377371d186e647a"
     # the named dicts are built once, so an edit to one stays visible
-    log = logs[0]
-    assert log.transitions is log.transitions and log.set_levels is log.set_levels
+    run = runs[0]
+    assert run.transitions is run.transitions and run.set_levels is run.set_levels
 
 
 def test_every_simulator_route_rejects_a_two_driver_net():
@@ -813,15 +825,12 @@ def test_return_to_zero_is_a_lane_mask():
     assert [run.rtz_complete for run in runs] == [True, False, False, True]
 
 
-_READINGS = ("latency", "events", "illegal_seen", "monotonic", "rtz_complete", "input_apply",
-             "output_valid", "set_end", "end_high", "set_net_levels", "trace", "trace_times",
-             "set_events", "transitions", "set_levels")
+_READINGS = ("latency", "events", "illegal_seen", "monotonic", "rtz_complete")
 
 
 def _readings(log) -> list:
-    """Every reading of a transaction; a dict as its items, so key order counts."""
-    return [list(v.items()) if isinstance(v := getattr(log, name), dict) else v
-            for name in _READINGS]
+    """The readings a `run_protocol` transaction decodes."""
+    return [getattr(log, name) for name in _READINGS]
 
 
 @settings(max_examples=60, deadline=None)
@@ -838,16 +847,13 @@ def test_each_protocol_transaction_equals_its_one_lane_run(stage, delays, count,
         mp.setattr(simulator, "simulate_transaction", lane_run)
         logs, _ = run_protocol(stage, delays, vectors)
     assert runs == [min(3, count - start) for start in range(0, count, 3)]
-    assert len(logs) == count and not any("log" in vars(log) for log in logs)  # nothing projected
-    for log, vec in zip(logs, vectors):
-        run = simulate_transaction(stage, delays, [(grp.name, vec[grp.name], 0)
-                                                   for grp in stage.inputs])
+    assert len(logs) == count
+    for log, run in zip(logs, _one_lane_runs(stage, delays, vectors)):
         assert _readings(log) == _readings(run)
 
 
-def test_protocol_views_keep_no_lane_run_and_no_caller_table_or_vector():
+def test_protocol_views_hold_only_their_readings():
     stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
-    delays = DelayTable(dict(_CRITERION_6.delays))  # the caller's table, edited below
     vectors, refs = random_vectors(stage, 7, 5), []
 
     def lane_run(*args, **kwargs):
@@ -858,21 +864,11 @@ def test_protocol_views_keep_no_lane_run_and_no_caller_table_or_vector():
     with pytest.MonkeyPatch.context() as mp:  # chunks of 3 lanes, the last one short
         mp.setattr(simulator, "_PROTOCOL_LANES", 3)
         mp.setattr(simulator, "simulate_transaction", lane_run)
-        logs, _ = run_protocol(stage, delays, vectors)
+        logs, _ = run_protocol(stage, _CRITERION_6, vectors)
     gc.collect()
     assert len(refs) == 3 and all(ref() is None for ref in refs)
-    # a view reads its vector and table as they were when run_protocol ran
-    want = [simulate_transaction(stage, _CRITERION_6, [(grp.name, vec[grp.name], 0)
-                                                       for grp in stage.inputs])
-            for vec in vectors]
-    assert not any("log" in vars(log) for log in logs)
-    for kind in delays.delays:
-        delays.delays[kind] += 1
-    for vec in vectors:
-        for name in vec:
-            vec[name] ^= 1
-    for log, run in zip(logs, want):
-        assert _readings(log) == _readings(run)
+    # no stage, delay table, inputs or log: a view is its decoded readings
+    assert all(list(vars(log)) == list(_READINGS) for log in logs)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -900,8 +896,7 @@ def test_protocol_takes_bools_as_bits():
     bools = [{g: bool(bit) for g, bit in vec.items()} for vec in ints]
     (by_int, summary), (by_bool, same) = (run_protocol(stage, DelayTable.unit(), vecs)
                                           for vecs in (ints, bools))
-    assert summary == same and [_readings(log) for log in by_int] == \
-        [_readings(log) for log in by_bool]
+    assert summary == same and by_int == by_bool
 
 
 @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "str"])

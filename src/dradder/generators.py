@@ -33,6 +33,8 @@ class AdderSpec:
             raise ValueError(f"safa_stages must be an int in [0, width], got {self.safa_stages!r}")
         if not 0 <= self.safa_stages <= self.width:
             raise ValueError(f"safa_stages must be in [0, width], got {self.safa_stages}")
+        if type(self.redundant_carry) is not bool:  # "no" or 0 would pick a variant
+            raise ValueError(f"redundant_carry must be a bool, got {self.redundant_carry!r}")
         if (self.width - self.safa_stages) % 2:
             raise ValueError(
                 f"width {self.width} minus {self.safa_stages} SAFA bits leaves an odd "
@@ -168,6 +170,8 @@ def gen_dafa(redundant: bool = True) -> Netlist:
     `redundant` selects the carry variant: AO21 carry gates (redundant
     logic) versus OR2 gates over the shared propagate C-elements.
     """
+    if type(redundant) is not bool:
+        raise ValueError(f"redundant must be a bool, got {redundant!r}")
     b = _Builder()
     s11, s10, s01, s00, c1, c0 = _emit_dafa(
         b, "", "a11", "a10", "a01", "a00", "b11", "b10", "b01", "b00",

@@ -21,7 +21,8 @@ value` on one lane), and applying it stores that level. Lane j replays its
 one-lane run exactly: where its input did not change, the pending value
 already equals the gate's function, and where `held == value` every lane
 that changed moved to the output's own value. The monitors are lane masks.
-`run_protocol` runs its vectors as the lanes of one run per chunk.
+`run_protocol` runs its vectors as the lanes of one run per chunk, counting
+each lane's events from net levels and its latency from output-rail events.
 
 Nets are the structure pass's ids, as STA and the steady walk number them:
 the input nets first, then gate k's output at base + k. Each event reads
@@ -44,6 +45,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import compress
 from operator import and_, itemgetter, or_, xor
 from typing import Sequence, TextIO
 
@@ -403,9 +405,9 @@ def run_protocol(
     run to quiescence too; the environment never waits on ackout. So the
     vectors run as the lanes of one `simulate_transaction` per chunk of up
     to 1 024 of them, vector j of a chunk on lane j, and the event budget
-    bounds a chunk, not a transaction. One pass over each lane trace decodes
-    every lane's `latency`, `events` and monitors, and the summary comes
-    from the run's lane masks, all within this call.
+    bounds a chunk, not a transaction. Each lane's `events` comes from net
+    levels, its `latency` from output-rail events, and its monitors and the
+    summary from the run's lane masks, all within this call.
 
     A deadlock is a set phase in which ackout never rose, reporting the
     output pairs not valid at its end, or ackout still high after the reset
@@ -465,31 +467,37 @@ def _lane_sums(masks: list[int], lanes: int) -> list[int]:
 def _decode_protocol(stage: Netlist, run: TransactionLog, start: int,
                      summary: ProtocolSummary) -> list[TransactionView]:
     """Each lane's view of a `run_protocol` lane run whose lane j is
-    transaction `start + j`, each verdict added to `summary`. One pass over
-    the trace keeps each net's last level, so an event's changed lanes are
-    that level ^ its own: their sum is each lane's `events`. A lane's latency
-    is the last set-phase time an output rail changed on it, when every output
-    group is valid there at the set end."""
+    transaction `start + j`, each verdict added to `summary`. Every input
+    rises once from all-zero and every gate kind is positive unate, so on
+    every lane each net rises at most once in the set phase and falls at most
+    once in the reset phase. So a lane's `events` is twice the nets high on it
+    at the set end less those still high after the reset phase, and ackout
+    rose iff it ends the set phase high. A lane's latency is the last
+    set-phase time an output rail rose on it, read from those rails' events
+    alone, when every output group is valid there at the set end."""
     ids, lanes, every = stage._structure.ids, run.lanes, (1 << run.lanes) - 1
-    trace, prev, changed = run.trace, [0] * len(ids), []
-    for ev in trace:
-        net, value = ev >> lanes, ev & every
-        changed.append(prev[net] ^ value)
-        prev[net] = value
-    events = _lane_sums(changed, lanes)
+    levels, high = run.set_net_levels, run.end_high
+    events = [2 * s - e for s, e in zip(_lane_sums([v for v in levels if v], lanes),
+                                         _lane_sums(list(high.values()), lanes))]
     rails = {ids[rail] for grp in stage.outputs for rail in grp.rails()}
-    last, todo = [0] * lanes, every  # each lane's last output-rail change; lanes not yet seen
-    for i in range(run.set_events - 1, -1, -1):
+    set_trace = run.trace[:run.set_events]
+    on_rails = [ev >> lanes in rails for ev in set_trace]
+    prev, rises = {}, []  # each output-rail event's lanes that rose
+    for ev in compress(set_trace, on_rails):
+        net, value = ev >> lanes, ev & every
+        rises.append(value ^ prev.get(net, 0))
+        prev[net] = value
+    last, todo = [0] * lanes, every  # each lane's last output-rail rise; lanes not yet seen
+    for up, time in zip(reversed(rises), reversed(list(compress(run.trace_times, on_rails)))):
         if not todo:
             break
-        if trace[i] >> lanes in rails and (seen := changed[i] & todo):
+        if seen := up & todo:
             todo ^= seen
             while seen:
                 low = seen & -seen
-                last[low.bit_length() - 1] = run.trace_times[i]
+                last[low.bit_length() - 1] = time
                 seen ^= low
 
-    levels, high = run.set_net_levels, run.end_high
     codes = [reduce(xor, [levels[ids[rail]] for rail in grp.rails()])  # rail 1, or rail 1 ^ rail 0
              for grp in stage.outputs]
     valid = reduce(and_, codes, every) if stage.inputs and codes else 0
@@ -500,8 +508,6 @@ def _decode_protocol(stage: Netlist, run: TransactionLog, start: int,
         illegal, returned = run.illegal >> j & 1, not unreturned >> j & 1
         views.append(TransactionView(last[j] if valid >> j & 1 else None, events[j],
                                      bool(illegal), not run.nonmonotone >> j & 1, returned))
-        # every input rises once from all-zero and every gate kind is positive
-        # unate, so a net only rises in the set phase: ackout rose iff it ends it high
         summary.transactions += 1
         if not rose >> j & 1:
             blocking = tuple(grp.name for grp, code in zip(stage.outputs, codes)

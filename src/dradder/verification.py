@@ -62,7 +62,11 @@ from .simulator import DEFAULT_SEED, DelayTable, simulate_transaction
 
 
 def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
-    """Ground-truth addition: ((a + b + cin) mod 2**width, carry-out)."""
+    """Ground-truth addition: ((a + b + cin) mod 2**width, carry-out). Each
+    argument must be an int (a bool is not), or it is a `ValueError` naming it."""
+    for name, value in (("width", width), ("a", a), ("b", b), ("carry-in", cin)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if not (0 <= a < 2**width and 0 <= b < 2**width):

@@ -25,6 +25,7 @@ from dradder.cli import (
 from dradder.generators import (
     AdderSpec,
     gen_completion_detector,
+    gen_dafa,
     gen_hybrid_rca,
     gen_safa,
     gen_stage,
@@ -556,6 +557,9 @@ def test_verify_rejects_bad_arguments(capsys, argv):
     (lambda: AdderSpec(4.0, 2), ValueError, "width must be an int >= 1, got 4.0"),
     (lambda: AdderSpec(4, 2.0), ValueError,
      "safa_stages must be an int in [0, width], got 2.0"),
+    # "no" or 0 would pick a carry variant by its truth value
+    (lambda: AdderSpec(4, 2, "no"), ValueError, "redundant_carry must be a bool, got 'no'"),
+    (lambda: gen_dafa(redundant=0), ValueError, "redundant must be a bool, got 0"),
     (lambda: hybrid_latency(4.0, 2, DelayTable.unit()), ValueError,
      "width must be an int >= 1, got 4.0"),
     (lambda: sweep_hybrid(4.0, DelayTable.unit()), ValueError,
@@ -579,13 +583,18 @@ def test_verify_rejects_bad_arguments(capsys, argv):
      "input group 'B' is a single wire; classification needs rail pairs"),
     (lambda: compare_report().row("Adder18"), ValueError, "unknown adder legend 'Adder18'"),
     (lambda: oracle_add(0, 0, 0, 0), ValueError, "width must be >= 1, got 0"),
+    (lambda: oracle_add(1, 2, 0, 4.0), ValueError, "width must be an int, got 4.0"),
+    (lambda: oracle_add(1, 2, 0, True), ValueError, "width must be an int, got True"),
+    (lambda: oracle_add(1.5, 2, 0, 4), ValueError, "a must be an int, got 1.5"),
+    (lambda: oracle_add(1, 2, 1.0, 4), ValueError, "carry-in must be an int, got 1.0"),
     (lambda: exhaustive_verify(gen_hybrid_rca(AdderSpec(2, 0, True)), 2, mode="walk"),
      ValueError, "unknown mode 'walk'"),
 ], ids=["cd-no-pairs", "cd-bool-pairs", "cd-float-pairs", "spec-bool-width", "spec-float-width",
-        "spec-float-safa", "latency-float-width", "sweep-float-width", "sweep-bool-width",
+        "spec-float-safa", "spec-str-redundant", "dafa-int-redundant", "latency-float-width", "sweep-float-width", "sweep-bool-width",
         "sweep-width-1", "stage-no-ports", "unknown-input-group", "unknown-output-group",
         "classify-no-trials", "classify-one-pair", "classify-wire-input", "unknown-legend",
-        "oracle-width-0", "verify-unknown-mode"])
+        "oracle-width-0", "oracle-float-width", "oracle-bool-width", "oracle-float-operand",
+        "oracle-float-carry", "verify-unknown-mode"])
 def test_library_errors_name_their_cause(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -852,6 +852,43 @@ def test_each_protocol_transaction_equals_its_one_lane_run(stage, delays, count,
         assert _readings(log) == _readings(run)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_PROTOCOL_STAGES, _DELAY_TABLES, st.integers(1, 8), st.integers(0, 9))
+def test_protocol_lane_runs_are_monotone(stage, delays, count, seed):
+    # run_protocol counts each lane's events from net levels, which holds only
+    # if every net rises at most once in the set phase and falls at most once
+    # in the reset phase, on every lane
+    runs = []
+
+    def lane_run(*args, **kwargs):
+        runs.append(simulate_transaction(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:  # chunks of 3 lanes, the last one short
+        mp.setattr(simulator, "_PROTOCOL_LANES", 3)
+        mp.setattr(simulator, "simulate_transaction", lane_run)
+        run_protocol(stage, delays, random_vectors(stage, count, seed))
+    assert len(runs) == -(-count // 3)
+    assert all(run.nonmonotone == 0 for run in runs)
+
+
+def test_protocol_transactions_equal_their_one_lane_runs_across_full_chunks():
+    # 1 030 vectors fill one chunk of 1 024 lanes and a second of 6
+    stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
+    vectors, lanes = random_vectors(stage, 1030, 11), []
+
+    def lane_run(*args, **kwargs):
+        lanes.append(kwargs["lanes"])
+        return simulate_transaction(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "simulate_transaction", lane_run)
+        logs, summary = run_protocol(stage, _SKEWED, vectors)
+    assert lanes == [1024, 6] and summary.completed == 1030
+    assert [_readings(log) for log in logs] == \
+        [_readings(run) for run in _one_lane_runs(stage, _SKEWED, vectors)]
+
+
 def test_protocol_views_hold_only_their_readings():
     stage = gen_stage(gen_hybrid_rca(AdderSpec(4, 2, True)))
     vectors, refs = random_vectors(stage, 7, 5), []
